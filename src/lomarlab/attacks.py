@@ -9,7 +9,7 @@ data and produce tightly clustered updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,10 +10,11 @@ ablations).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .lomar import sq_dist_matrix
 from .models import ClientUpdate
 from .params import ParamVector
 
@@ -81,12 +82,10 @@ def _krum_scores(vectors: np.ndarray, ids: list[int], assumed_malicious: int) ->
     window = n - assumed_malicious - 2
     if window < 1:
         raise ValueError(f"krum needs n - assumed_malicious - 2 >= 1, got n={n}, assumed={assumed_malicious}")
-    scores = {}
-    for i in range(n):
-        d = np.sum((vectors - vectors[i]) ** 2, axis=1)
-        d[i] = np.inf
-        scores[ids[i]] = float(np.sum(np.sort(d)[:window]))
-    return scores
+    d = sq_dist_matrix(vectors)
+    np.fill_diagonal(d, np.inf)
+    nearest = np.sort(d, axis=1)[:, :window]
+    return dict(zip(ids, np.sum(nearest, axis=1).tolist()))
 
 
 def _krum_select_count(n: int, assumed_malicious: int) -> int:
@@ -140,7 +139,6 @@ def _foolsgold_weights(vectors: np.ndarray) -> np.ndarray:
     row maxima are both positive; a nonpositive maximum would flip signs or
     divide by zero in the rescale.
     """
-    n = vectors.shape[0]
     norms = np.sqrt(np.sum(vectors ** 2, axis=1))
     safe = np.where(norms > 0, norms, 1.0)
     unit = vectors / safe[:, None]
@@ -150,10 +148,8 @@ def _foolsgold_weights(vectors: np.ndarray) -> np.ndarray:
     np.fill_diagonal(cs, 0.0)
 
     maxcs = cs.max(axis=1)
-    for i in range(n):
-        for j in range(n):
-            if i != j and 0.0 < maxcs[i] < maxcs[j]:
-                cs[i, j] *= maxcs[i] / maxcs[j]
+    rows, cols = np.nonzero((0.0 < maxcs[:, None]) & (maxcs[:, None] < maxcs[None, :]))
+    cs[rows, cols] *= maxcs[rows] / maxcs[cols]
     wv = np.clip(1.0 - cs.max(axis=1), 0.0, 1.0)
 
     with np.errstate(divide="ignore"):

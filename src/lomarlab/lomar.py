@@ -21,7 +21,7 @@ kernel="gaussian" switches to the conventional exp(-d^2/(2h^2)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,23 +123,50 @@ def _update_matrix(updates: list[ClientUpdate]) -> np.ndarray:
     return np.stack([u.delta.values for u in updates])
 
 
-def _sq_dist_rows(matrix: np.ndarray) -> np.ndarray:
-    """Dense squared-distance matrix, computed row by row.
+# Gram-form distances below this fraction of ||a||^2 + ||b||^2 have lost most
+# of their digits to cancellation and are recomputed directly.
+_GRAM_CANCELLATION_RTOL = 1e-6
+# Elements gathered per chunk when recomputing cancellation-prone pairs.
+_DIRECT_CHUNK_ELEMENTS = 1 << 22
 
-    Rowwise evaluation keeps the result exactly symmetric with an exactly
-    zero diagonal (the same elementwise squares reduce in the same order for
-    (i, j) and (j, i)).
+
+def sq_dist_matrix(matrix: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of `matrix`.
+
+    Uses the Gram form ||a||^2 + ||b||^2 - 2 a.b over the distinct rows only,
+    then expands back by index, so byte-identical rows get identical distance
+    rows and exactly 0 between them. Pairs whose Gram value falls to the
+    cancellation level are recomputed as sum((a - b)^2). The upper triangle
+    is mirrored, so the result is exactly symmetric with a zero diagonal and
+    no negative entries.
     """
-    n = matrix.shape[0]
-    out = np.empty((n, n))
-    for i in range(n):
-        out[i] = np.sum((matrix - matrix[i]) ** 2, axis=1)
-    return out
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    first: dict[bytes, int] = {}
+    owner = np.fromiter((first.setdefault(row.tobytes(), i) for i, row in enumerate(matrix)),
+                        dtype=np.intp, count=matrix.shape[0])
+    rows_kept, inverse = np.unique(owner, return_inverse=True)
+    distinct = matrix[rows_kept]
+    sq = np.einsum("ij,ij->i", distinct, distinct)
+    rows, cols = np.triu_indices(distinct.shape[0], k=1)
+    norms = sq[rows] + sq[cols]
+    upper = norms - 2.0 * (distinct @ distinct.T)[rows, cols]
+    close = np.flatnonzero(upper <= _GRAM_CANCELLATION_RTOL * norms)
+    step = max(1, _DIRECT_CHUNK_ELEMENTS // max(1, distinct.shape[1]))
+    for start in range(0, close.size, step):
+        pick = close[start:start + step]
+        upper[pick] = np.sum((distinct[rows[pick]] - distinct[cols[pick]]) ** 2, axis=1)
+    out = np.zeros((distinct.shape[0], distinct.shape[0]))
+    out[rows, cols] = np.maximum(upper, 0.0)
+    out[cols, rows] = out[rows, cols]
+    return out[np.ix_(inverse, inverse)]
 
 
-def pairwise_sq_dist(updates: list[ClientUpdate]) -> np.ndarray:
-    """Squared Euclidean distances between full update vectors."""
-    return _sq_dist_rows(_update_matrix(updates))
+def _nearest(dist_rows: np.ndarray, centers: np.ndarray, k: int, ids: np.ndarray) -> np.ndarray:
+    """Positions of each row's k nearest peers (center excluded), ties by lower id."""
+    d = np.array(dist_rows, dtype=np.float64)
+    d[np.arange(d.shape[0]), centers] = -np.inf
+    order = np.lexsort((np.broadcast_to(ids, d.shape), d))
+    return order[:, 1:k + 1]
 
 
 def knn(dist_matrix: np.ndarray, center: int, k: int, ids: list[int] | None = None) -> NeighborSet:
@@ -153,9 +180,13 @@ def knn(dist_matrix: np.ndarray, center: int, k: int, ids: list[int] | None = No
         raise ValueError(f"k={k} must be in [1, {n - 1}]")
     if ids is None:
         ids = list(range(n))
-    peers = [(dist_matrix[center, j], ids[j], j) for j in range(n) if j != center]
-    peers.sort(key=lambda t: (t[0], t[1]))
-    return NeighborSet(center=ids[center], members=tuple((pos, d) for d, _, pos in peers[:k]))
+    pos = _nearest(dist_matrix[center:center + 1], np.array([center]), k, np.asarray(ids))[0]
+    return _neighbor_set(dist_matrix, center, pos, ids)
+
+
+def _neighbor_set(dist_matrix: np.ndarray, center: int, pos: np.ndarray, ids: list[int]) -> NeighborSet:
+    return NeighborSet(center=ids[center],
+                       members=tuple(zip(pos.tolist(), dist_matrix[center, pos].tolist())))
 
 
 def _log_kernel(dist: np.ndarray, h: float, kernel: str) -> np.ndarray:
@@ -166,11 +197,14 @@ def _log_kernel(dist: np.ndarray, h: float, kernel: str) -> np.ndarray:
     return norm - (dist * dist) / (2.0 * h * h)
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    m = np.max(values)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(values - m))))
+def _logsumexp(values: np.ndarray) -> np.ndarray:
+    """log(sum(exp(values))) over the last axis; an infinite or NaN maximum passes through."""
+    m = np.max(values, axis=-1)
+    finite = np.isfinite(m)
+    shift = np.where(finite, m, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = shift + np.log(np.sum(np.exp(values - shift[..., None]), axis=-1))
+    return np.where(finite, out, m)[()]
 
 
 def kde_density(center_slice: np.ndarray, neighbor_slices: np.ndarray, h: float,
@@ -188,14 +222,15 @@ def kde_density(center_slice: np.ndarray, neighbor_slices: np.ndarray, h: float,
     return float(np.exp(_logsumexp(_log_kernel(d, h, kernel))) / neighbors.shape[0])
 
 
-def label_log_factor(neighbor_log_densities: np.ndarray, center_log_density: float) -> float:
+def label_log_factor(neighbor_log_densities: np.ndarray, center_log_density) -> float:
     """log of (mean neighbor density / center density), centered for exactness.
 
     Centering on the denominator makes the all-equal case return exactly 0,
-    so those clients sit exactly at factor 1.
+    so those clients sit exactly at factor 1. Reduces over the last axis;
+    leading axes (with a broadcastable center) score many clients at once.
     """
     terms = np.asarray(neighbor_log_densities, dtype=np.float64) - center_log_density
-    return _logsumexp(terms) - math.log(len(terms))
+    return _logsumexp(terms) - math.log(terms.shape[-1])
 
 
 def label_factor(neighbor_densities: np.ndarray, center_density: float) -> float:
@@ -245,44 +280,33 @@ def lomar_run(updates: list[ClientUpdate], cfg: KdeConfig = KdeConfig()) -> Loma
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} needs a population of at least k+1 (got {n})")
 
-    full_dist = _sq_dist_rows(matrix)
-    neighbor_sets = [knn(full_dist, i, k, ids) for i in range(n)]
-    neighbor_pos = [np.fromiter((p for p, _ in ns.members), dtype=np.int64, count=k) for ns in neighbor_sets]
+    full_dist = sq_dist_matrix(matrix)
+    neighbor_pos = _nearest(full_dist, np.arange(n), k, np.asarray(ids))
+    neighbor_sets = [_neighbor_set(full_dist, i, neighbor_pos[i], ids) for i in range(n)]
 
     layout = updates[0].delta.layout
-    num_labels = layout.num_labels
-    slice_dists = []
-    for r in range(num_labels):
-        sl = matrix[:, layout.label_slice(r)]
-        slice_dists.append(np.sqrt(_sq_dist_rows(sl)))
-
+    slice_dists = [np.sqrt(sq_dist_matrix(matrix[:, layout.label_slice(r)]))
+                   for r in range(layout.num_labels)]
     h = cfg.bandwidth if cfg.bandwidth is not None else median_bandwidth(slice_dists)
+    log_kernels = np.stack([_log_kernel(d, h, cfg.kernel) for d in slice_dists])
     log_floor = math.log(cfg.density_floor)
-    floor_hits = 0
+    log_k = math.log(k)
 
-    log_density = np.empty((n, num_labels))
-    log_kernels = [_log_kernel(d, h, cfg.kernel) for d in slice_dists]
-    for r in range(num_labels):
-        lk = log_kernels[r]
-        for i in range(n):
-            log_density[i, r] = _logsumexp(lk[i, neighbor_pos[i]]) - math.log(k)
-    floor_hits += int(np.sum(log_density < log_floor))
+    # (labels, n): each client's density among its own k nearest peers.
+    log_density = _logsumexp(np.take_along_axis(log_kernels, neighbor_pos[None], axis=2)) - log_k
+    floor_hits = int(np.sum(log_density < log_floor))
     log_density = np.maximum(log_density, log_floor)
 
-    per_label = np.empty((n, num_labels))
-    for i in range(n):
-        nbrs = neighbor_pos[i]
-        for r in range(num_labels):
-            if cfg.neighbor_density_mode == "own_neighborhood":
-                nld = log_density[nbrs, r]
-            else:
-                # Score every neighbor against the center's reference set.
-                lk = log_kernels[r]
-                nld = np.array([_logsumexp(lk[j, nbrs]) - math.log(k) for j in nbrs])
-                below = int(np.sum(nld < log_floor))
-                floor_hits += below
-                nld = np.maximum(nld, log_floor)
-            per_label[i, r] = label_log_factor(nld, log_density[i, r])
+    if cfg.neighbor_density_mode == "own_neighborhood":
+        neighbor_ld = log_density[:, neighbor_pos]
+    else:
+        # Score every neighbor against the center's reference set. The
+        # (n, k, k) gather runs one label at a time to bound its temporary.
+        rows, cols = neighbor_pos[:, :, None], neighbor_pos[:, None, :]
+        neighbor_ld = np.stack([_logsumexp(lk[rows, cols]) for lk in log_kernels]) - log_k
+        floor_hits += int(np.sum(neighbor_ld < log_floor))
+        neighbor_ld = np.maximum(neighbor_ld, log_floor)
+    per_label = label_log_factor(neighbor_ld, log_density[:, :, None]).T
 
     reports = []
     for i in range(n):

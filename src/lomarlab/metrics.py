@@ -10,7 +10,7 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,8 @@ def roc_from_scores(scores: dict[int, float], roles: dict[int, str]):
     Scores follow the keep direction (higher = cleaner). The sweep starts
     above the maximum (nothing kept) and ends at the minimum (everything
     kept), so the curve always spans (0,0) to (1,1); AUC is the trapezoidal
-    area. Both roles must be present.
+    area. Both roles must be present. NaN scores are rejected; ±inf scores
+    sort as the extremes they are.
     """
     if set(scores) != set(roles):
         raise ValueError("scores and roles must cover the same clients")
@@ -98,16 +99,20 @@ def roc_from_scores(scores: dict[int, float], roles: dict[int, str]):
     malicious = [c for c, r in roles.items() if r == ROLE_MALICIOUS]
     if not clean or not malicious:
         raise ValueError("ROC needs both clean and malicious clients")
-    for v in scores.values():
-        if not np.isfinite(v) and np.isnan(v):
-            raise ValueError("scores must not be NaN")
+    clients = list(scores)
+    values = np.array([scores[c] for c in clients], dtype=np.float64)
+    if np.any(np.isnan(values)):
+        raise ValueError("scores must not be NaN")
 
+    # Distinct scores ascending; a client is kept at every threshold <= its score,
+    # so counts accumulated from the top give the kept totals per threshold.
+    thetas, level = np.unique(values, return_inverse=True)
+    role = np.array([roles[c] for c in clients])
+    clean_kept = np.cumsum(np.bincount(level[role == ROLE_CLEAN], minlength=thetas.size)[::-1])
+    malicious_kept = np.cumsum(np.bincount(level[role == ROLE_MALICIOUS], minlength=thetas.size)[::-1])
     points = [RocPoint(float("inf"), 0.0, 0.0)]
-    for theta in sorted(set(scores.values()), reverse=True):
-        kept = {c for c, s in scores.items() if s >= theta}
-        sens = sum(1 for c in clean if c in kept) / len(clean)
-        fall = sum(1 for c in malicious if c in kept) / len(malicious)
-        points.append(RocPoint(float(theta), sens, fall))
+    points += [RocPoint(theta, int(nc) / len(clean), int(nm) / len(malicious))
+               for theta, nc, nm in zip(thetas[::-1].tolist(), clean_kept, malicious_kept)]
 
     xs = np.array([p.one_minus_specificity for p in points])
     ys = np.array([p.sensitivity for p in points])

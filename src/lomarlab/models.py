@@ -9,7 +9,7 @@ weight delta produced by E local epochs from the incoming joint model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,7 +9,7 @@ so the layout is part of the vector, not a convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -5,6 +5,7 @@ import pytest
 
 from lomarlab.baselines import (
     AggregationResult,
+    _foolsgold_weights,
     coordinate_median,
     fedavg,
     fg_krum,
@@ -30,6 +31,27 @@ def ups_from(rows, layout=LAYOUT_2, samples=None):
 
 def zero_joint(layout=LAYOUT_2):
     return ParamVector.zeros(layout)
+
+
+def foolsgold_weights_loop(vectors):
+    """FoolsGold weights with pardoning as the original per-pair double loop."""
+    n = vectors.shape[0]
+    norms = np.sqrt(np.sum(vectors ** 2, axis=1))
+    safe = np.where(norms > 0, norms, 1.0)
+    unit = vectors / safe[:, None]
+    cs = unit @ unit.T
+    cs[norms == 0, :] = 0.0
+    cs[:, norms == 0] = 0.0
+    np.fill_diagonal(cs, 0.0)
+    maxcs = cs.max(axis=1)
+    for i in range(n):
+        for j in range(n):
+            if i != j and 0.0 < maxcs[i] < maxcs[j]:
+                cs[i, j] *= maxcs[i] / maxcs[j]
+    wv = np.clip(1.0 - cs.max(axis=1), 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        wv = np.log(wv / (1.0 - wv)) + 0.5
+    return np.clip(np.nan_to_num(wv, nan=0.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
 
 
 class TestWeightedAggregate:
@@ -194,6 +216,20 @@ class TestFoolsGold:
         res = foolsgold(zero_joint(), ups)
         # the zero client matches nobody, so its credibility is full
         assert res.scores[0] == 1.0
+
+    def test_pardoning_matches_loop_form_bitwise(self):
+        rng = np.random.default_rng(31)
+        for trial in range(20):
+            n = int(rng.integers(2, 40))
+            vectors = rng.normal(size=(n, 6))
+            if trial % 4 == 1:
+                vectors[: n // 2] = vectors[0] + 1e-3 * rng.normal(size=(n // 2, 6))  # sybil cohort
+            if trial % 4 == 2:
+                vectors[0] = 0.0  # zero-norm client
+            if trial % 4 == 3:
+                # client 2 resembles nobody: its row maximum is 0 and it is never pardoned
+                vectors = np.array([[1.0, 0.0, 0.0], [0.01, 1.0, 0.0], [-1.0, -0.5, 0.0]])
+            assert np.array_equal(_foolsgold_weights(vectors), foolsgold_weights_loop(vectors))
 
     def test_all_identical_leaves_joint_unchanged(self):
         ups = ups_from(np.tile([2.0, 2.0], (4, 1)))

@@ -16,7 +16,7 @@ from lomarlab.lomar import (
     label_log_factor,
     lomar_run,
     median_bandwidth,
-    pairwise_sq_dist,
+    sq_dist_matrix,
 )
 from lomarlab.models import ClientUpdate
 from lomarlab.params import ParamLayout, ParamVector
@@ -77,8 +77,7 @@ class TestKnn:
 
     def test_pairwise_distance_symmetry_is_exact(self):
         rng = np.random.default_rng(6)
-        ups = updates_from(rng.normal(size=(9, 4)))
-        d = pairwise_sq_dist(ups)
+        d = sq_dist_matrix(rng.normal(size=(9, 4)))
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
 

@@ -79,6 +79,18 @@ class TestConfusion:
             confusion_counts([7], {0: ROLE_CLEAN, 1: ROLE_MALICIOUS})
 
 
+def roc_points_by_sets(scores, roles):
+    """The ROC sweep as one kept-set rebuild per distinct threshold."""
+    clean = [c for c, r in roles.items() if r == ROLE_CLEAN]
+    malicious = [c for c, r in roles.items() if r == ROLE_MALICIOUS]
+    points = [RocPoint(float("inf"), 0.0, 0.0)]
+    for theta in sorted(set(scores.values()), reverse=True):
+        kept = {c for c, s in scores.items() if s >= theta}
+        points.append(RocPoint(float(theta), sum(c in kept for c in clean) / len(clean),
+                               sum(c in kept for c in malicious) / len(malicious)))
+    return points
+
+
 class TestRoc:
     def test_hand_case(self):
         scores = {0: 4.0, 1: 2.0, 2: 3.0, 3: 1.0}
@@ -133,6 +145,36 @@ class TestRoc:
                         ties += 1
             want = (wins + 0.5 * ties) / (n_c * n_m)
             assert auc == pytest.approx(want, rel=1e-9)
+
+    def test_tied_scores_one_point_per_distinct_value(self):
+        scores = {0: 1.0, 1: 1.0, 2: 0.0, 3: 1.0, 4: 0.0}
+        roles = {0: ROLE_CLEAN, 1: ROLE_MALICIOUS, 2: ROLE_MALICIOUS, 3: ROLE_CLEAN, 4: ROLE_CLEAN}
+        points, auc = roc_from_scores(scores, roles)
+        assert points == [RocPoint(float("inf"), 0.0, 0.0), RocPoint(1.0, 2 / 3, 0.5),
+                          RocPoint(0.0, 1.0, 1.0)]
+        # clean beats malicious in 2 of 6 pairs and ties in 3
+        assert auc == pytest.approx(3.5 / 6, rel=1e-12)
+
+    def test_infinite_scores_accepted(self):
+        inf = float("inf")
+        scores = {0: inf, 1: -inf, 2: 0.5, 3: -inf, 4: inf}
+        roles = {0: ROLE_CLEAN, 1: ROLE_MALICIOUS, 2: ROLE_CLEAN, 3: ROLE_CLEAN, 4: ROLE_MALICIOUS}
+        points, auc = roc_from_scores(scores, roles)
+        assert points == roc_points_by_sets(scores, roles)
+        assert [p.threshold for p in points] == [inf, inf, 0.5, -inf]
+        assert auc == pytest.approx(3.0 / 6, rel=1e-12)
+
+    def test_matches_set_sweep_with_ties(self):
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            n = int(rng.integers(2, 30))
+            values = rng.integers(0, 5, size=n).astype(float)
+            roles = {i: (ROLE_MALICIOUS if i % 3 == 0 else ROLE_CLEAN) for i in range(n)}
+            roles[n] = ROLE_MALICIOUS
+            roles[n + 1] = ROLE_CLEAN
+            scores = {i: float(v) for i, v in enumerate(values)} | {n: 2.0, n + 1: 2.0}
+            points, _ = roc_from_scores(scores, roles)
+            assert points == roc_points_by_sets(scores, roles)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(9)
