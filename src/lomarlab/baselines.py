@@ -1,16 +1,18 @@
 """Aggregation rules: plain FedAvg and the robust baselines.
 
-Every rule maps (joint, updates) to a new joint model plus bookkeeping about
-who was kept at what weight. FedAvg weights by sample counts over the full
-cohort; the filtered variant drops flagged clients without renormalizing, so
-removed weight simply vanishes (the renormalize flag restores it for
-ablations).
+Every rule maps (joint, updates) to an AggregationResult: the new joint model,
+the kept client ids, each kept client's weight, and per-client scores where
+the rule ranks clients (Krum: negated distance scores, FoolsGold: credibility
+weights). A defense that thresholds its scores also fills in the epsilon and
+bandwidth it used. FedAvg weights by sample counts over the full cohort; the
+filtered variant drops flagged clients without renormalizing, so removed
+weight simply vanishes (the renormalize flag restores it for ablations).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +31,9 @@ class AggregationResult:
     # Per-client diagnostic scores where the rule produces them (Krum:
     # negated distance scores, FoolsGold: credibility weights); None otherwise.
     scores: dict[int, float] | None = None
+    # Threshold and bandwidth of a density defense (LoMar); None otherwise.
+    epsilon_used: float | None = None
+    h_used: float | None = None
 
 
 def _check_updates(joint: ParamVector, updates: list[ClientUpdate]):
@@ -77,36 +82,33 @@ def fedavg(joint: ParamVector, updates: list[ClientUpdate]) -> AggregationResult
     return weighted_aggregate(joint, updates, [u.client_id for u in updates])
 
 
-def _krum_scores(vectors: np.ndarray, ids: list[int], assumed_malicious: int) -> dict[int, float]:
-    n = vectors.shape[0]
-    window = n - assumed_malicious - 2
-    if window < 1:
-        raise ValueError(f"krum needs n - assumed_malicious - 2 >= 1, got n={n}, assumed={assumed_malicious}")
-    d = sq_dist_matrix(vectors)
-    np.fill_diagonal(d, np.inf)
-    nearest = np.sort(d, axis=1)[:, :window]
-    return dict(zip(ids, np.sum(nearest, axis=1).tolist()))
-
-
-def _krum_select_count(n: int, assumed_malicious: int) -> int:
-    return max(int(math.floor(n - 0.5 * assumed_malicious - 2)), 1)
-
-
-def krum(joint: ParamVector, updates: list[ClientUpdate], assumed_malicious: int) -> AggregationResult:
-    """Multi-Krum: keep the lowest-scoring clients, average them equally.
+def _krum_select(updates: list[ClientUpdate], assumed_malicious: int) -> tuple[list[int], dict[int, float]]:
+    """Multi-Krum survivors, best first, and every client's negated score.
 
     A client's score is the summed squared distance to its closest
     n - assumed_malicious - 2 peers; floor(n - 0.5*assumed_malicious - 2)
     clients survive (at least one). Ties break by lower client id.
     """
-    _check_updates(joint, updates)
+    n = len(updates)
     if assumed_malicious < 0:
         raise ValueError("assumed_malicious must be >= 0")
-    ids = [u.client_id for u in updates]
-    vectors = np.stack([u.delta.values for u in updates])
-    scores = _krum_scores(vectors, ids, assumed_malicious)
-    take = _krum_select_count(len(updates), assumed_malicious)
-    chosen = sorted(ids, key=lambda c: (scores[c], c))[:take]
+    window = n - assumed_malicious - 2
+    if window < 1:
+        raise ValueError(f"krum needs n - assumed_malicious - 2 >= 1, got n={n}, assumed={assumed_malicious}")
+    d = sq_dist_matrix(np.stack([u.delta.values for u in updates]))
+    np.fill_diagonal(d, np.inf)
+    nearest = np.sort(d, axis=1)[:, :window]
+    scores = dict(zip([u.client_id for u in updates], np.sum(nearest, axis=1).tolist()))
+    take = max(int(math.floor(n - 0.5 * assumed_malicious - 2)), 1)
+    chosen = sorted(scores, key=lambda c: (scores[c], c))[:take]
+    return chosen, {c: -s for c, s in scores.items()}
+
+
+def krum(joint: ParamVector, updates: list[ClientUpdate], assumed_malicious: int) -> AggregationResult:
+    """Multi-Krum (see _krum_select): keep the lowest-scoring clients, average them equally."""
+    _check_updates(joint, updates)
+    chosen, scores = _krum_select(updates, assumed_malicious)
+    take = len(chosen)
     kept = set(chosen)
     values = joint.values.copy()
     for u in updates:
@@ -116,7 +118,7 @@ def krum(joint: ParamVector, updates: list[ClientUpdate], assumed_malicious: int
         new_joint=ParamVector(values, joint.layout),
         kept_clients=sorted(kept),
         per_client_weight={c: 1.0 / take for c in chosen},
-        scores={c: -s for c, s in scores.items()},
+        scores=scores,
     )
 
 
@@ -135,9 +137,8 @@ def _foolsgold_weights(vectors: np.ndarray) -> np.ndarray:
     """Memoryless FoolsGold credibility weights in [0, 1].
 
     Cosine similarity -> pardoning rescale -> 1 - max similarity -> logit
-    recentering at 0.5 -> clip. Pardoning only applies between clients whose
-    row maxima are both positive; a nonpositive maximum would flip signs or
-    divide by zero in the rescale.
+    recentering at 0.5 -> clip. Pardoning scales client i's similarity to j
+    by maxcs[i] / maxcs[j] wherever i's row maximum is below j's.
     """
     norms = np.sqrt(np.sum(vectors ** 2, axis=1))
     safe = np.where(norms > 0, norms, 1.0)
@@ -148,7 +149,7 @@ def _foolsgold_weights(vectors: np.ndarray) -> np.ndarray:
     np.fill_diagonal(cs, 0.0)
 
     maxcs = cs.max(axis=1)
-    rows, cols = np.nonzero((0.0 < maxcs[:, None]) & (maxcs[:, None] < maxcs[None, :]))
+    rows, cols = np.nonzero(maxcs[:, None] < maxcs[None, :])
     cs[rows, cols] *= maxcs[rows] / maxcs[cols]
     wv = np.clip(1.0 - cs.max(axis=1), 0.0, 1.0)
 
@@ -194,43 +195,23 @@ def fg_krum(joint: ParamVector, updates: list[ClientUpdate], assumed_malicious: 
     krum_first: Krum selects survivors, FoolsGold reweights them.
     fg_first: FoolsGold weights everyone, Krum picks among the positive-weight
     clients, and the survivors are averaged with their renormalized weights.
+    Fewer than three positive-weight clients leave the FoolsGold result as is;
+    otherwise Krum assumes at most (positive count - 3) of them are malicious.
     """
     _check_updates(joint, updates)
     if order not in FG_KRUM_ORDERS:
         raise ValueError(f"unknown order {order!r}")
-    ids = [u.client_id for u in updates]
     by_id = {u.client_id: u for u in updates}
-    vectors = np.stack([u.delta.values for u in updates])
 
     if order == "krum_first":
-        scores = _krum_scores(vectors, ids, assumed_malicious)
-        take = _krum_select_count(len(updates), assumed_malicious)
-        chosen = sorted(ids, key=lambda c: (scores[c], c))[:take]
-        survivors = [by_id[c] for c in chosen]
-        if len(survivors) == 1:
-            only = survivors[0]
-            return AggregationResult(
-                new_joint=joint + only.delta,
-                kept_clients=[only.client_id],
-                per_client_weight={only.client_id: 1.0},
-                scores={c: -s for c, s in scores.items()},
-            )
-        inner = foolsgold(joint, survivors)
-        inner.scores = {c: -s for c, s in scores.items()}
-        return inner
+        chosen, scores = _krum_select(updates, assumed_malicious)
+        return replace(foolsgold(joint, [by_id[c] for c in chosen]), scores=scores)
 
     inner = foolsgold(joint, updates)
-    positive = [c for c in ids if inner.per_client_weight.get(c, 0.0) > 0]
-    if len(positive) < 2:
+    positive = [u for u in updates if inner.per_client_weight.get(u.client_id, 0.0) > 0]
+    if len(positive) < 3:
         return inner
-    sub = [by_id[c] for c in positive]
-    sub_vectors = np.stack([u.delta.values for u in sub])
-    assumed = min(assumed_malicious, len(sub) - 3) if len(sub) - assumed_malicious - 2 < 1 else assumed_malicious
-    if assumed < 0:
-        return inner
-    scores = _krum_scores(sub_vectors, positive, assumed)
-    take = _krum_select_count(len(sub), assumed)
-    chosen = sorted(positive, key=lambda c: (scores[c], c))[:take]
+    chosen, _ = _krum_select(positive, min(assumed_malicious, len(positive) - 3))
     raw = {c: inner.scores[c] for c in chosen}
     total = sum(raw.values())
     values = joint.values.copy()

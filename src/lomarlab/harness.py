@@ -35,7 +35,6 @@ TAG_ATTACK = 2
 TAG_TRAIN = 3
 
 DATASET_KINDS = ("synth", "mnist")
-DEFENSE_KINDS = ("none", "lomar", "krum", "median", "foolsgold", "fg_krum")
 SWEEP_PARAMS = ("tau", "lambda", "epsilon")
 
 MNIST_FILES = {
@@ -94,6 +93,34 @@ class ModelSection:
                          local_epochs=self.local_epochs, batch_size=self.batch_size)
 
 
+def _assumed_malicious(cfg: ExperimentConfig) -> int:
+    assumed = cfg.defense.assumed_malicious
+    return cfg.attack.malicious_count if assumed is None else assumed
+
+
+def _lomar_defense(state: ExperimentState, updates: list[ClientUpdate]) -> AggregationResult:
+    result = lomar_run(updates, state.cfg.defense.to_kde())
+    state.floor_hits_total += result.floor_hits
+    agg = weighted_aggregate(state.joint, updates, result.kept_ids(),
+                             renormalize=state.cfg.renormalize_weights)
+    return replace(agg, scores=result.factors_by_id(), epsilon_used=result.epsilon_used,
+                   h_used=result.h_used)
+
+
+# Defense kind -> (state, updates) -> AggregationResult. Each entry looks its
+# rule up in this module's globals at call time, so a wrapper installed on
+# harness (a tracer, a test double) sees every call.
+DEFENSES = {
+    "none": lambda state, updates: fedavg(state.joint, updates),
+    "lomar": _lomar_defense,
+    "krum": lambda state, updates: krum(state.joint, updates, _assumed_malicious(state.cfg)),
+    "median": lambda state, updates: coordinate_median(state.joint, updates),
+    "foolsgold": lambda state, updates: foolsgold(state.joint, updates),
+    "fg_krum": lambda state, updates: fg_krum(state.joint, updates, _assumed_malicious(state.cfg),
+                                              order=state.cfg.defense.fg_krum_order),
+}
+
+
 @dataclass(frozen=True)
 class DefenseConfig:
     kind: str = "lomar"
@@ -107,7 +134,7 @@ class DefenseConfig:
     fg_krum_order: str = "krum_first"
 
     def __post_init__(self):
-        if self.kind not in DEFENSE_KINDS:
+        if self.kind not in DEFENSES:
             raise ConfigError(f"unknown defense kind {self.kind!r}")
         if self.kernel not in KERNELS:
             raise ConfigError(f"unknown kernel {self.kernel!r}")
@@ -333,35 +360,7 @@ def initialize_state(cfg: ExperimentConfig, seed: int | None = None) -> Experime
     )
 
 
-def _apply_defense(state: ExperimentState, updates: list[ClientUpdate]):
-    """Returns (AggregationResult, scores, epsilon_used, h_used)."""
-    cfg = state.cfg
-    joint = state.joint
-    defense = cfg.defense
-    if defense.kind == "none":
-        return fedavg(joint, updates), None, None, None
-    if defense.kind == "lomar":
-        result = lomar_run(updates, defense.to_kde())
-        state.floor_hits_total += result.floor_hits
-        agg = weighted_aggregate(joint, updates, result.kept_ids(),
-                                 renormalize=cfg.renormalize_weights)
-        return agg, result.factors_by_id(), result.epsilon_used, result.h_used
-    assumed = defense.assumed_malicious
-    if assumed is None:
-        assumed = cfg.attack.malicious_count
-    if defense.kind == "krum":
-        agg = krum(joint, updates, assumed)
-        return agg, agg.scores, None, None
-    if defense.kind == "median":
-        return coordinate_median(joint, updates), None, None, None
-    if defense.kind == "foolsgold":
-        agg = foolsgold(joint, updates)
-        return agg, agg.scores, None, None
-    agg = fg_krum(joint, updates, assumed, order=defense.fg_krum_order)
-    return agg, agg.scores, None, None
-
-
-def run_round(state: ExperimentState, _cfg: ExperimentConfig | None = None) -> tuple[ExperimentState, RoundRecord]:
+def run_round(state: ExperimentState) -> tuple[ExperimentState, RoundRecord]:
     """Train every client from the current joint, defend, aggregate, evaluate."""
     cfg = state.cfg
     t = state.round_index + 1
@@ -373,10 +372,10 @@ def run_round(state: ExperimentState, _cfg: ExperimentConfig | None = None) -> t
             update = boost_update(update, cfg.attack.boost_factor)
         updates.append(update)
 
-    agg, scores, eps_used, h_used = _apply_defense(state, updates)
+    agg = DEFENSES[cfg.defense.kind](state, updates)
     state.joint = agg.new_joint
     state.round_index = t
-    state.last_scores = scores
+    state.last_scores = agg.scores
     state.last_kept = set(agg.kept_clients)
 
     overall, target, other = eval_accuracy(state.joint, state.test_features, state.test_labels,
@@ -389,8 +388,8 @@ def run_round(state: ExperimentState, _cfg: ExperimentConfig | None = None) -> t
         other_acc=other,
         n_t=n_t, n_f=n_f, m_t=m_t, m_f=m_f,
         num_kept=len(agg.kept_clients),
-        epsilon_used=eps_used,
-        h_used=h_used,
+        epsilon_used=agg.epsilon_used,
+        h_used=agg.h_used,
     )
     return state, record
 

@@ -66,44 +66,31 @@ class KdeConfig:
             raise ValueError("density_floor must be > 0")
 
 
-@dataclass(frozen=True)
-class NeighborSet:
-    """A client's reference set: the k nearest peers with squared distances."""
-
-    center: int
-    members: tuple[tuple[int, float], ...]
-
-    def ids(self) -> tuple[int, ...]:
-        return tuple(m for m, _ in self.members)
-
-
-@dataclass(frozen=True)
-class FactorReport:
-    """Phase I + II outcome for one client."""
-
-    client_id: int
-    per_label_log_factors: tuple[float, ...]
-    log_factor: float
-    factor: float
-    delta: int
-
-
 @dataclass
 class LomarResult:
-    """Full pipeline output: reports plus the resolved knobs and diagnostics."""
+    """Pipeline output: per-client arrays in input order plus the resolved knobs.
 
-    reports: list[FactorReport]
+    `neighbors` holds row positions into the input (not client ids), so
+    `client_ids[neighbors]` names each client's k nearest peers.
+    """
+
+    client_ids: np.ndarray             # (n,)
+    neighbors: np.ndarray              # (n, k) positions of the k nearest peers
+    neighbor_sq_dist: np.ndarray       # (n, k) squared distances to them
+    per_label_log_factors: np.ndarray  # (n, labels)
+    log_factors: np.ndarray            # (n,) row sums of per_label_log_factors
+    factors: np.ndarray                # (n,) exp(log_factors)
+    kept: np.ndarray                   # (n,) bool, factors >= epsilon
     k_used: int
     h_used: float
     epsilon_used: float
     floor_hits: int
-    neighbor_sets: list[NeighborSet]
 
     def kept_ids(self) -> list[int]:
-        return sorted(r.client_id for r in self.reports if r.delta == 1)
+        return sorted(self.client_ids[self.kept].tolist())
 
     def factors_by_id(self) -> dict[int, float]:
-        return {r.client_id: r.factor for r in self.reports}
+        return dict(zip(self.client_ids.tolist(), self.factors.tolist()))
 
 
 def default_k(population: int) -> int:
@@ -161,32 +148,20 @@ def sq_dist_matrix(matrix: np.ndarray) -> np.ndarray:
     return out[np.ix_(inverse, inverse)]
 
 
-def _nearest(dist_rows: np.ndarray, centers: np.ndarray, k: int, ids: np.ndarray) -> np.ndarray:
-    """Positions of each row's k nearest peers (center excluded), ties by lower id."""
-    d = np.array(dist_rows, dtype=np.float64)
-    d[np.arange(d.shape[0]), centers] = -np.inf
-    order = np.lexsort((np.broadcast_to(ids, d.shape), d))
-    return order[:, 1:k + 1]
+def knn(dist: np.ndarray, k: int, ids=None) -> np.ndarray:
+    """Positions of every row's k nearest peers, the row itself excluded.
 
-
-def knn(dist_matrix: np.ndarray, center: int, k: int, ids: list[int] | None = None) -> NeighborSet:
-    """The k nearest peers of `center`, ties broken by lower id.
-
-    Positions index dist_matrix rows; `ids` relabels members (defaults to
-    positions). The center itself is excluded.
+    Ties break by lower id; `ids` (default: the positions) only orders ties,
+    the result always holds row positions into `dist`.
     """
-    n = dist_matrix.shape[0]
+    n = dist.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} must be in [1, {n - 1}]")
-    if ids is None:
-        ids = list(range(n))
-    pos = _nearest(dist_matrix[center:center + 1], np.array([center]), k, np.asarray(ids))[0]
-    return _neighbor_set(dist_matrix, center, pos, ids)
-
-
-def _neighbor_set(dist_matrix: np.ndarray, center: int, pos: np.ndarray, ids: list[int]) -> NeighborSet:
-    return NeighborSet(center=ids[center],
-                       members=tuple(zip(pos.tolist(), dist_matrix[center, pos].tolist())))
+    ids = np.arange(n) if ids is None else np.asarray(ids)
+    d = np.array(dist, dtype=np.float64)
+    np.fill_diagonal(d, -np.inf)
+    order = np.lexsort((np.broadcast_to(ids, d.shape), d))
+    return order[:, 1:k + 1]
 
 
 def _log_kernel(dist: np.ndarray, h: float, kernel: str) -> np.ndarray:
@@ -207,21 +182,6 @@ def _logsumexp(values: np.ndarray) -> np.ndarray:
     return np.where(finite, out, m)[()]
 
 
-def kde_density(center_slice: np.ndarray, neighbor_slices: np.ndarray, h: float,
-                kernel: str = "exp") -> float:
-    """Mean kernel value of the center against its neighbors' slices."""
-    if h <= 0:
-        raise ValueError("bandwidth must be > 0")
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    neighbors = np.atleast_2d(np.asarray(neighbor_slices, dtype=np.float64))
-    if neighbors.shape[0] == 0:
-        raise ValueError("need at least one neighbor")
-    center = np.asarray(center_slice, dtype=np.float64)
-    d = np.sqrt(np.sum((neighbors - center) ** 2, axis=1))
-    return float(np.exp(_logsumexp(_log_kernel(d, h, kernel))) / neighbors.shape[0])
-
-
 def label_log_factor(neighbor_log_densities: np.ndarray, center_log_density) -> float:
     """log of (mean neighbor density / center density), centered for exactness.
 
@@ -231,24 +191,6 @@ def label_log_factor(neighbor_log_densities: np.ndarray, center_log_density) -> 
     """
     terms = np.asarray(neighbor_log_densities, dtype=np.float64) - center_log_density
     return _logsumexp(terms) - math.log(terms.shape[-1])
-
-
-def label_factor(neighbor_densities: np.ndarray, center_density: float) -> float:
-    """Per-label malicious factor from linear densities."""
-    nd = np.asarray(neighbor_densities, dtype=np.float64)
-    if center_density <= 0 or np.any(nd <= 0):
-        raise ValueError("densities must be > 0")
-    return math.exp(label_log_factor(np.log(nd), math.log(center_density)))
-
-
-def combine_factors(per_label_factors) -> float:
-    """Product of per-label factors, accumulated in the log domain."""
-    factors = np.asarray(per_label_factors, dtype=np.float64)
-    if factors.size == 0:
-        return 1.0
-    if np.any(factors <= 0):
-        raise ValueError("factors must be > 0")
-    return float(np.exp(np.sum(np.log(factors))))
 
 
 def median_bandwidth(slice_dists: list[np.ndarray]) -> float:
@@ -262,13 +204,6 @@ def median_bandwidth(slice_dists: list[np.ndarray]) -> float:
     return med / math.sqrt(2.0) if med > 0 else 1.0
 
 
-def decide(report: FactorReport, epsilon: float) -> int:
-    """Phase II rule: keep (1) iff the factor reaches the threshold."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    return int(report.factor >= epsilon)
-
-
 def lomar_run(updates: list[ClientUpdate], cfg: KdeConfig = KdeConfig()) -> LomarResult:
     """Score every update and threshold. Requires at least k+1 updates."""
     matrix = _update_matrix(updates)
@@ -277,12 +212,9 @@ def lomar_run(updates: list[ClientUpdate], cfg: KdeConfig = KdeConfig()) -> Loma
     if len(set(ids)) != n:
         raise ValueError("duplicate client ids")
     k = cfg.k if cfg.k is not None else default_k(n)
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k={k} needs a population of at least k+1 (got {n})")
 
     full_dist = sq_dist_matrix(matrix)
-    neighbor_pos = _nearest(full_dist, np.arange(n), k, np.asarray(ids))
-    neighbor_sets = [_neighbor_set(full_dist, i, neighbor_pos[i], ids) for i in range(n)]
+    neighbor_pos = knn(full_dist, k, ids)
 
     layout = updates[0].delta.layout
     slice_dists = [np.sqrt(sq_dist_matrix(matrix[:, layout.label_slice(r)]))
@@ -306,32 +238,24 @@ def lomar_run(updates: list[ClientUpdate], cfg: KdeConfig = KdeConfig()) -> Loma
         neighbor_ld = np.stack([_logsumexp(lk[rows, cols]) for lk in log_kernels]) - log_k
         floor_hits += int(np.sum(neighbor_ld < log_floor))
         neighbor_ld = np.maximum(neighbor_ld, log_floor)
-    per_label = label_log_factor(neighbor_ld, log_density[:, :, None]).T
-
-    reports = []
-    for i in range(n):
-        log_f = float(np.sum(per_label[i]))
-        factor = float(np.exp(log_f))
-        reports.append(FactorReport(
-            client_id=ids[i],
-            per_label_log_factors=tuple(float(v) for v in per_label[i]),
-            log_factor=log_f,
-            factor=factor,
-            delta=int(factor >= cfg.epsilon),
-        ))
+    # Contiguous rows, so each client's label sum runs in the same order as
+    # a sum over that client's row alone.
+    per_label = np.ascontiguousarray(label_log_factor(neighbor_ld, log_density[:, :, None]).T)
+    log_factors = per_label.sum(axis=1)
+    factors = np.exp(log_factors)
     return LomarResult(
-        reports=reports,
+        client_ids=np.asarray(ids),
+        neighbors=neighbor_pos,
+        neighbor_sq_dist=np.take_along_axis(full_dist, neighbor_pos, axis=1),
+        per_label_log_factors=per_label,
+        log_factors=log_factors,
+        factors=factors,
+        kept=factors >= cfg.epsilon,
         k_used=k,
         h_used=float(h),
         epsilon_used=cfg.epsilon,
         floor_hits=floor_hits,
-        neighbor_sets=neighbor_sets,
     )
-
-
-def lomar_filter(updates: list[ClientUpdate], cfg: KdeConfig = KdeConfig()) -> list[FactorReport]:
-    """Phase I + II reports only (see lomar_run for diagnostics)."""
-    return lomar_run(updates, cfg).reports
 
 
 def ball_volume(radius: float, dim: int) -> float:

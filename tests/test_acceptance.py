@@ -82,12 +82,12 @@ def test_criterion_1_oracle_equivalence():
 
         if result.h_used != pytest.approx(o_h, rel=1e-9):
             failures.append(f"trial {trial}: bandwidth {result.h_used} vs {o_h}")
-        for rep, of, od in zip(result.reports, o_factors, o_deltas):
-            if rep.factor != pytest.approx(of, rel=1e-9):
-                failures.append(f"trial {trial} client {rep.client_id}: "
-                                f"factor {rep.factor} vs {of}")
-            if rep.delta != od:
-                failures.append(f"trial {trial} client {rep.client_id}: keep bit")
+        for cid, factor, kept, of, od in zip(result.client_ids.tolist(), result.factors.tolist(),
+                                             result.kept.tolist(), o_factors, o_deltas):
+            if factor != pytest.approx(of, rel=1e-9):
+                failures.append(f"trial {trial} client {cid}: factor {factor} vs {of}")
+            if int(kept) != od:
+                failures.append(f"trial {trial} client {cid}: keep bit")
     elapsed = time.monotonic() - start
     if elapsed >= 10.0:
         failures.append(f"took {elapsed:.1f}s, budget 10s")
@@ -263,20 +263,17 @@ def test_criterion_6_invariant_suite():
 
     matrix = rng.normal(scale=0.5, size=(9, 4))
     base = lomar_run(updates_from(matrix, LAYOUT_2x2), KdeConfig(k=4))
-    base_factors = np.array([r.factor for r in base.reports])
 
     # translation invariance: a common offset moves every update identically
     shifted = lomar_run(updates_from(matrix + rng.normal(size=4), LAYOUT_2x2),
                         KdeConfig(k=4))
     check("translation invariance",
-          np.allclose([r.factor for r in shifted.reports], base_factors,
-                      rtol=1e-9, atol=0))
+          np.allclose(shifted.factors, base.factors, rtol=1e-9, atol=0))
 
     # scale covariance: the bandwidth heuristic tracks a global rescaling
     scaled = lomar_run(updates_from(matrix * 37.0, LAYOUT_2x2), KdeConfig(k=4))
     check("scale covariance",
-          np.allclose([r.factor for r in scaled.reports], base_factors,
-                      rtol=1e-9, atol=0))
+          np.allclose(scaled.factors, base.factors, rtol=1e-9, atol=0))
 
     # permutation equivariance: submission order never matters
     ups = updates_from(matrix, LAYOUT_2x2)

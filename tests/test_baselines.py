@@ -123,6 +123,8 @@ class TestKrum:
             krum(zero_joint(LAYOUT_1), ups, assumed_malicious=2)
         with pytest.raises(ValueError):
             krum(zero_joint(LAYOUT_1), ups, assumed_malicious=-1)
+        with pytest.raises(ValueError):
+            fg_krum(zero_joint(LAYOUT_1), ups, assumed_malicious=-1)
 
     def test_select_count_floor_and_clamp(self):
         # n=5, M=2: floor(5 - 1 - 2) = 2 survivors
@@ -250,6 +252,7 @@ class TestFgKrum:
         assert res.scores[4] == min(res.scores.values())  # krum scores reported
 
     def test_krum_first_single_survivor_used_directly(self):
+        # FoolsGold over one survivor gives it weight 1: the joint moves by its delta
         ups = ups_from([[0.0], [0.1], [0.2], [5.0]], layout=LAYOUT_1)
         res = fg_krum(zero_joint(LAYOUT_1), ups, assumed_malicious=1)
         assert len(res.kept_clients) == 1
@@ -263,6 +266,33 @@ class TestFgKrum:
         res = fg_krum(zero_joint(), ups, assumed_malicious=1, order="fg_first")
         assert 0 not in res.kept_clients and 1 not in res.kept_clients
 
+    def test_fg_first_two_positive_returns_foolsgold_unchanged(self):
+        # two clone pairs lose all weight; only clients 4 and 5 stay positive,
+        # too few for Krum, so the FoolsGold result comes back as is
+        ups = ups_from([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0],
+                        [-1.0, 0.1], [0.0, -1.0]])
+        fg = foolsgold(zero_joint(), ups)
+        assert fg.kept_clients == [4, 5]
+        res = fg_krum(zero_joint(), ups, assumed_malicious=1, order="fg_first")
+        assert np.array_equal(res.new_joint.values, fg.new_joint.values)
+        assert res.kept_clients == fg.kept_clients
+        assert res.per_client_weight == fg.per_client_weight
+        assert res.scores == fg.scores
+
+    def test_fg_first_clamps_assumed_malicious(self):
+        # six updates 60 degrees apart all keep FoolsGold weight; assuming 5
+        # malicious leaves no Krum window, so Krum assumes 6 - 3 = 3 instead
+        angles = np.deg2rad(60.0 * np.arange(6))
+        radii = np.array([1.0, 1.1, 1.2, 1.3, 5.0, 6.0])
+        ups = ups_from(np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1))
+        assert len(foolsgold(zero_joint(), ups).kept_clients) == 6
+        with pytest.raises(ValueError):
+            krum(zero_joint(), ups, assumed_malicious=5)
+        res = fg_krum(zero_joint(), ups, assumed_malicious=5, order="fg_first")
+        assert res.kept_clients == krum(zero_joint(), ups, assumed_malicious=3).kept_clients
+        assert len(res.kept_clients) == 2
+        assert sum(res.per_client_weight.values()) == pytest.approx(1.0, rel=1e-12)
+
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError):
             fg_krum(zero_joint(), self.spread_updates(), 1, order="sideways")
@@ -273,4 +303,5 @@ class TestResultShape:
         res = fedavg(zero_joint(), ups_from([[1.0, 1.0]]))
         assert isinstance(res, AggregationResult)
         assert res.scores is None
+        assert res.epsilon_used is None and res.h_used is None
         assert res.per_client_weight[0] == 1.0

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+from lomarlab import harness
 from lomarlab.harness import (
     ConfigError,
     apply_sweep_value,
@@ -194,13 +195,16 @@ class TestInitializeState:
 
 SCORED_DEFENSES = ("lomar", "krum", "foolsgold", "fg_krum")
 UNSCORED_DEFENSES = ("none", "median")
+DEFENSE_CASES = [pytest.param({"kind": kind}, id=kind) for kind in SCORED_DEFENSES + UNSCORED_DEFENSES]
+DEFENSE_CASES.append(pytest.param({"kind": "fg_krum", "fg_krum_order": "fg_first"}, id="fg_krum-fg_first"))
 
 
 class TestRunExperiment:
-    @pytest.mark.parametrize("kind", SCORED_DEFENSES + UNSCORED_DEFENSES)
-    def test_each_defense_runs(self, kind):
+    @pytest.mark.parametrize("defense", DEFENSE_CASES)
+    def test_each_defense_runs(self, defense):
+        kind = defense["kind"]
         raw = base_dict(rounds=1)
-        raw["defense"] = {"kind": kind}
+        raw["defense"] = defense
         out = run_experiment(config_from_dict(raw))
         assert len(out.records) == 1
         rec = out.records[0]
@@ -215,6 +219,25 @@ class TestRunExperiment:
         else:
             assert out.scores is None
             assert out.auc is None
+        # only the density defense has a threshold and a bandwidth to report
+        assert (rec.epsilon_used is not None) == (kind == "lomar")
+        assert (rec.h_used is not None) == (kind == "lomar")
+
+    @pytest.mark.parametrize("kind, name", [("lomar", "lomar_run"), ("krum", "krum")])
+    def test_defense_rule_looked_up_at_call_time(self, monkeypatch, kind, name):
+        # a wrapper installed on harness after import sees every round's call
+        calls = []
+        rule = getattr(harness, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return rule(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counting)
+        raw = base_dict(rounds=3)
+        raw["defense"] = {"kind": kind}
+        run_experiment(config_from_dict(raw))
+        assert len(calls) == 3
 
     def test_summary_schema(self):
         out = run_experiment(config_from_dict(base_dict()))

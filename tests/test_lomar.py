@@ -7,12 +7,9 @@ import lomar_oracle
 from lomarlab.lomar import (
     KdeConfig,
     ball_volume,
-    combine_factors,
     default_k,
     false_alarm_bound,
-    kde_density,
     knn,
-    label_factor,
     label_log_factor,
     lomar_run,
     median_bandwidth,
@@ -23,6 +20,7 @@ from lomarlab.params import ParamLayout, ParamVector
 
 LAYOUT_2x2 = ParamLayout(label_ranges=((0, 2), (2, 4)), shared_range=(4, 4))
 LAYOUT_3x2 = ParamLayout(label_ranges=((0, 2), (2, 4), (4, 6)), shared_range=(6, 6))
+LAYOUT_1x1 = ParamLayout(label_ranges=((0, 1),), shared_range=(1, 1))
 
 INV_SQRT_2PI = 0.3989422804014327
 
@@ -52,10 +50,11 @@ class TestKnn:
     def test_nearest_by_distance(self):
         pts = np.array([[0.0], [1.0], [3.0], [10.0]])
         d = np.array([[np.sum((pts[i] - pts[j]) ** 2) for j in range(4)] for i in range(4)])
-        ns = knn(d, 0, 2)
-        assert ns.ids() == (1, 2)
-        assert ns.members[0][1] == 1.0
-        assert ns.members[1][1] == 9.0
+        nbrs = knn(d, 2)
+        assert nbrs.shape == (4, 2)
+        assert nbrs[0].tolist() == [1, 2]
+        assert d[0, nbrs[0]].tolist() == [1.0, 9.0]
+        assert nbrs[3].tolist() == [2, 1]
 
     def test_tie_broken_by_lower_id(self):
         # clients 1 and 2 sit at the same distance from 0
@@ -65,15 +64,17 @@ class TestKnn:
             [4.0, 2.0, 0.0, 2.0],
             [1.0, 2.0, 2.0, 0.0],
         ])
-        assert knn(d, 0, 2).ids() == (3, 1)
-        assert knn(d, 0, 3).ids() == (3, 1, 2)
+        assert knn(d, 2)[0].tolist() == [3, 1]
+        assert knn(d, 3)[0].tolist() == [3, 1, 2]
+        # ids only order the tie; the result still holds row positions
+        assert knn(d, 2, ids=[0, 20, 10, 30])[0].tolist() == [3, 2]
 
     def test_k_bounds(self):
         d = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            knn(d, 0, 0)
+            knn(d, 0)
         with pytest.raises(ValueError):
-            knn(d, 0, 3)
+            knn(d, 3)
 
     def test_pairwise_distance_symmetry_is_exact(self):
         rng = np.random.default_rng(6)
@@ -82,68 +83,78 @@ class TestKnn:
         assert np.all(np.diag(d) == 0.0)
 
 
+def toy_log_factors(points, k, **kw):
+    """lomar_run's log factors for one-parameter, one-label updates."""
+    ups = updates_from(np.asarray(points, dtype=np.float64)[:, None], LAYOUT_1x1)
+    return lomar_run(ups, KdeConfig(k=k, **kw)).log_factors
+
+
 class TestKdeDensity:
-    def test_zero_distance_value(self):
-        # single neighbor at the center itself: density is the kernel peak
-        q = kde_density(np.zeros(2), np.zeros((1, 2)), h=1.0)
-        assert q == pytest.approx(INV_SQRT_2PI, rel=1e-12)
+    # Points 0, 2 and 10 with k=1: clients 0 and 1 are each other's nearest
+    # peer at distance 2; client 2's is client 1, at distance 8. Client 2's
+    # log factor is log K(2) - log K(8), where K is the kernel at that distance.
+    POINTS = [0.0, 2.0, 10.0]
 
     def test_exp_kernel_linear_exponent(self):
-        # the default kernel decays with distance, not squared distance:
-        # at d=2, h=1 the value is exp(-1)/sqrt(2*pi)
-        q = kde_density(np.zeros(1), np.array([[2.0]]), h=1.0, kernel="exp")
-        assert q == pytest.approx(math.exp(-1.0) * INV_SQRT_2PI, rel=1e-12)
+        # exp(-d/(2h)): (8 - 2) / (2h) = 3/h
+        for h in (1.0, 0.5):
+            lf = toy_log_factors(self.POINTS, 1, bandwidth=h, kernel="exp")
+            assert lf[:2].tolist() == [0.0, 0.0]
+            assert lf[2] == pytest.approx(3.0 / h, rel=1e-12)
 
     def test_gaussian_kernel_squared_exponent(self):
-        q = kde_density(np.zeros(1), np.array([[math.sqrt(2.0)]]), h=1.0, kernel="gaussian")
-        assert q == pytest.approx(math.exp(-1.0) * INV_SQRT_2PI, rel=1e-12)
+        # exp(-d^2/(2h^2)): (64 - 4) / (2h^2) = 30/h^2
+        for h in (1.0, 0.5):
+            lf = toy_log_factors(self.POINTS, 1, bandwidth=h, kernel="gaussian")
+            assert lf[:2].tolist() == [0.0, 0.0]
+            assert lf[2] == pytest.approx(30.0 / h ** 2, rel=1e-12)
 
     def test_mean_over_neighbors(self):
-        nbrs = np.array([[0.0], [2.0]])
-        q = kde_density(np.zeros(1), nbrs, h=1.0)
-        want = (INV_SQRT_2PI + math.exp(-1.0) * INV_SQRT_2PI) / 2.0
-        assert q == pytest.approx(want, rel=1e-12)
+        # k=2: every client's density is the mean kernel over both peers
+        kern = lambda d: INV_SQRT_2PI * math.exp(-d / 2.0)
+        dens = [(kern(2) + kern(10)) / 2, (kern(2) + kern(8)) / 2, (kern(10) + kern(8)) / 2]
+        lf = toy_log_factors(self.POINTS, 2, bandwidth=1.0)
+        want = [math.log((dens[1] + dens[2]) / 2 / dens[0]),
+                math.log((dens[0] + dens[2]) / 2 / dens[1]),
+                math.log((dens[0] + dens[1]) / 2 / dens[2])]
+        assert lf == pytest.approx(want, rel=1e-12, abs=1e-15)
 
-    def test_bandwidth_scaling(self):
-        qa = kde_density(np.zeros(1), np.array([[1.0]]), h=0.5)
-        want = (1.0 / (math.sqrt(2 * math.pi) * 0.5)) * math.exp(-1.0)
-        assert qa == pytest.approx(want, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            kde_density(np.zeros(1), np.zeros((1, 1)), h=0.0)
-        with pytest.raises(ValueError):
-            kde_density(np.zeros(1), np.zeros((0, 1)), h=1.0)
-        with pytest.raises(ValueError):
-            kde_density(np.zeros(1), np.zeros((1, 1)), h=1.0, kernel="box")
+    def test_zero_distance_value(self):
+        # identical updates sit at the kernel peak 1/(sqrt(2*pi)*h), which a
+        # density floor just above it clamps for every client
+        ups = updates_from(np.ones((4, 1)), LAYOUT_1x1)
+        for h in (1.0, 0.5):
+            peak = INV_SQRT_2PI / h
+            assert lomar_run(ups, KdeConfig(k=2, bandwidth=h, density_floor=peak * 0.999)).floor_hits == 0
+            assert lomar_run(ups, KdeConfig(k=2, bandwidth=h, density_floor=peak * 1.001)).floor_hits == 4
 
 
 class TestFactors:
     def test_all_equal_densities_give_exactly_one(self):
         logs = np.log(np.full(5, 0.123))
         assert label_log_factor(logs, math.log(0.123)) == 0.0
-        assert label_factor(np.full(5, 0.123), 0.123) == 1.0
 
     def test_mean_ratio(self):
         # neighbors twice as dense as the center -> factor 2
-        f = label_factor(np.array([0.2, 0.2]), 0.1)
-        assert f == pytest.approx(2.0, rel=1e-12)
+        f = label_log_factor(np.log([0.2, 0.2]), math.log(0.1))
+        assert f == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_mixed_ratio(self):
-        f = label_factor(np.array([0.3, 0.1]), 0.2)
-        assert f == pytest.approx(1.0, rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            label_factor(np.array([0.1, -0.1]), 0.2)
-        with pytest.raises(ValueError):
-            label_factor(np.array([0.1]), 0.0)
+        f = label_log_factor(np.log([0.3, 0.1]), math.log(0.2))
+        assert f == pytest.approx(0.0, abs=1e-15)
 
     def test_combine_is_product(self):
-        assert combine_factors([2.0, 0.25]) == pytest.approx(0.5, rel=1e-12)
-        assert combine_factors([]) == 1.0
-        with pytest.raises(ValueError):
-            combine_factors([1.0, 0.0])
+        # the overall factor is the product of per-label factors: its log is
+        # each client's own row sum, bit for bit (ten labels, so numpy's
+        # pairwise summation order applies)
+        layout = ParamLayout(label_ranges=tuple((r, r + 1) for r in range(10)), shared_range=(10, 10))
+        rng = np.random.default_rng(16)
+        res = lomar_run(updates_from(rng.normal(size=(30, 10)), layout), KdeConfig(k=5))
+        assert res.per_label_log_factors.shape == (30, 10)
+        for row, log_f, f in zip(res.per_label_log_factors, res.log_factors, res.factors):
+            assert log_f == np.sum(row)
+            assert f == np.exp(log_f)
+        assert np.array_equal(res.kept, res.factors >= 1.0)
 
 
 class TestMedianBandwidth:
@@ -166,10 +177,9 @@ class TestPipelineToys:
     def test_identical_updates_all_kept_at_default_epsilon(self):
         ups = updates_from(np.ones((6, 4)))
         res = lomar_run(ups, KdeConfig(k=3))
-        for rep in res.reports:
-            assert rep.factor == 1.0
-            assert rep.log_factor == 0.0
-            assert rep.delta == 1
+        assert np.all(res.factors == 1.0)
+        assert np.all(res.log_factors == 0.0)
+        assert np.all(res.kept)
         assert res.kept_ids() == [0, 1, 2, 3, 4, 5]
         assert res.h_used == 1.0  # all-zero distances fall back
 
@@ -196,17 +206,15 @@ class TestPipelineToys:
         spike = np.tile(clean.mean(axis=0), (5, 1))
         ups = updates_from(np.vstack([clean, spike]))
         res = lomar_run(ups, KdeConfig(k=10, bandwidth=0.3))
-        spike_reports = res.reports[20:]
-        clean_reports = res.reports[:20]
-        assert all(r.delta == 0 for r in spike_reports)
-        assert max(r.factor for r in spike_reports) < min(r.factor for r in clean_reports)
+        assert not np.any(res.kept[20:])
+        assert res.factors[20:].max() < res.factors[:20].min()
 
     def test_epsilon_threshold_is_inclusive(self):
         ups = updates_from(np.ones((5, 4)))
         res = lomar_run(ups, KdeConfig(k=2, epsilon=1.0))
-        assert all(r.delta == 1 for r in res.reports)  # factor exactly 1 kept
+        assert np.all(res.kept)  # factor exactly 1 kept
         res2 = lomar_run(ups, KdeConfig(k=2, epsilon=1.0000001))
-        assert all(r.delta == 0 for r in res2.reports)
+        assert not np.any(res2.kept)
 
     def test_density_floor_hits_counted(self):
         # far-apart points at a tiny bandwidth underflow the density floor
@@ -215,17 +223,17 @@ class TestPipelineToys:
         ups = updates_from(pts)
         res = lomar_run(ups, KdeConfig(k=2, bandwidth=1e-4))
         assert res.floor_hits > 0
-        for rep in res.reports:
-            assert math.isfinite(rep.log_factor)
+        assert np.all(np.isfinite(res.log_factors))
 
     def test_neighbor_sets_reported(self):
         rng = np.random.default_rng(15)
         ups = updates_from(rng.normal(size=(7, 4)))
         res = lomar_run(ups, KdeConfig(k=3))
-        assert len(res.neighbor_sets) == 7
-        for ns in res.neighbor_sets:
-            assert len(ns.members) == 3
-            assert ns.center not in ns.ids()
+        assert res.neighbors.shape == res.neighbor_sq_dist.shape == (7, 3)
+        for i, row in enumerate(res.neighbors):
+            assert i not in row.tolist()
+        full = sq_dist_matrix(np.stack([u.delta.values for u in ups]))
+        assert np.array_equal(res.neighbor_sq_dist, np.take_along_axis(full, res.neighbors, axis=1))
 
 
 class TestAgainstBruteForce:
@@ -238,9 +246,8 @@ class TestAgainstBruteForce:
             epsilon=kw.get("epsilon", 1.0),
             neighbor_density_mode=kw.get("neighbor_density_mode", "own_neighborhood"))
         assert res.h_used == pytest.approx(oracle_h, rel=1e-12)
-        for rep, of, od in zip(res.reports, oracle_factors, oracle_deltas):
-            assert rep.factor == pytest.approx(of, rel=1e-9)
-            assert rep.delta == od
+        assert res.factors.tolist() == pytest.approx(oracle_factors, rel=1e-9)
+        assert res.kept.astype(int).tolist() == list(oracle_deltas)
         return res
 
     def test_random_cases_own_neighborhood(self):
