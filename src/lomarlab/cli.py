@@ -27,8 +27,6 @@ def _guarded(fn):
             raise SystemExit(2)
         except click.ClickException:
             raise
-        except SystemExit:
-            raise
         except Exception as exc:
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(3)

@@ -23,7 +23,7 @@ from .attacks import AttackConfig, boost_update, build_malicious_shards
 from .baselines import (FG_KRUM_ORDERS, AggregationResult, coordinate_median, fedavg, fg_krum,
                         foolsgold, krum, weighted_aggregate)
 from .data import DataShard, PartitionPlan, load_idx, partition, synth_gaussian
-from .lomar import KERNELS, NEIGHBOR_DENSITY_MODES, KdeConfig, lomar_run
+from .lomar import KdeConfig, lomar_run
 from .metrics import RoundRecord, confusion_counts, eval_accuracy, roc_from_scores
 from .models import ROLE_MALICIOUS, ClientUpdate, ModelSpec, local_train
 from .params import ParamVector
@@ -99,7 +99,7 @@ def _assumed_malicious(cfg: ExperimentConfig) -> int:
 
 
 def _lomar_defense(state: ExperimentState, updates: list[ClientUpdate]) -> AggregationResult:
-    result = lomar_run(updates, state.cfg.defense.to_kde())
+    result = lomar_run(updates, state.cfg.defense)
     state.floor_hits_total += result.floor_hits
     agg = weighted_aggregate(state.joint, updates, result.kept_ids(),
                              renormalize=state.cfg.renormalize_weights)
@@ -122,33 +122,23 @@ DEFENSES = {
 
 
 @dataclass(frozen=True)
-class DefenseConfig:
+class DefenseConfig(KdeConfig):
+    """LoMar's knobs (KdeConfig) plus the defense kind and the Krum settings."""
+
     kind: str = "lomar"
-    epsilon: float = 1.0
-    k: int | None = None
-    bandwidth: float | None = None
-    kernel: str = "exp"
-    neighbor_density_mode: str = "own_neighborhood"
-    density_floor: float = 1e-300
     assumed_malicious: int | None = None
     fg_krum_order: str = "krum_first"
 
     def __post_init__(self):
         if self.kind not in DEFENSES:
             raise ConfigError(f"unknown defense kind {self.kind!r}")
-        if self.kernel not in KERNELS:
-            raise ConfigError(f"unknown kernel {self.kernel!r}")
-        if self.neighbor_density_mode not in NEIGHBOR_DENSITY_MODES:
-            raise ConfigError(f"unknown neighbor_density_mode {self.neighbor_density_mode!r}")
         if self.fg_krum_order not in FG_KRUM_ORDERS:
             raise ConfigError(f"unknown fg_krum_order {self.fg_krum_order!r}")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be > 0")
-
-    def to_kde(self) -> KdeConfig:
-        return KdeConfig(k=self.k, bandwidth=self.bandwidth, kernel=self.kernel,
-                         neighbor_density_mode=self.neighbor_density_mode,
-                         epsilon=self.epsilon, density_floor=self.density_floor)
+        # A ValueError would exit 3; a config built by replace() must still exit 2.
+        try:
+            super().__post_init__()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -184,6 +174,17 @@ class ExperimentConfig:
         if self.rounds < 1:
             raise ConfigError("need rounds >= 1")
         self.attack.check_budget(self.num_clean)
+        assumed = _assumed_malicious(self)
+        if assumed < 0:
+            raise ConfigError("assumed_malicious must be >= 0")
+        # Krum scores each client over its n - assumed - 2 nearest peers;
+        # fg_first instead clamps assumed to the FoolsGold survivors.
+        d = self.defense
+        if d.kind == "krum" or (d.kind == "fg_krum" and d.fg_krum_order == "krum_first"):
+            clients = self.num_clean + self.attack.malicious_count
+            if clients - assumed - 2 < 1:
+                raise ConfigError(f"krum needs clients - assumed_malicious - 2 >= 1, "
+                                  f"got {clients} clients and assumed_malicious {assumed}")
 
     def eval_labels(self) -> tuple[int | None, int | None]:
         """Evaluation labels: the attack's victim class and its impersonated class.
@@ -411,33 +412,16 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _write_rounds_csv(path: Path, records: list[RoundRecord]):
+def _write_csv(path: Path, header: list[str], rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round", "overall_acc", "target_acc", "other_acc",
-                         "n_t", "n_f", "m_t", "m_f", "num_kept", "epsilon", "h"])
-        for r in records:
-            writer.writerow([_fmt_cell(v) for v in (
-                r.round_index, r.overall_acc, r.target_acc, r.other_acc,
-                r.n_t, r.n_f, r.m_t, r.m_f, r.num_kept, r.epsilon_used, r.h_used)])
-
-
-def _write_scores_csv(path: Path, scores: dict[int, float], roles: dict[int, str], kept: set[int]):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["client_id", "role", "score", "kept"])
-        for client_id in sorted(scores):
-            writer.writerow([client_id, roles[client_id], _fmt_cell(float(scores[client_id])),
-                             int(client_id in kept)])
+        writer.writerow(header)
+        writer.writerows([_fmt_cell(v) for v in row] for row in rows)
 
 
 def _write_roc_csv(path: Path, points):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["threshold", "sensitivity", "one_minus_specificity"])
-        for p in points:
-            writer.writerow([_fmt_cell(p.threshold), _fmt_cell(p.sensitivity),
-                             _fmt_cell(p.one_minus_specificity)])
+    _write_csv(path, ["threshold", "sensitivity", "one_minus_specificity"],
+               ([p.threshold, p.sensitivity, p.one_minus_specificity] for p in points))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None) -> RunOutput:
@@ -492,14 +476,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_rounds_csv(out / "rounds.csv", records)
+        _write_csv(out / "rounds.csv",
+                   ["round", "overall_acc", "target_acc", "other_acc",
+                    "n_t", "n_f", "m_t", "m_f", "num_kept", "epsilon", "h"],
+                   ([r.round_index, r.overall_acc, r.target_acc, r.other_acc,
+                     r.n_t, r.n_f, r.m_t, r.m_f, r.num_kept, r.epsilon_used, r.h_used]
+                    for r in records))
         with open(out / "summary.json", "w", encoding="utf-8", newline="") as fh:
             json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
             fh.write("\n")
         with open(out / "config_resolved.yaml", "w", encoding="utf-8", newline="") as fh:
             yaml.safe_dump(resolved_config_dict(cfg, state.model), fh, sort_keys=True)
         if state.last_scores is not None:
-            _write_scores_csv(out / "scores.csv", state.last_scores, state.roles, state.last_kept)
+            _write_csv(out / "scores.csv", ["client_id", "role", "score", "kept"],
+                       ([c, state.roles[c], float(state.last_scores[c]), int(c in state.last_kept)]
+                        for c in sorted(state.last_scores)))
         if points is not None:
             _write_roc_csv(out / "roc_points.csv", points)
 
@@ -577,12 +568,6 @@ def run_sweep(cfg: ExperimentConfig, param: str, grid: str, out_root, seed: int 
             "combined_acc": combined,
             "auc": output.auc,
         })
-    with open(out_root / "sweep_summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["param", "value", "dir", "final_overall_acc", "final_target_acc",
-                         "combined_acc", "auc"])
-        for row in rows:
-            writer.writerow([_fmt_cell(row[k]) for k in
-                             ("param", "value", "dir", "final_overall_acc", "final_target_acc",
-                              "combined_acc", "auc")])
+    header = ["param", "value", "dir", "final_overall_acc", "final_target_acc", "combined_acc", "auc"]
+    _write_csv(out_root / "sweep_summary.csv", header, ([row[k] for k in header] for row in rows))
     return rows

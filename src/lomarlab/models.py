@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import LayoutError, ParamLayout, ParamVector
+from .params import ParamLayout, ParamVector
 
 MODEL_KINDS = ("logistic", "mlp")
 ROLE_CLEAN = "clean"
@@ -46,13 +46,14 @@ class ModelSpec:
         if self.local_epochs < 1 or self.batch_size < 1:
             raise ValueError("need local_epochs >= 1 and batch_size >= 1")
 
+    @property
+    def output_fan_in(self) -> int:
+        """Inputs to each label's logit: the features, or the hidden units."""
+        return self.input_dim if self.kind == "logistic" else self.hidden_dim
+
     def layout(self) -> ParamLayout:
-        if self.kind == "logistic":
-            block = self.input_dim + 1
-            shared = 0
-        else:
-            block = self.hidden_dim + 1
-            shared = self.hidden_dim * self.input_dim + self.hidden_dim
+        block = self.output_fan_in + 1
+        shared = 0 if self.kind == "logistic" else self.hidden_dim * (self.input_dim + 1)
         ranges = tuple((r * block, (r + 1) * block) for r in range(self.num_labels))
         total = self.num_labels * block
         return ParamLayout(ranges, (total, total + shared))
@@ -78,32 +79,26 @@ class ClientUpdate:
             raise ValueError(f"unknown role {self.role!r}")
 
 
-def label_slice(update: ClientUpdate, label: int) -> np.ndarray:
-    """The update's block for output label r (the defense's unit of analysis)."""
-    return update.delta.label_slice(label)
-
-
-def _unpack_logistic(values: np.ndarray, spec: ModelSpec):
-    block = values[: spec.num_labels * (spec.input_dim + 1)].reshape(spec.num_labels, spec.input_dim + 1)
-    return block[:, : spec.input_dim], block[:, spec.input_dim]
-
-
-def _unpack_mlp(values: np.ndarray, spec: ModelSpec):
-    h, d, r = spec.hidden_dim, spec.input_dim, spec.num_labels
-    out = values[: r * (h + 1)].reshape(r, h + 1)
-    shared = values[r * (h + 1):]
-    w1 = shared[: h * d].reshape(h, d)
-    b1 = shared[h * d:]
-    return out[:, :h], out[:, h], w1, b1
-
-
-def _logits(values: np.ndarray, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
+def _unpack(values: np.ndarray, spec: ModelSpec):
+    """Views (w, b, w1, b1) into a flat vector; w1 and b1 are None for the logistic model."""
+    m, r = spec.output_fan_in, spec.num_labels
+    out = values[: r * (m + 1)].reshape(r, m + 1)
     if spec.kind == "logistic":
-        w, b = _unpack_logistic(values, spec)
-        return x @ w.T + b
-    w2, b2, w1, b1 = _unpack_mlp(values, spec)
-    hidden = np.maximum(x @ w1.T + b1, 0.0)
-    return hidden @ w2.T + b2
+        return out[:, :m], out[:, m], None, None
+    shared = values[r * (m + 1):]
+    d = spec.input_dim
+    return out[:, :m], out[:, m], shared[: m * d].reshape(m, d), shared[m * d:]
+
+
+def _forward(values: np.ndarray, spec: ModelSpec, x: np.ndarray):
+    """(pre-activation, hidden, logits); the logistic model's hidden layer is x itself."""
+    w, b, w1, b1 = _unpack(values, spec)
+    if w1 is None:
+        pre = hidden = x
+    else:
+        pre = x @ w1.T + b1
+        hidden = np.maximum(pre, 0.0)
+    return pre, hidden, hidden @ w.T + b
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -124,43 +119,35 @@ def predict(joint: ParamVector, features: np.ndarray, spec: ModelSpec) -> np.nda
         x = x[None, :]
     if x.shape[1] != spec.input_dim:
         raise ValueError(f"feature dim {x.shape[1]} != input_dim {spec.input_dim}")
-    labels = np.argmax(_logits(joint.values, spec, x), axis=1)
+    labels = np.argmax(_forward(joint.values, spec, x)[2], axis=1)
     return labels[0] if single else labels
+
+
+def _grad(values: np.ndarray, spec: ModelSpec, x: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy gradient as a flat array, plus each sample's true-label probability."""
+    n = x.shape[0]
+    pre, hidden, logits = _forward(values, spec, x)
+    dlogits = _softmax(logits)
+    rows = np.arange(n)
+    p_true = dlogits[rows, y]
+    dlogits[rows, y] -= 1.0
+    dlogits /= n
+    grad = np.zeros_like(values)
+    gw, gb, gw1, gb1 = _unpack(grad, spec)
+    gw[:] = dlogits.T @ hidden
+    gb[:] = dlogits.sum(axis=0)
+    if gw1 is not None:
+        dhidden = (dlogits @ _unpack(values, spec)[0]) * (pre > 0.0)
+        gw1[:] = dhidden.T @ x
+        gb1[:] = dhidden.sum(axis=0)
+    return grad, p_true
 
 
 def loss_and_grad(params: ParamVector, spec: ModelSpec, x: np.ndarray, y: np.ndarray):
     """Mean cross-entropy over the batch and its gradient as a ParamVector."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    n = x.shape[0]
-    grad = np.zeros_like(params.values)
-    if spec.kind == "logistic":
-        w, b = _unpack_logistic(params.values, spec)
-        logits = x @ w.T + b
-        p = _softmax(logits)
-        loss = -np.mean(np.log(np.clip(p[np.arange(n), y], 1e-300, None)))
-        dlogits = p.copy()
-        dlogits[np.arange(n), y] -= 1.0
-        dlogits /= n
-        gblock = _unpack_logistic(grad, spec)
-        gblock[0][:] = dlogits.T @ x
-        gblock[1][:] = dlogits.sum(axis=0)
-    else:
-        w2, b2, w1, b1 = _unpack_mlp(params.values, spec)
-        pre = x @ w1.T + b1
-        hidden = np.maximum(pre, 0.0)
-        logits = hidden @ w2.T + b2
-        p = _softmax(logits)
-        loss = -np.mean(np.log(np.clip(p[np.arange(n), y], 1e-300, None)))
-        dlogits = p.copy()
-        dlogits[np.arange(n), y] -= 1.0
-        dlogits /= n
-        dhidden = (dlogits @ w2) * (pre > 0.0)
-        gw2, gb2, gw1, gb1 = _unpack_mlp(grad, spec)
-        gw2[:] = dlogits.T @ hidden
-        gb2[:] = dlogits.sum(axis=0)
-        gw1[:] = dhidden.T @ x
-        gb1[:] = dhidden.sum(axis=0)
+    grad, p_true = _grad(params.values, spec, x, np.asarray(y, dtype=np.int64))
+    loss = -np.mean(np.log(np.clip(p_true, 1e-300, None)))
     return loss, ParamVector(grad, params.layout)
 
 
@@ -180,19 +167,18 @@ def local_train(joint: ParamVector, shard, spec: ModelSpec, rng_seed) -> ClientU
         raise ValueError(f"shard feature dim {x.shape[1]} != input_dim {spec.input_dim}")
     if y.min() < 0 or y.max() >= spec.num_labels:
         raise ValueError("shard labels out of range for the model")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
 
     n = x.shape[0]
-    work = joint.copy()
+    work = joint.values.copy()
     for _ in range(spec.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, spec.batch_size):
             batch = order[start: start + spec.batch_size]
-            _, grad = loss_and_grad(work, spec, x[batch], y[batch])
-            work.values -= spec.learning_rate * grad.values
+            work -= spec.learning_rate * _grad(work, spec, x[batch], y[batch])[0]
     return ClientUpdate(
         client_id=shard.owner,
-        delta=work - joint,
+        delta=ParamVector(work - joint.values, joint.layout),
         num_samples=n,
         role=getattr(shard, "role", ROLE_CLEAN),
     )

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +115,36 @@ class TestConfigParsing:
             config_from_dict(base_dict(rounds=0))
         with pytest.raises(ConfigError):
             config_from_dict({"num_clean": 1})
+
+    @pytest.mark.parametrize("kind", ["lomar", "krum"])
+    @pytest.mark.parametrize("key", ["k", "bandwidth", "density_floor"])
+    def test_density_knobs_checked_at_load(self, kind, key):
+        # DefenseConfig is a KdeConfig, so LoMar's checks run for every kind
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(base_dict(defense={"kind": kind, key: 0}))
+
+    @pytest.mark.parametrize("defense", [
+        pytest.param({"kind": "lomar", "assumed_malicious": -1}, id="lomar-negative"),
+        pytest.param({"kind": "krum", "assumed_malicious": -1}, id="krum-negative"),
+        pytest.param({"kind": "fg_krum", "assumed_malicious": 10}, id="krum_first-no-window"),
+        pytest.param({"kind": "fg_krum", "fg_krum_order": "fg_first", "assumed_malicious": -1},
+                     id="fg_first-negative"),
+    ])
+    def test_assumed_malicious_checked_at_load(self, defense):
+        with pytest.raises(ConfigError, match="assumed_malicious"):
+            config_from_dict(base_dict(defense=defense))
+
+    def test_assumed_malicious_window_boundary(self):
+        # 11 clients: assumed 8 leaves a window of 11 - 8 - 2 = 1 peer
+        cfg = config_from_dict(base_dict(defense={"kind": "krum", "assumed_malicious": 8}))
+        assert cfg.defense.assumed_malicious == 8
+        with pytest.raises(ConfigError, match="assumed_malicious"):
+            config_from_dict(base_dict(defense={"kind": "krum", "assumed_malicious": 9}))
+
+    def test_fg_first_needs_only_nonnegative_assumed_malicious(self):
+        # fg_first clamps the value to its FoolsGold survivors at run time
+        defense = {"kind": "fg_krum", "fg_krum_order": "fg_first", "assumed_malicious": 10}
+        assert config_from_dict(base_dict(defense=defense)).defense.assumed_malicious == 10
 
     def test_attack_budget_enforced(self):
         # 3 malicious against 4 clean breaks the 40% budget
@@ -393,6 +424,9 @@ class TestSweep:
         assert apply_sweep_value(cfg, "epsilon", 2.0).defense.epsilon == 2.0
         with pytest.raises(ConfigError):
             apply_sweep_value(cfg, "spread", 1.0)
+        # replace() reruns KdeConfig's checks; their ValueError must surface as ConfigError
+        with pytest.raises(ConfigError, match="epsilon"):
+            apply_sweep_value(cfg, "epsilon", 0.0)
 
     def test_run_sweep_outputs(self, tmp_path):
         cfg = config_from_dict(base_dict(rounds=1))
@@ -416,6 +450,9 @@ class TestSweep:
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "lomarlab", *args],
                           capture_output=True, text=True, timeout=120)
+
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
 
 
 def cli_dict(**overrides):
@@ -442,6 +479,24 @@ class TestCli:
         proc = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+
+    @pytest.mark.parametrize("defense", [
+        pytest.param({"kind": "krum", "assumed_malicious": -1}, id="krum-assumed-negative"),
+        pytest.param({"kind": "krum", "assumed_malicious": 30}, id="krum-assumed-no-window"),
+        pytest.param({"kind": "lomar", "k": 0}, id="lomar-k-0"),
+        pytest.param({"kind": "lomar", "density_floor": 0}, id="lomar-density-floor-0"),
+    ])
+    def test_run_bad_defense_on_example_exits_2(self, tmp_path, defense):
+        with open(EXAMPLE_CONFIG, encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+        raw["defense"] = defense
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", raw)
+        out_dir = tmp_path / "x"
+        proc = run_cli("run", "--config", str(cfg_path), "--out", str(out_dir))
+        assert proc.returncode == 2, proc.stderr
+        assert "config error" in proc.stderr
+        assert proc.stdout == ""
+        assert not out_dir.exists()
 
     def test_run_missing_config_exits_2(self, tmp_path):
         proc = run_cli("run", "--config", str(tmp_path / "absent.yaml"),
@@ -484,6 +539,15 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (out_root / "sweep_summary.csv").exists()
         assert (out_root / "epsilon_0.5" / "summary.json").exists()
+
+    def test_sweep_zero_epsilon_exits_2(self, tmp_path):
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cli_dict())
+        out_root = tmp_path / "s"
+        proc = run_cli("sweep", "--config", str(cfg_path), "--param", "epsilon",
+                       "--grid", "0", "--out", str(out_root))
+        assert proc.returncode == 2, proc.stderr
+        assert "epsilon" in proc.stderr
+        assert not (out_root / "epsilon_0.0").exists()
 
     def test_sweep_bad_param_exits_2(self, tmp_path):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cli_dict())

@@ -6,7 +6,6 @@ from lomarlab.models import (
     ClientUpdate,
     ModelSpec,
     ROLE_MALICIOUS,
-    label_slice,
     local_train,
     loss_and_grad,
     predict,
@@ -76,8 +75,8 @@ class TestSingleStep:
         spec = logistic_spec()
         shard = DataShard(np.array([[1.0, -2.0, 0.5]]), np.array([1]), owner=0)
         up = local_train(spec.init_params(), shard, spec, 7)
-        assert np.array_equal(label_slice(up, 0), up.delta.values[0:4])
-        assert np.array_equal(label_slice(up, 1), up.delta.values[4:8])
+        assert np.array_equal(up.delta.label_slice(0), up.delta.values[0:4])
+        assert np.array_equal(up.delta.label_slice(1), up.delta.values[4:8])
 
 
 class TestTrainingDeterminism:
@@ -120,6 +119,38 @@ class TestTrainingDeterminism:
         a = local_train(spec.init_params(), shard, spec, np.random.SeedSequence([9, 3, 1, 0]))
         b = local_train(spec.init_params(), shard, spec, np.random.SeedSequence([9, 3, 1, 0]))
         assert np.array_equal(a.delta.values, b.delta.values)
+
+
+def reference_train(joint, shard, spec, seed):
+    """Minibatch SGD written over the public loss_and_grad, one ParamVector per step."""
+    rng = np.random.default_rng(seed)
+    x, y = shard.features, shard.labels
+    n = x.shape[0]
+    work = joint.copy()
+    for _ in range(spec.local_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, spec.batch_size):
+            batch = order[start: start + spec.batch_size]
+            _, grad = loss_and_grad(work, spec, x[batch], y[batch])
+            work.values -= spec.learning_rate * grad.values
+    return work - joint
+
+
+class TestTrainingMatchesReference:
+    # 23 samples at batch 5 leave a short last batch of 3 in every epoch
+    @pytest.mark.parametrize("spec", [
+        logistic_spec(num_labels=3, local_epochs=4, batch_size=5, learning_rate=0.3),
+        mlp_spec(num_labels=3, local_epochs=4, batch_size=5, learning_rate=0.3),
+    ], ids=["logistic", "mlp"])
+    def test_local_train_is_bitwise_the_reference_loop(self, spec):
+        rng = np.random.default_rng(41)
+        shard = DataShard(rng.normal(size=(23, spec.input_dim)), rng.integers(0, 3, size=23), owner=4)
+        joint = ParamVector(rng.normal(scale=0.5, size=spec.layout().size), spec.layout())
+        got = local_train(joint, shard, spec, np.random.SeedSequence([5, 3, 1, 4]))
+        want = reference_train(joint, shard, spec, np.random.SeedSequence([5, 3, 1, 4]))
+        assert np.array_equal(got.delta.values, want.values)
+        assert got.delta.layout == joint.layout
+        assert not np.array_equal(want.values, np.zeros_like(want.values))
 
 
 def finite_difference_check(spec, params, x, y, tol):
