@@ -1,0 +1,70 @@
+#!/usr/bin/env bash
+# Compare `lomarlab run --seed 7` between a base revision and the working tree.
+#
+#     scripts/compare_runs.sh BASE_REV
+#
+# BASE_REV's tree is extracted with `git archive` into a temporary directory.
+# Every config variant written below runs once on each tree: configs/example.yaml,
+# both perfbench workloads, and example.yaml with the overrides listed in
+# `variants`. Both trees run the working tree's config files. The output
+# directories are compared with `diff -r` and the stdout with `diff`, minus the
+# "wrote <dir>" line. Prints one line per variant and exits 1 if any differs.
+set -euo pipefail
+
+base_rev=${1:?usage: scripts/compare_runs.sh BASE_REV}
+root=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+mkdir -p "$tmp/base" "$tmp/configs" "$tmp/out"
+git -C "$root" archive "$base_rev" | tar -x -C "$tmp/base"
+
+python3 - "$root" "$tmp/configs" <<'EOF'
+import sys
+from pathlib import Path
+
+import yaml
+
+root, dest = Path(sys.argv[1]), Path(sys.argv[2])
+example = yaml.safe_load((root / "configs/example.yaml").read_text())
+variants = {
+    "none": {"defense": {"kind": "none"}},
+    "krum": {"defense": {"kind": "krum"}},
+    "median": {"defense": {"kind": "median"}},
+    "foolsgold": {"defense": {"kind": "foolsgold"}},
+    "fg_krum": {"defense": {"kind": "fg_krum"}},
+    "fg_first": {"defense": {"kind": "fg_krum", "fg_krum_order": "fg_first"}},
+    "center_reference": {"defense": {"neighbor_density_mode": "center_reference"}},
+    "gaussian_renormalize": {"defense": {"kernel": "gaussian"}, "renormalize_weights": True},
+    "mlp": {"model": {"kind": "mlp", "hidden_dim": 5}},
+    "model_poison_krum": {"attack": {"kind": "model_poison"}, "defense": {"kind": "krum"}},
+}
+(dest / "example.yaml").write_text(yaml.safe_dump(example))
+for workload in sorted((root / "perfbench/workloads").glob("*.yaml")):
+    (dest / workload.name).write_text(workload.read_text())
+for name, override in variants.items():
+    cfg = {**example}
+    for key, value in override.items():
+        cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+    (dest / f"{name}.yaml").write_text(yaml.safe_dump(cfg))
+EOF
+
+status=0
+for config in "$tmp"/configs/*.yaml; do
+    name=$(basename "$config" .yaml)
+    for side in base head; do
+        src="$tmp/base/src"
+        [[ $side == head ]] && src="$root/src"
+        PYTHONPATH="$src" python3 -m lomarlab run --config "$config" --seed 7 \
+            --out "$tmp/out/$side/$name" | grep -v '^wrote ' > "$tmp/out/$side-$name.stdout"
+    done
+    if diff -r "$tmp/out/base/$name" "$tmp/out/head/$name" > "$tmp/out/$name.diff" \
+        && diff "$tmp/out/base-$name.stdout" "$tmp/out/head-$name.stdout" >> "$tmp/out/$name.diff"; then
+        echo "same     $name"
+    else
+        echo "DIFFERS  $name"
+        head -n 20 "$tmp/out/$name.diff"
+        status=1
+    fi
+done
+exit $status

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lomar import sq_dist_matrix
-from .models import ClientUpdate
+from .models import ClientUpdate, check_round, stack_deltas
 from .params import ParamVector
 
 FG_KRUM_ORDERS = ("krum_first", "fg_first")
@@ -36,15 +36,21 @@ class AggregationResult:
     h_used: float | None = None
 
 
-def _check_updates(joint: ParamVector, updates: list[ClientUpdate]):
-    if not updates:
-        raise ValueError("no updates to aggregate")
-    ids = [u.client_id for u in updates]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate client ids")
-    for u in updates:
-        if u.delta.layout != joint.layout:
-            raise ValueError("update layout does not match the joint model")
+def _apply_weights(joint: ParamVector, updates: list[ClientUpdate], weights,
+                   scores: dict[int, float] | None = None) -> AggregationResult:
+    """The one weighted sum: add w * delta to the joint for every positive weight.
+
+    Updates are visited in the given order, which fixes the summation order
+    and so the bits of the result. The positive-weight clients are the kept
+    clients, and only they appear in per_client_weight.
+    """
+    values = joint.values.copy()
+    kept = {}
+    for u, w in zip(updates, weights):
+        if w > 0:
+            values = values + w * u.delta.values
+            kept[u.client_id] = w
+    return AggregationResult(ParamVector(values, joint.layout), sorted(kept), kept, scores)
 
 
 def weighted_aggregate(joint: ParamVector, updates: list[ClientUpdate], kept_ids,
@@ -55,26 +61,15 @@ def weighted_aggregate(joint: ParamVector, updates: list[ClientUpdate], kept_ids
     dropping a client removes its weight from the sum unless renormalize is
     set, in which case weights are recomputed over the kept cohort only.
     """
-    _check_updates(joint, updates)
+    check_round(updates, joint.layout)
     kept = set(kept_ids)
     unknown = kept - {u.client_id for u in updates}
     if unknown:
         raise ValueError(f"kept ids not among updates: {sorted(unknown)}")
     base = [u for u in updates if u.client_id in kept] if renormalize else updates
     total = sum(u.num_samples for u in base)
-    values = joint.values.copy()
-    weights = {}
-    for u in updates:
-        if u.client_id not in kept:
-            continue
-        alpha = u.num_samples / total
-        weights[u.client_id] = alpha
-        values = values + alpha * u.delta.values
-    return AggregationResult(
-        new_joint=ParamVector(values, joint.layout),
-        kept_clients=sorted(kept),
-        per_client_weight=weights,
-    )
+    return _apply_weights(joint, updates,
+                          [u.num_samples / total if u.client_id in kept else 0.0 for u in updates])
 
 
 def fedavg(joint: ParamVector, updates: list[ClientUpdate]) -> AggregationResult:
@@ -82,50 +77,39 @@ def fedavg(joint: ParamVector, updates: list[ClientUpdate]) -> AggregationResult
     return weighted_aggregate(joint, updates, [u.client_id for u in updates])
 
 
-def _krum_select(updates: list[ClientUpdate], assumed_malicious: int) -> tuple[list[int], dict[int, float]]:
-    """Multi-Krum survivors, best first, and every client's negated score.
+def _krum_select(matrix: np.ndarray, ids: list[int], assumed_malicious: int):
+    """Multi-Krum survivors as row positions, best first, and every client's negated score.
 
     A client's score is the summed squared distance to its closest
     n - assumed_malicious - 2 peers; floor(n - 0.5*assumed_malicious - 2)
     clients survive (at least one). Ties break by lower client id.
     """
-    n = len(updates)
+    n = matrix.shape[0]
     if assumed_malicious < 0:
         raise ValueError("assumed_malicious must be >= 0")
     window = n - assumed_malicious - 2
     if window < 1:
         raise ValueError(f"krum needs n - assumed_malicious - 2 >= 1, got n={n}, assumed={assumed_malicious}")
-    d = sq_dist_matrix(np.stack([u.delta.values for u in updates]))
+    d = sq_dist_matrix(matrix)
     np.fill_diagonal(d, np.inf)
-    nearest = np.sort(d, axis=1)[:, :window]
-    scores = dict(zip([u.client_id for u in updates], np.sum(nearest, axis=1).tolist()))
+    totals = np.sum(np.sort(d, axis=1)[:, :window], axis=1).tolist()
     take = max(int(math.floor(n - 0.5 * assumed_malicious - 2)), 1)
-    chosen = sorted(scores, key=lambda c: (scores[c], c))[:take]
-    return chosen, {c: -s for c, s in scores.items()}
+    chosen = sorted(range(n), key=lambda i: (totals[i], ids[i]))[:take]
+    return chosen, {c: -s for c, s in zip(ids, totals)}
 
 
 def krum(joint: ParamVector, updates: list[ClientUpdate], assumed_malicious: int) -> AggregationResult:
     """Multi-Krum (see _krum_select): keep the lowest-scoring clients, average them equally."""
-    _check_updates(joint, updates)
-    chosen, scores = _krum_select(updates, assumed_malicious)
-    take = len(chosen)
-    kept = set(chosen)
-    values = joint.values.copy()
-    for u in updates:
-        if u.client_id in kept:
-            values = values + u.delta.values / take
-    return AggregationResult(
-        new_joint=ParamVector(values, joint.layout),
-        kept_clients=sorted(kept),
-        per_client_weight={c: 1.0 / take for c in chosen},
-        scores=scores,
-    )
+    chosen, scores = _krum_select(stack_deltas(updates, joint.layout),
+                                  [u.client_id for u in updates], assumed_malicious)
+    weights = np.zeros(len(updates))
+    weights[chosen] = 1.0 / len(chosen)
+    return _apply_weights(joint, updates, weights, scores)
 
 
 def coordinate_median(joint: ParamVector, updates: list[ClientUpdate]) -> AggregationResult:
     """Coordinate-wise median of the deltas (even cohorts average the middle pair)."""
-    _check_updates(joint, updates)
-    med = np.median(np.stack([u.delta.values for u in updates]), axis=0)
+    med = np.median(stack_deltas(updates, joint.layout), axis=0)
     return AggregationResult(
         new_joint=ParamVector(joint.values + med, joint.layout),
         kept_clients=sorted(u.client_id for u in updates),
@@ -165,64 +149,44 @@ def foolsgold(joint: ParamVector, updates: list[ClientUpdate]) -> AggregationRes
     (weights normalized by their sum); an all-zero weight vector leaves the
     joint unchanged.
     """
-    _check_updates(joint, updates)
-    ids = [u.client_id for u in updates]
-    vectors = np.stack([u.delta.values for u in updates])
-    wv = _foolsgold_weights(vectors)
+    return _foolsgold(joint, updates, stack_deltas(updates, joint.layout))
+
+
+def _foolsgold(joint: ParamVector, updates: list[ClientUpdate], matrix: np.ndarray) -> AggregationResult:
+    """foolsgold on deltas the caller has already stacked, one row per update."""
+    wv = _foolsgold_weights(matrix)
     total = float(wv.sum())
-    values = joint.values.copy()
-    weights = {}
-    if total > 0:
-        for i, u in enumerate(updates):
-            w = wv[i] / total
-            weights[u.client_id] = w
-            if w > 0:
-                values = values + w * u.delta.values
-    else:
-        weights = {c: 0.0 for c in ids}
-    return AggregationResult(
-        new_joint=ParamVector(values, joint.layout),
-        kept_clients=sorted(c for c, w in weights.items() if w > 0),
-        per_client_weight=weights,
-        scores={ids[i]: float(wv[i]) for i in range(len(ids))},
-    )
+    return _apply_weights(joint, updates, wv / total if total > 0 else wv,
+                          scores=dict(zip([u.client_id for u in updates], wv.tolist())))
 
 
 def fg_krum(joint: ParamVector, updates: list[ClientUpdate], assumed_malicious: int,
             order: str = "krum_first") -> AggregationResult:
     """FoolsGold and Krum composed.
 
-    krum_first: Krum selects survivors, FoolsGold reweights them.
+    krum_first: Krum selects survivors, FoolsGold reweights them best first.
     fg_first: FoolsGold weights everyone, Krum picks among the positive-weight
-    clients, and the survivors are averaged with their renormalized weights.
-    Fewer than three positive-weight clients leave the FoolsGold result as is;
-    otherwise Krum assumes at most (positive count - 3) of them are malicious.
+    clients, and the survivors are summed best first with their renormalized
+    credibility weights. Fewer than three positive-weight clients leave the
+    FoolsGold result as is; otherwise Krum assumes at most (positive count - 3)
+    of them are malicious.
     """
-    _check_updates(joint, updates)
+    matrix = stack_deltas(updates, joint.layout)
     if order not in FG_KRUM_ORDERS:
         raise ValueError(f"unknown order {order!r}")
-    by_id = {u.client_id: u for u in updates}
+    ids = [u.client_id for u in updates]
 
     if order == "krum_first":
-        chosen, scores = _krum_select(updates, assumed_malicious)
-        return replace(foolsgold(joint, [by_id[c] for c in chosen]), scores=scores)
+        chosen, scores = _krum_select(matrix, ids, assumed_malicious)
+        return replace(_foolsgold(joint, [updates[i] for i in chosen], matrix[chosen]), scores=scores)
 
-    inner = foolsgold(joint, updates)
-    positive = [u for u in updates if inner.per_client_weight.get(u.client_id, 0.0) > 0]
+    inner = _foolsgold(joint, updates, matrix)
+    positive = [i for i, c in enumerate(ids) if c in inner.per_client_weight]
     if len(positive) < 3:
         return inner
-    chosen, _ = _krum_select(positive, min(assumed_malicious, len(positive) - 3))
-    raw = {c: inner.scores[c] for c in chosen}
-    total = sum(raw.values())
-    values = joint.values.copy()
-    weights = {}
-    for c in chosen:
-        w = raw[c] / total if total > 0 else 1.0 / len(chosen)
-        weights[c] = w
-        values = values + w * by_id[c].delta.values
-    return AggregationResult(
-        new_joint=ParamVector(values, joint.layout),
-        kept_clients=sorted(chosen),
-        per_client_weight=weights,
-        scores=inner.scores,
-    )
+    chosen, _ = _krum_select(matrix[positive], [ids[i] for i in positive],
+                             min(assumed_malicious, len(positive) - 3))
+    survivors = [updates[positive[j]] for j in chosen]
+    raw = [inner.scores[u.client_id] for u in survivors]
+    total = sum(raw)
+    return _apply_weights(joint, survivors, [r / total for r in raw], scores=inner.scores)

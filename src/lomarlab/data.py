@@ -125,13 +125,18 @@ def _class_means(num_labels: int, input_dim: int, radius: float) -> np.ndarray:
     return means
 
 
-def synth_gaussian(num_labels: int, input_dim: int, per_label_count: int, spread: float, seed,
-                   radius: float = 3.0):
-    """Isotropic Gaussian blobs, one per label, shuffled. Returns (features, labels)."""
+def check_synth(num_labels: int, input_dim: int, per_label_count: int, spread: float) -> None:
+    """Reject synthetic sizes or spread out of range (DatasetConfig checks with it at load)."""
     if num_labels < 2 or input_dim < 1 or per_label_count < 1:
         raise ValueError("need num_labels >= 2, input_dim >= 1, per_label_count >= 1")
     if spread < 0:
         raise ValueError("spread must be >= 0")
+
+
+def synth_gaussian(num_labels: int, input_dim: int, per_label_count: int, spread: float, seed,
+                   radius: float = 3.0):
+    """Isotropic Gaussian blobs, one per label, shuffled. Returns (features, labels)."""
+    check_synth(num_labels, input_dim, per_label_count, spread)
     rng = np.random.default_rng(seed)
     means = _class_means(num_labels, input_dim, radius)
     features = np.repeat(means, per_label_count, axis=0)

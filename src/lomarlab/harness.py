@@ -22,7 +22,7 @@ import yaml
 from .attacks import AttackConfig, boost_update, build_malicious_shards
 from .baselines import (FG_KRUM_ORDERS, AggregationResult, coordinate_median, fedavg, fg_krum,
                         foolsgold, krum, weighted_aggregate)
-from .data import DataShard, PartitionPlan, load_idx, partition, synth_gaussian
+from .data import DataShard, PartitionPlan, check_synth, load_idx, partition, synth_gaussian
 from .lomar import KdeConfig, lomar_run
 from .metrics import RoundRecord, confusion_counts, eval_accuracy, roc_from_scores
 from .models import ROLE_MALICIOUS, ClientUpdate, ModelSpec, local_train
@@ -35,7 +35,8 @@ TAG_ATTACK = 2
 TAG_TRAIN = 3
 
 DATASET_KINDS = ("synth", "mnist")
-SWEEP_PARAMS = ("tau", "lambda", "epsilon")
+# Sweep parameter -> (config section, field).
+SWEEP_PARAMS = {"tau": ("attack", "tau"), "lambda": ("partition", "lam"), "epsilon": ("defense", "epsilon")}
 
 MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -69,8 +70,10 @@ class DatasetConfig:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "mnist" and not self.dir:
             raise ConfigError("dataset kind 'mnist' needs dir")
-        if self.kind == "synth" and not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction must be in (0, 1)")
+        if self.kind == "synth":
+            check_synth(self.num_labels, self.input_dim, self.per_label_count, self.spread)
+            if not 0.0 < self.test_fraction < 1.0:
+                raise ConfigError("test_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -88,9 +91,12 @@ class ModelSection:
             raise ConfigError(f"model input_dim {self.input_dim} != dataset input dim {input_dim}")
         if self.num_labels is not None and self.num_labels != num_labels:
             raise ConfigError(f"model num_labels {self.num_labels} != dataset label count {num_labels}")
-        return ModelSpec(kind=self.kind, input_dim=input_dim, num_labels=num_labels,
-                         hidden_dim=self.hidden_dim, learning_rate=self.learning_rate,
-                         local_epochs=self.local_epochs, batch_size=self.batch_size)
+        try:
+            return ModelSpec(kind=self.kind, input_dim=input_dim, num_labels=num_labels,
+                             hidden_dim=self.hidden_dim, learning_rate=self.learning_rate,
+                             local_epochs=self.local_epochs, batch_size=self.batch_size)
+        except ValueError as exc:
+            raise ConfigError(f"bad section 'model': {exc}") from exc
 
 
 def _assumed_malicious(cfg: ExperimentConfig) -> int:
@@ -134,11 +140,7 @@ class DefenseConfig(KdeConfig):
             raise ConfigError(f"unknown defense kind {self.kind!r}")
         if self.fg_krum_order not in FG_KRUM_ORDERS:
             raise ConfigError(f"unknown fg_krum_order {self.fg_krum_order!r}")
-        # A ValueError would exit 3; a config built by replace() must still exit 2.
-        try:
-            super().__post_init__()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -185,6 +187,13 @@ class ExperimentConfig:
             if clients - assumed - 2 < 1:
                 raise ConfigError(f"krum needs clients - assumed_malicious - 2 >= 1, "
                                   f"got {clients} clients and assumed_malicious {assumed}")
+        self.partition_plan()
+        # An IDX dataset's dims are known only once its files are read.
+        if self.dataset.kind == "synth":
+            self.model.to_spec(self.dataset.input_dim, self.dataset.num_labels)
+
+    def partition_plan(self) -> PartitionPlan:
+        return PartitionPlan(num_clients=self.num_clean, **asdict(self.partition))
 
     def eval_labels(self) -> tuple[int | None, int | None]:
         """Evaluation labels: the attack's victim class and its impersonated class.
@@ -333,14 +342,14 @@ def initialize_state(cfg: ExperimentConfig, seed: int | None = None) -> Experime
     num_labels = int(max(train_y.max(), test_y.max())) + 1
     model = cfg.model.to_spec(input_dim, num_labels)
 
-    plan = PartitionPlan(num_clients=cfg.num_clean,
-                         samples_per_client=cfg.partition.samples_per_client,
-                         lam=cfg.partition.lam,
-                         allow_replacement=cfg.partition.allow_replacement)
-    for src, _ in cfg.attack.flip_pairs:
-        if cfg.attack.kind != "none" and src >= num_labels:
-            raise ConfigError(f"flip source label {src} outside the dataset's {num_labels} labels")
-    shards = partition(train_x, train_y, plan, np.random.SeedSequence([cfg.seed, TAG_PARTITION]))
+    labels = [cfg.eval.target_label, cfg.eval.source_label]
+    if cfg.attack.kind != "none":
+        labels += [label for pair in cfg.attack.flip_pairs for label in pair]
+    outside = sorted({label for label in labels if label is not None and not 0 <= label < num_labels})
+    if outside:
+        raise ConfigError(f"labels {outside} outside the dataset's {num_labels} labels")
+    shards = partition(train_x, train_y, cfg.partition_plan(),
+                       np.random.SeedSequence([cfg.seed, TAG_PARTITION]))
     shards += build_malicious_shards(cfg.attack, train_x, train_y,
                                      cfg.partition.samples_per_client,
                                      np.random.SeedSequence([cfg.seed, TAG_ATTACK]),
@@ -539,24 +548,26 @@ def sweep_values(grid: str) -> list[float]:
 
 
 def apply_sweep_value(cfg: ExperimentConfig, param: str, value: float) -> ExperimentConfig:
-    if param == "tau":
-        return replace(cfg, attack=replace(cfg.attack, tau=value))
-    if param == "lambda":
-        return replace(cfg, partition=replace(cfg.partition, lam=value))
-    if param == "epsilon":
-        return replace(cfg, defense=replace(cfg.defense, epsilon=value))
-    raise ConfigError(f"unknown sweep param {param!r} (choose from {SWEEP_PARAMS})")
+    """cfg with one swept knob set to value; an out-of-range value is a ConfigError."""
+    if param not in SWEEP_PARAMS:
+        raise ConfigError(f"unknown sweep param {param!r} (choose from {tuple(SWEEP_PARAMS)})")
+    section, name = SWEEP_PARAMS[param]
+    try:
+        return replace(cfg, **{section: replace(getattr(cfg, section), **{name: value})})
+    except ValueError as exc:
+        raise ConfigError(f"bad {param} value {value!r}: {exc}") from exc
 
 
 def run_sweep(cfg: ExperimentConfig, param: str, grid: str, out_root, seed: int | None = None):
     """One run per grid value; returns rows of (value, dir, final accs, auc)."""
-    values = sweep_values(grid)
+    # Every grid value is checked before the first run starts.
+    configs = [(value, apply_sweep_value(cfg, param, value)) for value in sweep_values(grid)]
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in values:
+    for value, value_cfg in configs:
         sub = out_root / f"{param}_{value!r}"
-        output = run_experiment(apply_sweep_value(cfg, param, value), out_dir=sub, seed=seed)
+        output = run_experiment(value_cfg, out_dir=sub, seed=seed)
         final = output.records[-1]
         combined = (final.overall_acc + final.target_acc) / 2.0 if not math.isnan(final.target_acc) else final.overall_acc
         rows.append({

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ClientUpdate
+from .models import ClientUpdate, stack_deltas
 
 KERNELS = ("exp", "gaussian")
 NEIGHBOR_DENSITY_MODES = ("own_neighborhood", "center_reference")
@@ -98,16 +98,6 @@ def default_k(population: int) -> int:
     if population < 2:
         raise ValueError("need at least 2 updates")
     return min(max(int(math.floor(DEFAULT_K_FRACTION * population)), 1), population - 1)
-
-
-def _update_matrix(updates: list[ClientUpdate]) -> np.ndarray:
-    if len(updates) < 2:
-        raise ValueError("need at least 2 updates")
-    layout = updates[0].delta.layout
-    for u in updates[1:]:
-        if u.delta.layout != layout:
-            raise ValueError("updates have mismatched layouts")
-    return np.stack([u.delta.values for u in updates])
 
 
 # Gram-form distances below this fraction of ||a||^2 + ||b||^2 have lost most
@@ -206,17 +196,16 @@ def median_bandwidth(slice_dists: list[np.ndarray]) -> float:
 
 def lomar_run(updates: list[ClientUpdate], cfg: KdeConfig = KdeConfig()) -> LomarResult:
     """Score every update and threshold. Requires at least k+1 updates."""
-    matrix = _update_matrix(updates)
-    n = matrix.shape[0]
+    if len(updates) < 2:
+        raise ValueError("need at least 2 updates")
+    layout = updates[0].delta.layout
+    matrix = stack_deltas(updates, layout)
     ids = [u.client_id for u in updates]
-    if len(set(ids)) != n:
-        raise ValueError("duplicate client ids")
-    k = cfg.k if cfg.k is not None else default_k(n)
+    k = cfg.k if cfg.k is not None else default_k(len(ids))
 
     full_dist = sq_dist_matrix(matrix)
     neighbor_pos = knn(full_dist, k, ids)
 
-    layout = updates[0].delta.layout
     slice_dists = [np.sqrt(sq_dist_matrix(matrix[:, layout.label_slice(r)]))
                    for r in range(layout.num_labels)]
     h = cfg.bandwidth if cfg.bandwidth is not None else median_bandwidth(slice_dists)

@@ -79,6 +79,23 @@ class ClientUpdate:
             raise ValueError(f"unknown role {self.role!r}")
 
 
+def check_round(updates: list[ClientUpdate], layout: ParamLayout) -> None:
+    """Reject an empty round, repeated client ids and any delta whose layout is not `layout`."""
+    if not updates:
+        raise ValueError("no updates to aggregate")
+    ids = [u.client_id for u in updates]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate client ids")
+    if any(u.delta.layout != layout for u in updates):
+        raise ValueError("update layout does not match")
+
+
+def stack_deltas(updates: list[ClientUpdate], layout: ParamLayout) -> np.ndarray:
+    """check_round, then one row per update's delta, in the given order."""
+    check_round(updates, layout)
+    return np.stack([u.delta.values for u in updates])
+
+
 def _unpack(values: np.ndarray, spec: ModelSpec):
     """Views (w, b, w1, b1) into a flat vector; w1 and b1 are None for the logistic model."""
     m, r = spec.output_fan_in, spec.num_labels

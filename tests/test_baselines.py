@@ -13,6 +13,7 @@ from lomarlab.baselines import (
     krum,
     weighted_aggregate,
 )
+from lomarlab.lomar import KdeConfig, lomar_run
 from lomarlab.models import ClientUpdate
 from lomarlab.params import ParamLayout, ParamVector
 
@@ -305,3 +306,129 @@ class TestResultShape:
         assert res.scores is None
         assert res.epsilon_used is None and res.h_used is None
         assert res.per_client_weight[0] == 1.0
+
+
+# Every rule validates its round through models.check_round (stack_deltas calls it).
+SHARED_STACKER_RULES = {
+    "lomar_run": lambda ups: lomar_run(ups, KdeConfig(k=1)),
+    "weighted_aggregate": lambda ups: weighted_aggregate(zero_joint(), ups, [u.client_id for u in ups]),
+    "krum": lambda ups: krum(zero_joint(), ups, assumed_malicious=0),
+    "coordinate_median": lambda ups: coordinate_median(zero_joint(), ups),
+    "foolsgold": lambda ups: foolsgold(zero_joint(), ups),
+    "fg_krum-krum_first": lambda ups: fg_krum(zero_joint(), ups, 0, order="krum_first"),
+    "fg_krum-fg_first": lambda ups: fg_krum(zero_joint(), ups, 0, order="fg_first"),
+}
+# Same size as LAYOUT_2 but one label block, so only the layout check can tell them apart.
+LAYOUT_2_ONE_LABEL = ParamLayout(label_ranges=((0, 2),), shared_range=(2, 2))
+
+
+@pytest.mark.parametrize("rule", SHARED_STACKER_RULES.values(), ids=SHARED_STACKER_RULES.keys())
+class TestSharedStacker:
+    def rows(self):
+        return [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5], [0.3, -1.0]]
+
+    def test_valid_round_accepted(self, rule):
+        rule(ups_from(self.rows()))
+
+    def test_empty_round_rejected(self, rule):
+        with pytest.raises(ValueError, match="no updates|at least 2"):
+            rule([])
+
+    def test_repeated_id_rejected(self, rule):
+        ups = ups_from(self.rows())
+        ups[2] = ClientUpdate(client_id=0, delta=ups[2].delta, num_samples=1)
+        with pytest.raises(ValueError, match="duplicate client ids"):
+            rule(ups)
+
+    def test_layout_mismatch_rejected(self, rule):
+        ups = ups_from(self.rows())
+        ups[3] = ClientUpdate(client_id=3, delta=ParamVector(ups[3].delta.values, LAYOUT_2_ONE_LABEL),
+                              num_samples=1)
+        with pytest.raises(ValueError, match="layout does not match"):
+            rule(ups)
+
+
+def test_lomar_run_rejects_a_single_update():
+    with pytest.raises(ValueError, match="at least 2"):
+        lomar_run(ups_from([[1.0, 0.0]]), KdeConfig(k=1))
+
+
+def loop_sum(joint, weighted):
+    """The reference weighted sum: values = values + w * delta, in the order given."""
+    values = joint.values.copy()
+    for w, u in weighted:
+        if w > 0:
+            values = values + w * u.delta.values
+    return values
+
+
+def best_first(ups, scores, chosen):
+    """The chosen updates in Krum's best-first order (scores are negated, ties by lower id)."""
+    by_id = {u.client_id: u for u in ups}
+    return [by_id[c] for c in sorted(chosen, key=lambda c: (-scores[c], c))]
+
+
+def foolsgold_pairs(ups):
+    wv = _foolsgold_weights(np.stack([u.delta.values for u in ups]))
+    return list(zip(wv / wv.sum(), ups))
+
+
+class TestSummationOrder:
+    """new_joint equals, bit for bit, an explicit loop in the documented order.
+
+    Deltas span several orders of magnitude, so a different order (or a
+    matrix product) would change the last bits.
+    """
+
+    layout = ParamLayout(label_ranges=((0, 3), (3, 6)), shared_range=(6, 6))
+
+    @pytest.fixture
+    def ups(self):
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(12, 6)) * 10.0 ** rng.integers(-3, 4, size=(12, 1))
+        rows[:4] = rows[0] + 1e-9 * rng.normal(size=(4, 6))  # a clone cohort FoolsGold zeroes
+        return ups_from(rows, layout=self.layout, samples=rng.integers(1, 50, size=12).tolist())
+
+    def zero(self):
+        return ParamVector.zeros(self.layout)
+
+    def test_fedavg_and_weighted_aggregate(self, ups):
+        joint = ParamVector(np.linspace(-0.7, 0.3, 6), self.layout)
+        total = sum(u.num_samples for u in ups)
+        want = loop_sum(joint, [(u.num_samples / total, u) for u in ups])
+        assert np.array_equal(fedavg(joint, ups).new_joint.values, want)
+        kept = [1, 4, 5, 8, 11]
+        want = loop_sum(joint, [(u.num_samples / total if u.client_id in kept else 0.0, u) for u in ups])
+        assert np.array_equal(weighted_aggregate(joint, ups, kept).new_joint.values, want)
+        kept_total = sum(u.num_samples for u in ups if u.client_id in kept)
+        want = loop_sum(joint, [(u.num_samples / kept_total if u.client_id in kept else 0.0, u) for u in ups])
+        assert np.array_equal(weighted_aggregate(joint, ups, kept, renormalize=True).new_joint.values, want)
+
+    def test_foolsgold_in_input_order(self, ups):
+        res = foolsgold(self.zero(), ups)
+        assert 0 < len(res.kept_clients) < len(ups)
+        assert np.array_equal(res.new_joint.values, loop_sum(self.zero(), foolsgold_pairs(ups)))
+
+    def test_krum_in_input_order(self, ups):
+        res = krum(self.zero(), ups, assumed_malicious=3)
+        take = len(res.kept_clients)
+        want = loop_sum(self.zero(), [(1.0 / take if u.client_id in res.kept_clients else 0.0, u) for u in ups])
+        assert np.array_equal(res.new_joint.values, want)
+
+    def test_krum_first_reweights_survivors_best_first(self, ups):
+        selection = krum(self.zero(), ups, assumed_malicious=2)
+        survivors = best_first(ups, selection.scores, selection.kept_clients)
+        assert [u.client_id for u in survivors] != sorted(selection.kept_clients)
+        res = fg_krum(self.zero(), ups, assumed_malicious=2, order="krum_first")
+        assert np.array_equal(res.new_joint.values, loop_sum(self.zero(), foolsgold_pairs(survivors)))
+
+    def test_fg_first_sums_krum_survivors_best_first(self, ups):
+        inner = foolsgold(self.zero(), ups)
+        positive = [u for u in ups if u.client_id in inner.kept_clients]
+        selection = krum(self.zero(), positive, assumed_malicious=0)
+        survivors = best_first(positive, selection.scores, selection.kept_clients)
+        assert [u.client_id for u in survivors] != sorted(selection.kept_clients)
+        total = sum(inner.scores[u.client_id] for u in survivors)
+        res = fg_krum(self.zero(), ups, assumed_malicious=0, order="fg_first")
+        want = loop_sum(self.zero(), [(inner.scores[u.client_id] / total, u) for u in survivors])
+        assert np.array_equal(res.new_joint.values, want)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from click.testing import CliRunner
 
-from lomarlab import harness
+from lomarlab import cli, harness
 from lomarlab.harness import (
     ConfigError,
     apply_sweep_value,
@@ -115,6 +117,16 @@ class TestConfigParsing:
             config_from_dict(base_dict(rounds=0))
         with pytest.raises(ConfigError):
             config_from_dict({"num_clean": 1})
+        # model, partition and synthetic-dataset values are checked at load too
+        for section, values in [("model", {"learning_rate": -1}), ("model", {"kind": "bogus"}),
+                                ("model", {"kind": "mlp"}), ("model", {"batch_size": 0}),
+                                ("partition", {"samples_per_client": 0}), ("partition", {"lambda": 1.0}),
+                                ("dataset", {"spread": -1}), ("dataset", {"input_dim": 0}),
+                                ("dataset", {"num_labels": 1}), ("dataset", {"per_label_count": 0})]:
+            raw = base_dict()
+            raw[section].update(values)
+            with pytest.raises(ConfigError):
+                config_from_dict(raw)
 
     @pytest.mark.parametrize("kind", ["lomar", "krum"])
     @pytest.mark.parametrize("key", ["k", "bandwidth", "density_floor"])
@@ -204,6 +216,32 @@ class TestInitializeState:
         raw["attack"]["flip_pairs"] = [[5, 0]]
         with pytest.raises(ConfigError, match="outside"):
             initialize_state(config_from_dict(raw))
+
+    @pytest.mark.parametrize("section, values", [
+        pytest.param("attack", {"flip_pairs": [[0, 5]]}, id="flip-target"),
+        pytest.param("eval", {"target_label": 99}, id="eval-target"),
+        pytest.param("eval", {"target_label": 0, "source_label": 99}, id="eval-source"),
+        pytest.param("eval", {"target_label": -1}, id="eval-negative"),
+    ])
+    def test_labels_outside_dataset_rejected_before_partitioning(self, monkeypatch, section, values):
+        monkeypatch.setattr(harness, "partition", lambda *a, **k: pytest.fail("partitioned"))
+        raw = base_dict()
+        raw.setdefault(section, {}).update(values)
+        with pytest.raises(ConfigError, match="outside"):
+            initialize_state(config_from_dict(raw))
+
+    def test_mnist_model_checked_after_reading_files(self, tmp_path):
+        images = np.zeros((6, 2, 2), dtype=np.uint8)
+        labels = np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8)
+        files = harness.MNIST_FILES
+        for images_key, labels_key in [("train_images", "train_labels"), ("test_images", "test_labels")]:
+            (tmp_path / files[images_key]).write_bytes(struct.pack(">IIII", 2051, 6, 2, 2) + images.tobytes())
+            (tmp_path / files[labels_key]).write_bytes(struct.pack(">II", 2049, 6) + labels.tobytes())
+        raw = base_dict(dataset={"kind": "mnist", "dir": str(tmp_path)})
+        raw["model"]["learning_rate"] = -1
+        cfg = config_from_dict(raw)  # the model's dims come from the files
+        with pytest.raises(ConfigError, match="learning_rate"):
+            initialize_state(cfg)
 
     def test_model_dim_mismatch(self):
         raw = base_dict()
@@ -424,9 +462,15 @@ class TestSweep:
         assert apply_sweep_value(cfg, "epsilon", 2.0).defense.epsilon == 2.0
         with pytest.raises(ConfigError):
             apply_sweep_value(cfg, "spread", 1.0)
-        # replace() reruns KdeConfig's checks; their ValueError must surface as ConfigError
+        # replace() reruns each section's checks; their ValueError must surface as ConfigError
+        for param, value in [("epsilon", 0.0), ("tau", 0.0), ("lambda", 1.0)]:
+            with pytest.raises(ConfigError, match=param):
+                apply_sweep_value(cfg, param, value)
+
+    def test_run_sweep_checks_every_value_first(self, tmp_path):
         with pytest.raises(ConfigError, match="epsilon"):
-            apply_sweep_value(cfg, "epsilon", 0.0)
+            run_sweep(config_from_dict(base_dict(rounds=1)), "epsilon", "1.0,0", tmp_path / "s")
+        assert not (tmp_path / "s").exists()
 
     def test_run_sweep_outputs(self, tmp_path):
         cfg = config_from_dict(base_dict(rounds=1))
@@ -496,6 +540,25 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "config error" in proc.stderr
         assert proc.stdout == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("section, values", [
+        pytest.param("model", {"learning_rate": -1}, id="learning-rate"),
+        pytest.param("partition", {"samples_per_client": 0}, id="samples-per-client"),
+        pytest.param("dataset", {"spread": -1}, id="spread"),
+        pytest.param("attack", {"flip_pairs": [[0, 5]]}, id="flip-target"),
+        pytest.param("eval", {"target_label": 99}, id="eval-target"),
+        pytest.param("eval", {"target_label": 0, "source_label": 99}, id="eval-source"),
+    ])
+    def test_run_bad_value_exits_2_before_training(self, tmp_path, monkeypatch, section, values):
+        monkeypatch.setattr(harness, "local_train", lambda *a, **k: pytest.fail("a client trained"))
+        raw = cli_dict()
+        raw.setdefault(section, {}).update(values)
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", raw)
+        out_dir = tmp_path / "x"
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
         assert not out_dir.exists()
 
     def test_run_missing_config_exits_2(self, tmp_path):
