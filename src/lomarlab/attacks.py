@@ -70,8 +70,9 @@ class AttackConfig:
 
 def make_flipped_shard(pool_features: np.ndarray, pool_labels: np.ndarray, samples: int,
                        pair: tuple[int, int], tau: float, seed, owner: int = -1) -> DataShard:
-    """Build one malicious shard: ceil(tau*l) source-label samples relabelled
-    to the target plus uniform untouched draws for the remainder.
+    """Build one malicious shard over pool_features' rows: ceil(tau*l)
+    source-label samples relabelled to the target plus uniform untouched
+    draws for the remainder.
 
     Draws are without replacement within this shard; raises when the source
     pool cannot cover the flipped portion.
@@ -92,17 +93,19 @@ def make_flipped_shard(pool_features: np.ndarray, pool_labels: np.ndarray, sampl
         raise ValueError(f"source label {src} has {len(source_idx)} samples, need {n_flip}")
     flip_idx = rng.choice(source_idx, size=n_flip, replace=False)
     if n_rand:
-        remaining = np.setdiff1d(np.arange(pool_labels.shape[0]), flip_idx)
+        unflipped = np.ones(pool_labels.shape[0], dtype=bool)
+        unflipped[flip_idx] = False
+        remaining = np.flatnonzero(unflipped)
         if len(remaining) < n_rand:
             raise ValueError(f"pool too small for {n_rand} untouched draws after flipping {n_flip}")
         rand_idx = rng.choice(remaining, size=n_rand, replace=False)
     else:
         rand_idx = np.empty(0, dtype=np.int64)
 
-    features = np.concatenate([pool_features[flip_idx], pool_features[rand_idx]])
+    rows = np.concatenate([flip_idx, rand_idx])
     labels = np.concatenate([np.full(n_flip, tgt, dtype=np.int64), pool_labels[rand_idx]])
     order = rng.permutation(samples)
-    return DataShard(features[order], labels[order], owner=owner, role=ROLE_MALICIOUS)
+    return DataShard(pool_features, rows[order], labels[order], owner=owner, role=ROLE_MALICIOUS)
 
 
 def boost_update(honest_update: ClientUpdate, boost_factor: float) -> ClientUpdate:

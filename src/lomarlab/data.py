@@ -6,7 +6,8 @@ partitioner hands each client a shard with a lambda-controlled bias toward one
 major label: ceil(lambda*l) samples of that label plus uniform draws for the
 rest. Draws are disjoint across clients while supply lasts; when a plan
 oversubscribes the pool the remainder is drawn with replacement and the shard
-is flagged.
+is flagged. A shard holds row indices into the one shared feature array, never
+a copy of its rows.
 """
 
 from __future__ import annotations
@@ -32,21 +33,26 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class DataShard:
-    """One client's local training set."""
+    """One client's local training set: row indices into the shared feature array
+    `pool` (a reference, never a copy), plus labels, which a malicious shard rewrites."""
 
-    features: np.ndarray
+    pool: np.ndarray
+    rows: np.ndarray
     labels: np.ndarray
     owner: int
     role: str = ROLE_CLEAN
     used_replacement: bool = False
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.pool = np.asarray(self.pool, dtype=np.float64)
+        self.rows = np.asarray(self.rows, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.labels.ndim != 1:
-            raise ValueError("features must be 2-D and labels 1-D")
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("features/labels length mismatch")
+        if self.pool.ndim != 2 or self.rows.ndim != 1 or self.labels.ndim != 1:
+            raise ValueError("pool must be 2-D, rows and labels 1-D")
+        if self.rows.shape[0] != self.labels.shape[0]:
+            raise ValueError("rows/labels length mismatch")
+        if len(self.rows) and (self.rows.min() < 0 or self.rows.max() >= len(self.pool)):
+            raise ValueError(f"rows outside the pool's {len(self.pool)} rows")
         if self.role not in (ROLE_CLEAN, ROLE_MALICIOUS):
             raise ValueError(f"unknown role {self.role!r}")
 
@@ -94,7 +100,8 @@ def load_idx(images_path, labels_path):
         raw = fh.read(count * rows * cols)
     if len(raw) != count * rows * cols:
         raise IdxFormatError(f"{images_path}: expected {count * rows * cols} pixel bytes, got {len(raw)}")
-    features = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols) / 255.0
+    features = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols)
+    features /= 255.0
 
     with open(labels_path, "rb") as fh:
         head = fh.read(8)
@@ -135,16 +142,31 @@ def check_synth(num_labels: int, input_dim: int, per_label_count: int, spread: f
 
 def synth_gaussian(num_labels: int, input_dim: int, per_label_count: int, spread: float, seed,
                    radius: float = 3.0):
-    """Isotropic Gaussian blobs, one per label, shuffled. Returns (features, labels)."""
+    """Isotropic Gaussian blobs, one per label, shuffled. Returns (features, labels).
+
+    Built and shuffled in one array; the noise is scaled and shifted in place,
+    which gives the same bits as mean + spread * noise.
+    """
     check_synth(num_labels, input_dim, per_label_count, spread)
     rng = np.random.default_rng(seed)
     means = _class_means(num_labels, input_dim, radius)
-    features = np.repeat(means, per_label_count, axis=0)
     if spread > 0:
-        features = features + spread * rng.standard_normal(features.shape)
+        features = rng.standard_normal((num_labels * per_label_count, input_dim))
+        features *= spread
+        blocks = features.reshape(num_labels, per_label_count, input_dim)
+        blocks += means[:, None, :]
+    else:
+        features = np.repeat(means, per_label_count, axis=0)
     labels = np.repeat(np.arange(num_labels, dtype=np.int64), per_label_count)
-    order = rng.permutation(features.shape[0])
-    return features[order], labels[order]
+    order = rng.permutation(len(labels))
+    permute_rows(features, order)
+    return features, labels[order]
+
+
+def permute_rows(x: np.ndarray, order: np.ndarray) -> None:
+    """Set x to x[order] in place; one 64-column block's gathered copy is the only scratch."""
+    for c in range(0, x.shape[1], 64):
+        x[:, c:c + 64] = x[order, c:c + 64]
 
 
 def major_count(lam: float, samples: int) -> int:
@@ -160,18 +182,17 @@ class _Pool:
         self.taken = taken
 
     def draw(self, count: int) -> np.ndarray:
-        out = []
-        while len(out) < count and self.pos < len(self.queue):
-            idx = self.queue[self.pos]
-            self.pos += 1
-            if not self.taken[idx]:
-                self.taken[idx] = True
-                out.append(idx)
-        return np.asarray(out, dtype=np.int64)
+        """The next `count` >= 1 untaken entries, or all that are left once the queue runs out."""
+        rest = self.queue[self.pos:]
+        free = np.flatnonzero(~self.taken[rest])[:count]
+        self.pos += int(free[-1]) + 1 if len(free) == count else len(rest)
+        out = rest[free]
+        self.taken[out] = True
+        return out
 
 
 def partition(features: np.ndarray, labels: np.ndarray, plan: PartitionPlan, seed) -> list[DataShard]:
-    """Split (features, labels) into per-client shards according to the plan.
+    """Split (features, labels) into per-client shards of row indices into features.
 
     Major-label assignment defaults to round-robin over the labels present.
     Raises when the plan cannot be satisfied: a major label with no samples at
@@ -231,5 +252,5 @@ def partition(features: np.ndarray, labels: np.ndarray, plan: PartitionPlan, see
 
         idx = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
         idx = idx[rng.permutation(len(idx))]
-        shards.append(DataShard(features[idx], labels[idx], owner=client, used_replacement=flagged))
+        shards.append(DataShard(features, idx, labels[idx], owner=client, used_replacement=flagged))
     return shards

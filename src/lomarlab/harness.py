@@ -155,6 +155,10 @@ class EvalSection:
     target_label: int | None = None
     source_label: int | None = None
 
+    def __post_init__(self):
+        if self.source_label is not None and self.target_label is None:
+            raise ConfigError("eval.source_label needs eval.target_label")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:

@@ -171,14 +171,16 @@ def loss_and_grad(params: ParamVector, spec: ModelSpec, x: np.ndarray, y: np.nda
 def local_train(joint: ParamVector, shard, spec: ModelSpec, rng_seed) -> ClientUpdate:
     """Run E epochs of minibatch SGD from the joint model, return the delta.
 
+    shard is a data.DataShard; each batch gathers its rows from shard.pool.
+
     rng_seed may be an int, a numpy SeedSequence, or a Generator. Passing the
     same Generator object across successive single-epoch calls reproduces one
     multi-epoch call exactly, since the permutation stream is consumed in
     order.
     """
-    x = np.asarray(shard.features, dtype=np.float64)
-    y = np.asarray(shard.labels, dtype=np.int64)
-    if x.shape[0] == 0:
+    x, rows, y = shard.pool, shard.rows, shard.labels
+    n = len(rows)
+    if n == 0:
         raise ValueError("empty shard")
     if x.shape[1] != spec.input_dim:
         raise ValueError(f"shard feature dim {x.shape[1]} != input_dim {spec.input_dim}")
@@ -186,13 +188,12 @@ def local_train(joint: ParamVector, shard, spec: ModelSpec, rng_seed) -> ClientU
         raise ValueError("shard labels out of range for the model")
     rng = np.random.default_rng(rng_seed)
 
-    n = x.shape[0]
     work = joint.values.copy()
     for _ in range(spec.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, spec.batch_size):
             batch = order[start: start + spec.batch_size]
-            work -= spec.learning_rate * _grad(work, spec, x[batch], y[batch])[0]
+            work -= spec.learning_rate * _grad(work, spec, x[rows[batch]], y[batch])[0]
     return ClientUpdate(
         client_id=shard.owner,
         delta=ParamVector(work - joint.values, joint.layout),

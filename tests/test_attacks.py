@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lomarlab.attacks import AttackConfig, boost_update, build_malicious_shards, make_flipped_shard
-from lomarlab.data import synth_gaussian
+from lomarlab.data import major_count, synth_gaussian
 from lomarlab.models import ROLE_MALICIOUS, ClientUpdate, ModelSpec
 
 
@@ -57,7 +57,7 @@ class TestFlippedShard:
         x, y = pool()
         shard = make_flipped_shard(x, y, samples=15, pair=(1, 0), tau=1.0, seed=6)
         source_rows = {tuple(row) for row in x[y == 1]}
-        for row in shard.features:
+        for row in shard.pool[shard.rows]:
             assert tuple(row) in source_rows
 
     def test_partial_tau_counts(self):
@@ -71,7 +71,7 @@ class TestFlippedShard:
     def test_no_within_shard_duplicates(self):
         x, y = pool()
         shard = make_flipped_shard(x, y, samples=30, pair=(0, 1), tau=0.5, seed=8)
-        assert np.unique(shard.features, axis=0).shape[0] == 30
+        assert np.unique(shard.pool[shard.rows], axis=0).shape[0] == 30
 
     def test_insufficient_source_pool_raises(self):
         x, y = pool(per_label=10)
@@ -82,8 +82,36 @@ class TestFlippedShard:
         x, y = pool()
         a = make_flipped_shard(x, y, samples=12, pair=(2, 0), tau=0.8, seed=10)
         b = make_flipped_shard(x, y, samples=12, pair=(2, 0), tau=0.8, seed=10)
-        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.pool[a.rows], b.pool[b.rows])
         assert np.array_equal(a.labels, b.labels)
+
+
+def flipped_reference(pool_labels, samples, pair, tau, seed):
+    """(rows, labels) drawn as before the boolean mask: the untouched rows come from setdiff1d."""
+    src, tgt = pair
+    n_flip = major_count(tau, samples)
+    rng = np.random.default_rng(seed)
+    flip_idx = rng.choice(np.flatnonzero(pool_labels == src), size=n_flip, replace=False)
+    remaining = np.setdiff1d(np.arange(pool_labels.shape[0]), flip_idx)
+    rand_idx = rng.choice(remaining, size=samples - n_flip, replace=False) if samples > n_flip \
+        else np.empty(0, dtype=np.int64)
+    rows = np.concatenate([flip_idx, rand_idx])
+    labels = np.concatenate([np.full(n_flip, tgt, dtype=np.int64), pool_labels[rand_idx]])
+    order = rng.permutation(samples)
+    return rows[order], labels[order]
+
+
+class TestFlippedShardReference:
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2024])
+    @pytest.mark.parametrize("samples, tau", [(20, 1.0), (20, 0.6), (45, 0.3), (7, 0.01)])
+    def test_rows_and_labels_equal_the_setdiff_draw(self, seed, samples, tau):
+        x, y = pool(per_label=60, labels=4, seed=seed)
+        shard = make_flipped_shard(x, y, samples, (2, 3), tau, seed=seed, owner=5)
+        rows, labels = flipped_reference(y, samples, (2, 3), tau, seed)
+        assert shard.rows.dtype == np.int64
+        assert np.array_equal(shard.rows, rows)
+        assert np.array_equal(shard.labels, labels)
+        assert shard.pool is x
 
 
 class TestBoost:
@@ -128,7 +156,7 @@ class TestCohort:
         a = build_malicious_shards(atk, x, y, samples=10, seed_seq=ss, first_owner=0)
         b = build_malicious_shards(atk, x, y, samples=10, seed_seq=ss, first_owner=0)
         for sa, sb in zip(a, b):
-            assert np.array_equal(sa.features, sb.features)
+            assert np.array_equal(sa.pool[sa.rows], sb.pool[sb.rows])
 
     def test_none_attack_builds_nothing(self):
         x, y = pool()
@@ -144,6 +172,6 @@ class TestCohort:
                            flip_pairs=((0, 1),), tau=1.0)
         shards = build_malicious_shards(atk, x, y, samples=25,
                                         seed_seq=np.random.SeedSequence(9), first_owner=0)
-        sets = [np.sort(s.features.view([('', s.features.dtype)] * 4), axis=0) for s in shards]
+        sets = [np.sort(s.pool[s.rows].view([('', s.pool.dtype)] * 4), axis=0) for s in shards]
         assert np.array_equal(sets[0], sets[1])
         assert np.array_equal(sets[0], sets[2])

@@ -2,14 +2,19 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lomarlab.data import (
     DataShard,
     IdxFormatError,
     PartitionPlan,
+    _class_means,
+    _Pool,
     load_idx,
     major_count,
     partition,
+    permute_rows,
     synth_gaussian,
 )
 
@@ -37,6 +42,7 @@ class TestIdx:
         assert x.dtype == np.float64
         assert np.array_equal(y, labels.astype(np.int64))
         assert np.allclose(x, images.reshape(5, 12) / 255.0)
+        assert np.array_equal(x, images.reshape(5, 12).astype(np.float64) / 255.0)
         assert x.max() <= 1.0 and x.min() >= 0.0
 
     def test_bad_image_magic(self, tmp_path):
@@ -98,6 +104,87 @@ class TestSynth:
             synth_gaussian(2, 3, 10, -1.0, seed=0)
 
 
+def synth_reference(num_labels, input_dim, per_label_count, spread, seed, radius=3.0):
+    """The out-of-place construction: repeated means plus scaled noise, then one indexed copy."""
+    rng = np.random.default_rng(seed)
+    features = np.repeat(_class_means(num_labels, input_dim, radius), per_label_count, axis=0)
+    if spread > 0:
+        features = features + spread * rng.standard_normal(features.shape)
+    labels = np.repeat(np.arange(num_labels, dtype=np.int64), per_label_count)
+    order = rng.permutation(features.shape[0])
+    return features[order], labels[order]
+
+
+class TestSynthInPlace:
+    # 64-column blocks: 1, 8 and 64 are one block, 65 and 130 end in a partial one
+    @pytest.mark.parametrize("input_dim", [1, 8, 64, 65, 130])
+    @pytest.mark.parametrize("spread", [0.0, 0.7, 3.0])
+    def test_bitwise_the_out_of_place_formula(self, input_dim, spread):
+        seed = np.random.SeedSequence([5, input_dim])
+        x, y = synth_gaussian(3, input_dim, 17, spread, seed, radius=2.5)
+        want_x, want_y = synth_reference(3, input_dim, 17, spread, seed, radius=2.5)
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(y, want_y)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.permutations(range(n)), st.integers(0, 200), st.integers(0, 2**32 - 1))))
+    def test_permute_rows_is_fancy_indexing(self, case):
+        order, width, seed = case
+        order = np.asarray(order, dtype=np.int64)
+        x = np.random.default_rng(seed).normal(size=(len(order), width))
+        want = x[order]
+        permute_rows(x, order)
+        assert np.array_equal(x, want)
+
+
+class LoopPool:
+    """The per-entry draw loop that _Pool.draw replaces."""
+
+    def __init__(self, indices, taken):
+        self.queue, self.pos, self.taken = indices, 0, taken
+
+    def draw(self, count):
+        out = []
+        while len(out) < count and self.pos < len(self.queue):
+            idx = self.queue[self.pos]
+            self.pos += 1
+            if not self.taken[idx]:
+                self.taken[idx] = True
+                out.append(idx)
+        return np.asarray(out, dtype=np.int64)
+
+
+class TestPoolDraw:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.booleans(), st.integers(1, 12)), min_size=1, max_size=10))
+    def test_draws_equal_the_loop(self, total, seed, draws):
+        # two pools share one taken mask, as a label pool and the global pool do;
+        # draws past the end of a queue come back short
+        rng = np.random.default_rng(seed)
+        start = rng.random(total) < 0.3
+        queues = [rng.permutation(total), rng.permutation(np.flatnonzero(rng.random(total) < 0.5))]
+        fast_taken, loop_taken = start.copy(), start.copy()
+        fast = [_Pool(q, fast_taken) for q in queues]
+        loop = [LoopPool(q, loop_taken) for q in queues]
+        for which, count in draws:
+            got, want = fast[which].draw(count), loop[which].draw(count)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert fast[which].pos == loop[which].pos
+            assert np.array_equal(fast_taken, loop_taken)
+
+    def test_short_draw_then_empty(self):
+        taken = np.array([False, True, False, False])
+        pool = _Pool(np.array([3, 1, 0, 2]), taken)
+        assert np.array_equal(pool.draw(2), [3, 0])
+        assert np.array_equal(pool.draw(5), [2])
+        assert pool.pos == 4 and taken.all()
+        assert pool.draw(1).shape == (0,)
+
+
 class TestMajorCount:
     def test_zero_lam(self):
         assert major_count(0.0, 600) == 0
@@ -132,7 +219,7 @@ class TestPartition:
         plan = PartitionPlan(num_clients=10, samples_per_client=12, lam=0.0,
                              allow_replacement=False)
         shards = partition(x, y, plan, seed=2)
-        seen = np.concatenate([s.features for s in shards])
+        seen = np.concatenate([s.pool[s.rows] for s in shards])
         # all drawn rows distinct -> no sample was handed to two clients
         assert np.unique(seen, axis=0).shape[0] == seen.shape[0]
         assert not any(s.used_replacement for s in shards)
@@ -188,7 +275,7 @@ class TestPartition:
         a = partition(x, y, plan, seed=11)
         b = partition(x, y, plan, seed=11)
         for sa, sb in zip(a, b):
-            assert np.array_equal(sa.features, sb.features)
+            assert np.array_equal(sa.pool[sa.rows], sb.pool[sb.rows])
             assert np.array_equal(sa.labels, sb.labels)
 
     def test_plan_validation(self):
@@ -201,7 +288,17 @@ class TestPartition:
                           major_label_assignment=(0,))
 
     def test_shard_validation(self):
-        with pytest.raises(ValueError):
-            DataShard(np.zeros((3, 2)), np.zeros(2, dtype=int), owner=0)
-        with pytest.raises(ValueError):
-            DataShard(np.zeros(3), np.zeros(3, dtype=int), owner=0)
+        pool = np.zeros((3, 2))
+        DataShard(pool, [2, 0, 2], np.zeros(3, dtype=int), owner=0)
+        DataShard(pool, np.empty(0, dtype=int), np.empty(0, dtype=int), owner=0)
+        with pytest.raises(ValueError, match="length"):
+            DataShard(pool, [0, 1, 2], np.zeros(2, dtype=int), owner=0)
+        with pytest.raises(ValueError, match="1-D"):
+            DataShard(pool, np.zeros((3, 1), dtype=int), np.zeros(3, dtype=int), owner=0)
+        with pytest.raises(ValueError, match="2-D"):
+            DataShard(np.zeros(3), [0, 1, 2], np.zeros(3, dtype=int), owner=0)
+        for rows in ([0, 1, 3], [-1, 0, 1]):
+            with pytest.raises(ValueError, match="outside"):
+                DataShard(pool, rows, np.zeros(3, dtype=int), owner=0)
+        with pytest.raises(ValueError, match="role"):
+            DataShard(pool, [0], [0], owner=0, role="confused")

@@ -194,6 +194,11 @@ class TestConfigParsing:
         cfg = config_from_dict({"num_clean": 4})
         assert cfg.eval_labels() == (None, None)
 
+    def test_eval_source_label_needs_target_label(self):
+        for raw in (base_dict(eval={"source_label": 0}), {"num_clean": 4, "eval": {"source_label": 1}}):
+            with pytest.raises(ConfigError, match="source_label needs eval.target_label"):
+                config_from_dict(raw)
+
 
 class TestInitializeState:
     def test_roles_and_shards(self):
@@ -204,6 +209,20 @@ class TestInitializeState:
         assert all(state.roles[i] == "clean" for i in range(8))
         assert all(state.roles[i] == "malicious" for i in range(8, 11))
         assert isinstance(state.replacement_used, bool)
+
+    def test_every_shard_indexes_one_shared_pool(self):
+        cfg = load_config(EXAMPLE_CONFIG)
+        state = initialize_state(cfg)
+        pool = state.shards[0].pool
+        ds = cfg.dataset
+        assert pool.shape == (ds.num_labels * ds.per_label_count, ds.input_dim)
+        assert pool is not state.test_features
+        assert {s.role for s in state.shards} == {"clean", "malicious"}
+        for shard in state.shards:
+            assert shard.pool is pool
+            assert set(vars(shard)) == {"pool", "rows", "labels", "owner", "role", "used_replacement"}
+            assert shard.rows.dtype == np.int64 and shard.rows.ndim == 1
+            assert shard.labels.dtype == np.int64 and shard.labels.shape == shard.rows.shape
 
     def test_model_spec_inferred_from_data(self):
         state = initialize_state(config_from_dict(base_dict()))
@@ -549,6 +568,7 @@ class TestCli:
         pytest.param("attack", {"flip_pairs": [[0, 5]]}, id="flip-target"),
         pytest.param("eval", {"target_label": 99}, id="eval-target"),
         pytest.param("eval", {"target_label": 0, "source_label": 99}, id="eval-source"),
+        pytest.param("eval", {"source_label": 0}, id="eval-source-without-target"),
     ])
     def test_run_bad_value_exits_2_before_training(self, tmp_path, monkeypatch, section, values):
         monkeypatch.setattr(harness, "local_train", lambda *a, **k: pytest.fail("a client trained"))

@@ -27,6 +27,11 @@ def mlp_spec(**kw):
     return ModelSpec(**base)
 
 
+def whole_pool_shard(x, y, owner, **kw):
+    """A shard over every row of x, in order."""
+    return DataShard(x, np.arange(len(y)), y, owner=owner, **kw)
+
+
 class TestLayoutCounting:
     def test_logistic_blocks(self):
         lay = logistic_spec().layout()
@@ -57,7 +62,7 @@ class TestSingleStep:
         # From zero weights the probabilities are exactly [0.5, 0.5], so every
         # entry of the delta is a dyadic rational and matches bit for bit.
         spec = logistic_spec()
-        shard = DataShard(np.array([[1.0, -2.0, 0.5]]), np.array([1]), owner=0)
+        shard = whole_pool_shard(np.array([[1.0, -2.0, 0.5]]), np.array([1]), owner=0)
         up = local_train(spec.init_params(), shard, spec, 7)
         want = np.array([-0.25, 0.5, -0.125, -0.25, 0.25, -0.5, 0.125, 0.25])
         assert np.array_equal(up.delta.values, want)
@@ -67,13 +72,13 @@ class TestSingleStep:
     def test_zero_learning_rate_gives_zero_delta(self):
         spec = logistic_spec(learning_rate=0.0, local_epochs=4, batch_size=2)
         rng = np.random.default_rng(3)
-        shard = DataShard(rng.normal(size=(6, 3)), rng.integers(0, 2, size=6), owner=1)
+        shard = whole_pool_shard(rng.normal(size=(6, 3)), rng.integers(0, 2, size=6), owner=1)
         up = local_train(spec.init_params(), shard, spec, 5)
         assert np.array_equal(up.delta.values, np.zeros(8))
 
     def test_label_slice_views_update(self):
         spec = logistic_spec()
-        shard = DataShard(np.array([[1.0, -2.0, 0.5]]), np.array([1]), owner=0)
+        shard = whole_pool_shard(np.array([[1.0, -2.0, 0.5]]), np.array([1]), owner=0)
         up = local_train(spec.init_params(), shard, spec, 7)
         assert np.array_equal(up.delta.label_slice(0), up.delta.values[0:4])
         assert np.array_equal(up.delta.label_slice(1), up.delta.values[4:8])
@@ -81,7 +86,7 @@ class TestSingleStep:
 
 class TestTrainingDeterminism:
     def make_shard(self, rng, n=20, d=3, labels=2):
-        return DataShard(rng.normal(size=(n, d)), rng.integers(0, labels, size=n), owner=2)
+        return whole_pool_shard(rng.normal(size=(n, d)), rng.integers(0, labels, size=n), owner=2)
 
     def test_same_seed_same_delta(self):
         spec = logistic_spec(local_epochs=3, batch_size=4, learning_rate=0.1)
@@ -124,7 +129,7 @@ class TestTrainingDeterminism:
 def reference_train(joint, shard, spec, seed):
     """Minibatch SGD written over the public loss_and_grad, one ParamVector per step."""
     rng = np.random.default_rng(seed)
-    x, y = shard.features, shard.labels
+    x, y = shard.pool[shard.rows], shard.labels
     n = x.shape[0]
     work = joint.copy()
     for _ in range(spec.local_epochs):
@@ -144,7 +149,9 @@ class TestTrainingMatchesReference:
     ], ids=["logistic", "mlp"])
     def test_local_train_is_bitwise_the_reference_loop(self, spec):
         rng = np.random.default_rng(41)
-        shard = DataShard(rng.normal(size=(23, spec.input_dim)), rng.integers(0, 3, size=23), owner=4)
+        # 23 rows out of a 40-row pool, out of order: training must gather pool[rows[batch]]
+        shard = DataShard(rng.normal(size=(40, spec.input_dim)), rng.permutation(40)[:23],
+                          rng.integers(0, 3, size=23), owner=4)
         joint = ParamVector(rng.normal(scale=0.5, size=spec.layout().size), spec.layout())
         got = local_train(joint, shard, spec, np.random.SeedSequence([5, 3, 1, 4]))
         want = reference_train(joint, shard, spec, np.random.SeedSequence([5, 3, 1, 4]))
@@ -200,7 +207,7 @@ class TestGradients:
         spec = logistic_spec(input_dim=2, learning_rate=0.5, local_epochs=20, batch_size=10)
         x = np.concatenate([rng.normal(loc=-2, size=(20, 2)), rng.normal(loc=2, size=(20, 2))])
         y = np.array([0] * 20 + [1] * 20)
-        shard = DataShard(x, y, owner=0)
+        shard = whole_pool_shard(x, y, owner=0)
         joint = spec.init_params()
         before, _ = loss_and_grad(joint, spec, x, y)
         up = local_train(joint, shard, spec, 1)
@@ -250,16 +257,20 @@ class TestValidation:
 
     def test_local_train_rejects_bad_shards(self):
         spec = logistic_spec()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="feature dim"):
             local_train(spec.init_params(),
-                        DataShard(np.zeros((2, 5)), np.zeros(2, dtype=int), owner=0), spec, 1)
-        with pytest.raises(ValueError):
+                        whole_pool_shard(np.zeros((2, 5)), np.zeros(2, dtype=int), owner=0), spec, 1)
+        with pytest.raises(ValueError, match="out of range"):
             local_train(spec.init_params(),
-                        DataShard(np.zeros((2, 3)), np.array([0, 9]), owner=0), spec, 1)
+                        whole_pool_shard(np.zeros((2, 3)), np.array([0, 9]), owner=0), spec, 1)
+        with pytest.raises(ValueError, match="empty"):
+            local_train(spec.init_params(),
+                        DataShard(np.zeros((2, 3)), np.empty(0, dtype=int), np.empty(0, dtype=int), owner=0),
+                        spec, 1)
 
     def test_malicious_role_carried_through(self):
         spec = logistic_spec()
-        shard = DataShard(np.zeros((2, 3)), np.array([0, 1]), owner=3, role=ROLE_MALICIOUS)
+        shard = whole_pool_shard(np.zeros((2, 3)), np.array([0, 1]), owner=3, role=ROLE_MALICIOUS)
         up = local_train(spec.init_params(), shard, spec, 1)
         assert up.role == ROLE_MALICIOUS
 
