@@ -6,9 +6,12 @@
 # BASE_REV's tree is extracted with `git archive` into a temporary directory.
 # Every config variant written below runs once on each tree: configs/example.yaml,
 # both perfbench workloads, and example.yaml with the overrides listed in
-# `variants`. Both trees run the working tree's config files. The output
-# directories are compared with `diff -r` and the stdout with `diff`, minus the
-# "wrote <dir>" line. Prints one line per variant and exits 1 if any differs.
+# `variants`. Each tree also runs `lomarlab sweep --param epsilon --grid 0.8,1.0
+# --seed 7` on example.yaml, then `lomarlab roc --from` on its epsilon_0.8 run.
+# Both trees run the working tree's config files. The output directories are
+# compared with `diff -r` and the stdout with `diff`, minus the "wrote <dir>"
+# line. Prints one line per variant (and one for the sweep) and exits 1 if any
+# differs.
 set -euo pipefail
 
 base_rev=${1:?usage: scripts/compare_runs.sh BASE_REV}
@@ -50,14 +53,16 @@ for name, override in variants.items():
 EOF
 
 status=0
-for config in "$tmp"/configs/*.yaml; do
-    name=$(basename "$config" .yaml)
-    for side in base head; do
-        src="$tmp/base/src"
-        [[ $side == head ]] && src="$root/src"
-        PYTHONPATH="$src" python3 -m lomarlab run --config "$config" --seed 7 \
-            --out "$tmp/out/$side/$name" | grep -v '^wrote ' > "$tmp/out/$side-$name.stdout"
-    done
+# lomarlab SIDE ARGS...: the CLI on SIDE's source tree, minus the "wrote" line.
+lomarlab() {
+    local src="$tmp/base/src"
+    [[ $1 == head ]] && src="$root/src"
+    shift
+    PYTHONPATH="$src" python3 -m lomarlab "$@" | grep -v '^wrote '
+}
+# compare NAME: diff the output directory and the stdout of both sides.
+compare() {
+    local name=$1
     if diff -r "$tmp/out/base/$name" "$tmp/out/head/$name" > "$tmp/out/$name.diff" \
         && diff "$tmp/out/base-$name.stdout" "$tmp/out/head-$name.stdout" >> "$tmp/out/$name.diff"; then
         echo "same     $name"
@@ -66,5 +71,22 @@ for config in "$tmp"/configs/*.yaml; do
         head -n 20 "$tmp/out/$name.diff"
         status=1
     fi
+}
+
+for config in "$tmp"/configs/*.yaml; do
+    name=$(basename "$config" .yaml)
+    for side in base head; do
+        lomarlab $side run --config "$config" --seed 7 --out "$tmp/out/$side/$name" \
+            > "$tmp/out/$side-$name.stdout"
+    done
+    compare "$name"
 done
+
+for side in base head; do
+    sweep="$tmp/out/$side/sweep"
+    { lomarlab $side sweep --config "$tmp/configs/example.yaml" --param epsilon --grid 0.8,1.0 \
+          --seed 7 --out "$sweep"
+      lomarlab $side roc --from "$sweep/epsilon_0.8"; } > "$tmp/out/$side-sweep.stdout"
+done
+compare sweep
 exit $status

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataShard, major_count
-from .models import ROLE_MALICIOUS, ClientUpdate
+from .models import ROLE_MALICIOUS
 
 ATTACK_KINDS = ("none", "label_flip", "model_poison")
 
@@ -108,16 +108,11 @@ def make_flipped_shard(pool_features: np.ndarray, pool_labels: np.ndarray, sampl
     return DataShard(pool_features, rows[order], labels[order], owner=owner, role=ROLE_MALICIOUS)
 
 
-def boost_update(honest_update: ClientUpdate, boost_factor: float) -> ClientUpdate:
+def boost_update(delta: np.ndarray, boost_factor: float) -> np.ndarray:
     """Scale a trained delta so a small cohort outweighs the honest average."""
     if boost_factor <= 0:
         raise ValueError("boost_factor must be > 0")
-    return ClientUpdate(
-        client_id=honest_update.client_id,
-        delta=honest_update.delta * boost_factor,
-        num_samples=honest_update.num_samples,
-        role=ROLE_MALICIOUS,
-    )
+    return delta * float(boost_factor)
 
 
 def build_malicious_shards(attack: AttackConfig, pool_features: np.ndarray, pool_labels: np.ndarray,

@@ -1,6 +1,6 @@
 """Aggregation rules: plain FedAvg and the robust baselines.
 
-Every rule maps (joint, updates) to an AggregationResult: the new joint model,
+Every rule maps (joint, round) to an AggregationResult: the new joint model,
 the kept client ids, each kept client's weight, and per-client scores where
 the rule ranks clients (Krum: negated distance scores, FoolsGold: credibility
 weights). A defense that thresholds its scores also fills in the epsilon and
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lomar import sq_dist_matrix
-from .models import ClientUpdate, check_round, stack_deltas
+from .models import Round
 from .params import ParamVector
 
 FG_KRUM_ORDERS = ("krum_first", "fg_first")
@@ -36,83 +36,82 @@ class AggregationResult:
     h_used: float | None = None
 
 
-def _apply_weights(joint: ParamVector, updates: list[ClientUpdate], weights,
+def _apply_weights(joint: ParamVector, rnd: Round, weights,
                    scores: dict[int, float] | None = None) -> AggregationResult:
     """The one weighted sum: add w * delta to the joint for every positive weight.
 
-    Updates are visited in the given order, which fixes the summation order
+    Rows are visited in the round's order, which fixes the summation order
     and so the bits of the result. The positive-weight clients are the kept
     clients, and only they appear in per_client_weight.
     """
+    if rnd.layout != joint.layout:
+        raise ValueError("update layout does not match the joint model's")
     values = joint.values.copy()
     kept = {}
-    for u, w in zip(updates, weights):
+    for client, delta, w in zip(rnd.ids.tolist(), rnd.deltas, weights):
         if w > 0:
-            values = values + w * u.delta.values
-            kept[u.client_id] = w
+            values = values + w * delta
+            kept[client] = w
     return AggregationResult(ParamVector(values, joint.layout), sorted(kept), kept, scores)
 
 
-def weighted_aggregate(joint: ParamVector, updates: list[ClientUpdate], kept_ids,
-                       renormalize: bool = False) -> AggregationResult:
-    """Sample-count-weighted average of the kept updates added to the joint.
+def weighted_aggregate(joint: ParamVector, rnd: Round, kept, renormalize: bool = False) -> AggregationResult:
+    """Sample-count-weighted average of the kept rows added to the joint.
 
-    Weights are num_samples over the total across ALL submitted updates;
-    dropping a client removes its weight from the sum unless renormalize is
-    set, in which case weights are recomputed over the kept cohort only.
+    kept is a boolean mask over the round's rows. Weights are num_samples
+    over the total across ALL submitted updates; dropping a client removes
+    its weight from the sum unless renormalize is set, in which case weights
+    are recomputed over the kept cohort only.
     """
-    check_round(updates, joint.layout)
-    kept = set(kept_ids)
-    unknown = kept - {u.client_id for u in updates}
-    if unknown:
-        raise ValueError(f"kept ids not among updates: {sorted(unknown)}")
-    base = [u for u in updates if u.client_id in kept] if renormalize else updates
-    total = sum(u.num_samples for u in base)
-    return _apply_weights(joint, updates,
-                          [u.num_samples / total if u.client_id in kept else 0.0 for u in updates])
+    kept = np.asarray(kept, dtype=bool)
+    if kept.shape != rnd.ids.shape:
+        raise ValueError(f"kept mask of shape {kept.shape} for {len(rnd.ids)} updates")
+    total = rnd.num_samples[kept].sum() if renormalize else rnd.num_samples.sum()
+    # An empty kept set gives every row weight 0, whatever the divisor.
+    return _apply_weights(joint, rnd, np.where(kept, rnd.num_samples, 0) / max(total, 1))
 
 
-def fedavg(joint: ParamVector, updates: list[ClientUpdate]) -> AggregationResult:
+def fedavg(joint: ParamVector, rnd: Round) -> AggregationResult:
     """Defenseless sample-weighted average of every update."""
-    return weighted_aggregate(joint, updates, [u.client_id for u in updates])
+    return weighted_aggregate(joint, rnd, np.ones(len(rnd.ids), dtype=bool))
 
 
-def _krum_select(matrix: np.ndarray, ids: list[int], assumed_malicious: int):
+def _krum_select(rnd: Round, assumed_malicious: int):
     """Multi-Krum survivors as row positions, best first, and every client's negated score.
 
     A client's score is the summed squared distance to its closest
     n - assumed_malicious - 2 peers; floor(n - 0.5*assumed_malicious - 2)
-    clients survive (at least one). Ties break by lower client id.
+    clients survive (at least one). Ties break by lower client id, and a NaN
+    score ranks last.
     """
-    n = matrix.shape[0]
+    n = len(rnd.ids)
     if assumed_malicious < 0:
         raise ValueError("assumed_malicious must be >= 0")
     window = n - assumed_malicious - 2
     if window < 1:
         raise ValueError(f"krum needs n - assumed_malicious - 2 >= 1, got n={n}, assumed={assumed_malicious}")
-    d = sq_dist_matrix(matrix)
+    d = sq_dist_matrix(rnd.deltas)
     np.fill_diagonal(d, np.inf)
-    totals = np.sum(np.sort(d, axis=1)[:, :window], axis=1).tolist()
+    totals = np.sum(np.sort(d, axis=1)[:, :window], axis=1)
     take = max(int(math.floor(n - 0.5 * assumed_malicious - 2)), 1)
-    chosen = sorted(range(n), key=lambda i: (totals[i], ids[i]))[:take]
-    return chosen, {c: -s for c, s in zip(ids, totals)}
+    return np.lexsort((rnd.ids, totals))[:take], dict(zip(rnd.ids.tolist(), (-totals).tolist()))
 
 
-def krum(joint: ParamVector, updates: list[ClientUpdate], assumed_malicious: int) -> AggregationResult:
+def krum(joint: ParamVector, rnd: Round, assumed_malicious: int) -> AggregationResult:
     """Multi-Krum (see _krum_select): keep the lowest-scoring clients, average them equally."""
-    chosen, scores = _krum_select(stack_deltas(updates, joint.layout),
-                                  [u.client_id for u in updates], assumed_malicious)
-    weights = np.zeros(len(updates))
+    chosen, scores = _krum_select(rnd, assumed_malicious)
+    weights = np.zeros(len(rnd.ids))
     weights[chosen] = 1.0 / len(chosen)
-    return _apply_weights(joint, updates, weights, scores)
+    return _apply_weights(joint, rnd, weights, scores)
 
 
-def coordinate_median(joint: ParamVector, updates: list[ClientUpdate]) -> AggregationResult:
+def coordinate_median(joint: ParamVector, rnd: Round) -> AggregationResult:
     """Coordinate-wise median of the deltas (even cohorts average the middle pair)."""
-    med = np.median(stack_deltas(updates, joint.layout), axis=0)
+    if rnd.layout != joint.layout:
+        raise ValueError("update layout does not match the joint model's")
     return AggregationResult(
-        new_joint=ParamVector(joint.values + med, joint.layout),
-        kept_clients=sorted(u.client_id for u in updates),
+        new_joint=ParamVector(joint.values + np.median(rnd.deltas, axis=0), joint.layout),
+        kept_clients=sorted(rnd.ids.tolist()),
         per_client_weight={},
     )
 
@@ -142,25 +141,20 @@ def _foolsgold_weights(vectors: np.ndarray) -> np.ndarray:
     return np.clip(np.nan_to_num(wv, nan=0.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
 
 
-def foolsgold(joint: ParamVector, updates: list[ClientUpdate]) -> AggregationResult:
+def foolsgold(joint: ParamVector, rnd: Round) -> AggregationResult:
     """Similarity-based reweighting: near-duplicate cohorts lose their weight.
 
     The new joint adds the credibility-weighted average of the deltas
     (weights normalized by their sum); an all-zero weight vector leaves the
     joint unchanged.
     """
-    return _foolsgold(joint, updates, stack_deltas(updates, joint.layout))
-
-
-def _foolsgold(joint: ParamVector, updates: list[ClientUpdate], matrix: np.ndarray) -> AggregationResult:
-    """foolsgold on deltas the caller has already stacked, one row per update."""
-    wv = _foolsgold_weights(matrix)
+    wv = _foolsgold_weights(rnd.deltas)
     total = float(wv.sum())
-    return _apply_weights(joint, updates, wv / total if total > 0 else wv,
-                          scores=dict(zip([u.client_id for u in updates], wv.tolist())))
+    return _apply_weights(joint, rnd, wv / total if total > 0 else wv,
+                          scores=dict(zip(rnd.ids.tolist(), wv.tolist())))
 
 
-def fg_krum(joint: ParamVector, updates: list[ClientUpdate], assumed_malicious: int,
+def fg_krum(joint: ParamVector, rnd: Round, assumed_malicious: int,
             order: str = "krum_first") -> AggregationResult:
     """FoolsGold and Krum composed.
 
@@ -171,22 +165,20 @@ def fg_krum(joint: ParamVector, updates: list[ClientUpdate], assumed_malicious: 
     FoolsGold result as is; otherwise Krum assumes at most (positive count - 3)
     of them are malicious.
     """
-    matrix = stack_deltas(updates, joint.layout)
     if order not in FG_KRUM_ORDERS:
         raise ValueError(f"unknown order {order!r}")
-    ids = [u.client_id for u in updates]
 
     if order == "krum_first":
-        chosen, scores = _krum_select(matrix, ids, assumed_malicious)
-        return replace(_foolsgold(joint, [updates[i] for i in chosen], matrix[chosen]), scores=scores)
+        chosen, scores = _krum_select(rnd, assumed_malicious)
+        return replace(foolsgold(joint, rnd.select(chosen)), scores=scores)
 
-    inner = _foolsgold(joint, updates, matrix)
-    positive = [i for i, c in enumerate(ids) if c in inner.per_client_weight]
+    inner = foolsgold(joint, rnd)
+    positive = np.flatnonzero([c in inner.per_client_weight for c in rnd.ids.tolist()])
     if len(positive) < 3:
         return inner
-    chosen, _ = _krum_select(matrix[positive], [ids[i] for i in positive],
-                             min(assumed_malicious, len(positive) - 3))
-    survivors = [updates[positive[j]] for j in chosen]
-    raw = [inner.scores[u.client_id] for u in survivors]
+    pool = rnd.select(positive)
+    chosen, _ = _krum_select(pool, min(assumed_malicious, len(positive) - 3))
+    survivors = pool.select(chosen)
+    raw = [inner.scores[c] for c in survivors.ids.tolist()]
     total = sum(raw)
     return _apply_weights(joint, survivors, [r / total for r in raw], scores=inner.scores)

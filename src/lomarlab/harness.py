@@ -25,7 +25,7 @@ from .baselines import (FG_KRUM_ORDERS, AggregationResult, coordinate_median, fe
 from .data import DataShard, PartitionPlan, check_synth, load_idx, partition, synth_gaussian
 from .lomar import KdeConfig, lomar_run
 from .metrics import RoundRecord, confusion_counts, eval_accuracy, roc_from_scores
-from .models import ROLE_MALICIOUS, ClientUpdate, ModelSpec, local_train
+from .models import ROLE_MALICIOUS, ModelSpec, Round, local_train
 from .params import ParamVector
 
 # SeedSequence purpose tags; client order never feeds a stream.
@@ -104,26 +104,25 @@ def _assumed_malicious(cfg: ExperimentConfig) -> int:
     return cfg.attack.malicious_count if assumed is None else assumed
 
 
-def _lomar_defense(state: ExperimentState, updates: list[ClientUpdate]) -> AggregationResult:
-    result = lomar_run(updates, state.cfg.defense)
+def _lomar_defense(state: ExperimentState, rnd: Round) -> AggregationResult:
+    result = lomar_run(rnd, state.cfg.defense)
     state.floor_hits_total += result.floor_hits
-    agg = weighted_aggregate(state.joint, updates, result.kept_ids(),
-                             renormalize=state.cfg.renormalize_weights)
+    agg = weighted_aggregate(state.joint, rnd, result.kept, renormalize=state.cfg.renormalize_weights)
     return replace(agg, scores=result.factors_by_id(), epsilon_used=result.epsilon_used,
                    h_used=result.h_used)
 
 
-# Defense kind -> (state, updates) -> AggregationResult. Each entry looks its
+# Defense kind -> (state, round) -> AggregationResult. Each entry looks its
 # rule up in this module's globals at call time, so a wrapper installed on
 # harness (a tracer, a test double) sees every call.
 DEFENSES = {
-    "none": lambda state, updates: fedavg(state.joint, updates),
+    "none": lambda state, rnd: fedavg(state.joint, rnd),
     "lomar": _lomar_defense,
-    "krum": lambda state, updates: krum(state.joint, updates, _assumed_malicious(state.cfg)),
-    "median": lambda state, updates: coordinate_median(state.joint, updates),
-    "foolsgold": lambda state, updates: foolsgold(state.joint, updates),
-    "fg_krum": lambda state, updates: fg_krum(state.joint, updates, _assumed_malicious(state.cfg),
-                                              order=state.cfg.defense.fg_krum_order),
+    "krum": lambda state, rnd: krum(state.joint, rnd, _assumed_malicious(state.cfg)),
+    "median": lambda state, rnd: coordinate_median(state.joint, rnd),
+    "foolsgold": lambda state, rnd: foolsgold(state.joint, rnd),
+    "fg_krum": lambda state, rnd: fg_krum(state.joint, rnd, _assumed_malicious(state.cfg),
+                                          order=state.cfg.defense.fg_krum_order),
 }
 
 
@@ -375,18 +374,27 @@ def initialize_state(cfg: ExperimentConfig, seed: int | None = None) -> Experime
 
 
 def run_round(state: ExperimentState) -> tuple[ExperimentState, RoundRecord]:
-    """Train every client from the current joint, defend, aggregate, evaluate."""
+    """Train every client from the current joint, defend, aggregate, evaluate.
+
+    A delta holding a NaN or inf counts as not submitted: the defense never
+    sees it, and where the defense scores clients its owner scores -inf.
+    """
     cfg = state.cfg
     t = state.round_index + 1
-    updates = []
-    for shard in state.shards:
+    deltas = np.empty((len(state.shards), state.joint.values.size))
+    for row, shard in zip(deltas, state.shards):
         seed = np.random.SeedSequence([cfg.seed, TAG_TRAIN, t, shard.owner])
-        update = local_train(state.joint, shard, state.model, seed)
+        row[:] = local_train(state.joint, shard, state.model, seed)
         if cfg.attack.kind == "model_poison" and shard.role == ROLE_MALICIOUS:
-            update = boost_update(update, cfg.attack.boost_factor)
-        updates.append(update)
+            row[:] = boost_update(row, cfg.attack.boost_factor)
+    rnd = Round([s.owner for s in state.shards], [len(s) for s in state.shards], deltas, state.joint.layout)
 
-    agg = DEFENSES[cfg.defense.kind](state, updates)
+    finite = np.isfinite(deltas).all(axis=1)
+    if not finite.any():
+        raise ValueError(f"round {t}: no client submitted a finite update")
+    agg = DEFENSES[cfg.defense.kind](state, rnd if finite.all() else rnd.select(np.flatnonzero(finite)))
+    if agg.scores is not None:
+        agg.scores.update(dict.fromkeys(rnd.ids[~finite].tolist(), -math.inf))
     state.joint = agg.new_joint
     state.round_index = t
     state.last_scores = agg.scores

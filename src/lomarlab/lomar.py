@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ClientUpdate, stack_deltas
+from .models import Round
 
 KERNELS = ("exp", "gaussian")
 NEIGHBOR_DENSITY_MODES = ("own_neighborhood", "center_reference")
@@ -85,9 +85,6 @@ class LomarResult:
     h_used: float
     epsilon_used: float
     floor_hits: int
-
-    def kept_ids(self) -> list[int]:
-        return sorted(self.client_ids[self.kept].tolist())
 
     def factors_by_id(self) -> dict[int, float]:
         return dict(zip(self.client_ids.tolist(), self.factors.tolist()))
@@ -194,13 +191,11 @@ def median_bandwidth(slice_dists: list[np.ndarray]) -> float:
     return med / math.sqrt(2.0) if med > 0 else 1.0
 
 
-def lomar_run(updates: list[ClientUpdate], cfg: KdeConfig = KdeConfig()) -> LomarResult:
-    """Score every update and threshold. Requires at least k+1 updates."""
-    if len(updates) < 2:
+def lomar_run(rnd: Round, cfg: KdeConfig = KdeConfig()) -> LomarResult:
+    """Score every row of the round and threshold. Requires at least k+1 updates."""
+    if len(rnd.ids) < 2:
         raise ValueError("need at least 2 updates")
-    layout = updates[0].delta.layout
-    matrix = stack_deltas(updates, layout)
-    ids = [u.client_id for u in updates]
+    matrix, ids, layout = rnd.deltas, rnd.ids, rnd.layout
     k = cfg.k if cfg.k is not None else default_k(len(ids))
 
     full_dist = sq_dist_matrix(matrix)
@@ -233,7 +228,7 @@ def lomar_run(updates: list[ClientUpdate], cfg: KdeConfig = KdeConfig()) -> Loma
     log_factors = per_label.sum(axis=1)
     factors = np.exp(log_factors)
     return LomarResult(
-        client_ids=np.asarray(ids),
+        client_ids=ids,
         neighbors=neighbor_pos,
         neighbor_sq_dist=np.take_along_axis(full_dist, neighbor_pos, axis=1),
         per_label_log_factors=per_label,

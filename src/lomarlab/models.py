@@ -63,37 +63,38 @@ class ModelSpec:
         return ParamVector.zeros(self.layout())
 
 
-@dataclass
-class ClientUpdate:
-    """One client's round contribution: a weight delta plus bookkeeping."""
+@dataclass(eq=False)
+class Round:
+    """One round's submissions as one matrix: row i is client ids[i]'s delta.
 
-    client_id: int
-    delta: ParamVector
-    num_samples: int
-    role: str = ROLE_CLEAN
+    ids and num_samples are int64 arrays; deltas is (n, layout.size) float64
+    and is taken as is when it already has that dtype. The constructor rejects
+    an empty round, repeated ids, a sample count below 1 and rows that do not
+    fit the layout.
+    """
+
+    ids: np.ndarray
+    num_samples: np.ndarray
+    deltas: np.ndarray
+    layout: ParamLayout
 
     def __post_init__(self):
-        if self.num_samples < 1:
-            raise ValueError("num_samples must be >= 1")
-        if self.role not in (ROLE_CLEAN, ROLE_MALICIOUS):
-            raise ValueError(f"unknown role {self.role!r}")
+        self.ids = np.asarray(self.ids, dtype=np.int64)
+        self.num_samples = np.asarray(self.num_samples, dtype=np.int64)
+        self.deltas = np.asarray(self.deltas, dtype=np.float64)
+        n = len(self.ids)
+        if n == 0:
+            raise ValueError("no updates to aggregate")
+        if len(np.unique(self.ids)) != n:
+            raise ValueError("duplicate client ids")
+        if self.num_samples.shape != (n,) or self.num_samples.min() < 1:
+            raise ValueError("need one num_samples >= 1 per update")
+        if self.deltas.shape != (n, self.layout.size):
+            raise ValueError(f"update layout does not match: deltas {self.deltas.shape}, size {self.layout.size}")
 
-
-def check_round(updates: list[ClientUpdate], layout: ParamLayout) -> None:
-    """Reject an empty round, repeated client ids and any delta whose layout is not `layout`."""
-    if not updates:
-        raise ValueError("no updates to aggregate")
-    ids = [u.client_id for u in updates]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate client ids")
-    if any(u.delta.layout != layout for u in updates):
-        raise ValueError("update layout does not match")
-
-
-def stack_deltas(updates: list[ClientUpdate], layout: ParamLayout) -> np.ndarray:
-    """check_round, then one row per update's delta, in the given order."""
-    check_round(updates, layout)
-    return np.stack([u.delta.values for u in updates])
+    def select(self, positions) -> "Round":
+        """The rows at `positions`, in that order."""
+        return Round(self.ids[positions], self.num_samples[positions], self.deltas[positions], self.layout)
 
 
 def _unpack(values: np.ndarray, spec: ModelSpec):
@@ -168,8 +169,8 @@ def loss_and_grad(params: ParamVector, spec: ModelSpec, x: np.ndarray, y: np.nda
     return loss, ParamVector(grad, params.layout)
 
 
-def local_train(joint: ParamVector, shard, spec: ModelSpec, rng_seed) -> ClientUpdate:
-    """Run E epochs of minibatch SGD from the joint model, return the delta.
+def local_train(joint: ParamVector, shard, spec: ModelSpec, rng_seed) -> np.ndarray:
+    """Run E epochs of minibatch SGD from the joint model, return the delta array.
 
     shard is a data.DataShard; each batch gathers its rows from shard.pool.
 
@@ -194,9 +195,4 @@ def local_train(joint: ParamVector, shard, spec: ModelSpec, rng_seed) -> ClientU
         for start in range(0, n, spec.batch_size):
             batch = order[start: start + spec.batch_size]
             work -= spec.learning_rate * _grad(work, spec, x[rows[batch]], y[batch])[0]
-    return ClientUpdate(
-        client_id=shard.owner,
-        delta=ParamVector(work - joint.values, joint.layout),
-        num_samples=n,
-        role=getattr(shard, "role", ROLE_CLEAN),
-    )
+    return work - joint.values

@@ -87,20 +87,3 @@ class ParamVector:
 
     def shared_slice(self) -> np.ndarray:
         return self.values[self.layout.shared_slice()]
-
-    def __add__(self, other: "ParamVector") -> "ParamVector":
-        self._check_same_layout(other)
-        return ParamVector(self.values + other.values, self.layout)
-
-    def __sub__(self, other: "ParamVector") -> "ParamVector":
-        self._check_same_layout(other)
-        return ParamVector(self.values - other.values, self.layout)
-
-    def __mul__(self, scalar: float) -> "ParamVector":
-        return ParamVector(self.values * float(scalar), self.layout)
-
-    __rmul__ = __mul__
-
-    def _check_same_layout(self, other: "ParamVector"):
-        if self.layout != other.layout:
-            raise LayoutError("parameter vectors have different layouts")

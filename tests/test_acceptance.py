@@ -25,7 +25,7 @@ from lomarlab.harness import (
 )
 from lomarlab.lomar import KdeConfig, ball_volume, false_alarm_bound, lomar_run
 from lomarlab.metrics import confusion_counts, roc_from_scores
-from lomarlab.models import ClientUpdate, ModelSpec, loss_and_grad
+from lomarlab.models import ModelSpec, Round, loss_and_grad
 from lomarlab.params import ParamLayout, ParamVector
 
 
@@ -40,11 +40,8 @@ def skip_report(criterion, reason):
     pytest.skip(reason)
 
 
-def updates_from(matrix, layout):
-    return [ClientUpdate(client_id=i,
-                         delta=ParamVector(np.asarray(row, dtype=np.float64), layout),
-                         num_samples=1)
-            for i, row in enumerate(matrix)]
+def round_from(matrix, layout):
+    return Round(np.arange(len(matrix)), np.ones(len(matrix)), matrix, layout)
 
 
 def random_label_layout(rng, max_labels=3, max_dim=6):
@@ -74,7 +71,7 @@ def test_criterion_1_oracle_equivalence():
         h = float(rng.uniform(0.2, 1.5)) if trial % 2 else None
         kernel = "gaussian" if trial % 7 == 0 else "exp"
 
-        result = lomar_run(updates_from(matrix, layout),
+        result = lomar_run(round_from(matrix, layout),
                            KdeConfig(k=k, bandwidth=h, kernel=kernel))
         o_factors, o_deltas, o_h = lomar_oracle.run(
             [list(map(float, row)) for row in matrix], ranges,
@@ -262,43 +259,43 @@ def test_criterion_6_invariant_suite():
             failures.append(name)
 
     matrix = rng.normal(scale=0.5, size=(9, 4))
-    base = lomar_run(updates_from(matrix, LAYOUT_2x2), KdeConfig(k=4))
+    base = lomar_run(round_from(matrix, LAYOUT_2x2), KdeConfig(k=4))
 
     # translation invariance: a common offset moves every update identically
-    shifted = lomar_run(updates_from(matrix + rng.normal(size=4), LAYOUT_2x2),
+    shifted = lomar_run(round_from(matrix + rng.normal(size=4), LAYOUT_2x2),
                         KdeConfig(k=4))
     check("translation invariance",
           np.allclose(shifted.factors, base.factors, rtol=1e-9, atol=0))
 
     # scale covariance: the bandwidth heuristic tracks a global rescaling
-    scaled = lomar_run(updates_from(matrix * 37.0, LAYOUT_2x2), KdeConfig(k=4))
+    scaled = lomar_run(round_from(matrix * 37.0, LAYOUT_2x2), KdeConfig(k=4))
     check("scale covariance",
           np.allclose(scaled.factors, base.factors, rtol=1e-9, atol=0))
 
     # permutation equivariance: submission order never matters
-    ups = updates_from(matrix, LAYOUT_2x2)
-    perm = rng.permutation(len(ups))
-    permuted = lomar_run([ups[p] for p in perm], KdeConfig(k=4))
+    rnd = round_from(matrix, LAYOUT_2x2)
+    perm = rng.permutation(len(rnd.ids))
+    permuted = lomar_run(rnd.select(perm), KdeConfig(k=4))
     check("permutation equivariance",
           permuted.factors_by_id() == base.factors_by_id())
 
     # median boundedness: each joint coordinate stays inside the update range
     joint = ParamVector.zeros(LAYOUT_2x2)
-    med = coordinate_median(joint, ups)
+    med = coordinate_median(joint, rnd)
     delta = med.new_joint.values - joint.values
     check("median boundedness",
           bool(np.all(delta >= matrix.min(axis=0) - 1e-12)
                and np.all(delta <= matrix.max(axis=0) + 1e-12)))
 
     # krum selection ignores a common translation
-    kept_a = krum(joint, ups, 2).kept_clients
-    kept_b = krum(joint, updates_from(matrix + 5.0, LAYOUT_2x2), 2).kept_clients
+    kept_a = krum(joint, rnd, 2).kept_clients
+    kept_b = krum(joint, round_from(matrix + 5.0, LAYOUT_2x2), 2).kept_clients
     check("krum translation invariance", kept_a == kept_b)
 
     # similarity weights depend on direction only
-    fg_a = foolsgold(joint, ups)
-    stretch = np.array([float(rng.uniform(0.2, 40.0)) for _ in ups])
-    fg_b = foolsgold(joint, updates_from(matrix * stretch[:, None], LAYOUT_2x2))
+    fg_a = foolsgold(joint, rnd)
+    stretch = np.array([float(rng.uniform(0.2, 40.0)) for _ in range(len(rnd.ids))])
+    fg_b = foolsgold(joint, round_from(matrix * stretch[:, None], LAYOUT_2x2))
     check("direction-only weighting",
           np.allclose([fg_a.scores[i] for i in range(9)],
                       [fg_b.scores[i] for i in range(9)], rtol=1e-12, atol=1e-12))

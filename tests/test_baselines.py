@@ -14,20 +14,19 @@ from lomarlab.baselines import (
     weighted_aggregate,
 )
 from lomarlab.lomar import KdeConfig, lomar_run
-from lomarlab.models import ClientUpdate
+from lomarlab.models import Round
 from lomarlab.params import ParamLayout, ParamVector
 
 LAYOUT_1 = ParamLayout(label_ranges=((0, 1),), shared_range=(1, 1))
 LAYOUT_2 = ParamLayout(label_ranges=((0, 1), (1, 2)), shared_range=(2, 2))
 
 
-def ups_from(rows, layout=LAYOUT_2, samples=None):
+def round_from(rows, layout=LAYOUT_2, samples=None, ids=None):
+    """A Round of the given rows; client ids default to the row positions."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if samples is None:
-        samples = [1] * rows.shape[0]
-    return [ClientUpdate(client_id=i, delta=ParamVector(rows[i].copy(), layout),
-                         num_samples=samples[i])
-            for i in range(rows.shape[0])]
+    n = rows.shape[0]
+    return Round(np.arange(n) if ids is None else ids, [1] * n if samples is None else samples,
+                 rows, layout)
 
 
 def zero_joint(layout=LAYOUT_2):
@@ -57,8 +56,8 @@ def foolsgold_weights_loop(vectors):
 
 class TestWeightedAggregate:
     def test_weights_over_all_submitted(self):
-        ups = ups_from([[8.0, 0.0], [0.0, 8.0], [4.0, 4.0]], samples=[2, 2, 4])
-        res = weighted_aggregate(zero_joint(), ups, kept_ids=[0, 1])
+        rnd = round_from([[8.0, 0.0], [0.0, 8.0], [4.0, 4.0]], samples=[2, 2, 4])
+        res = weighted_aggregate(zero_joint(), rnd, kept=[True, True, False])
         # alpha = samples / total over ALL submitted (8), dropped weight just
         # disappears
         assert res.per_client_weight == {0: 0.25, 1: 0.25}
@@ -66,33 +65,38 @@ class TestWeightedAggregate:
         assert res.kept_clients == [0, 1]
 
     def test_renormalize_over_kept(self):
-        ups = ups_from([[8.0, 0.0], [0.0, 8.0], [4.0, 4.0]], samples=[2, 2, 4])
-        res = weighted_aggregate(zero_joint(), ups, kept_ids=[0, 1], renormalize=True)
+        rnd = round_from([[8.0, 0.0], [0.0, 8.0], [4.0, 4.0]], samples=[2, 2, 4])
+        res = weighted_aggregate(zero_joint(), rnd, kept=[True, True, False], renormalize=True)
         assert res.per_client_weight == {0: 0.5, 1: 0.5}
         assert np.allclose(res.new_joint.values, [4.0, 4.0])
 
     def test_unknown_kept_id_rejected(self):
-        ups = ups_from([[1.0, 0.0]])
-        with pytest.raises(ValueError):
-            weighted_aggregate(zero_joint(), ups, kept_ids=[5])
+        # a mask entry past the round's one row names no submitted client
+        rnd = round_from([[1.0, 0.0]])
+        with pytest.raises(ValueError, match="kept mask"):
+            weighted_aggregate(zero_joint(), rnd, kept=[True, True])
+
+    def test_empty_kept_set_with_renormalize_leaves_joint(self):
+        rnd = round_from([[1.0, 0.0], [0.0, 1.0]], samples=[2, 3])
+        res = weighted_aggregate(zero_joint(), rnd, kept=[False, False], renormalize=True)
+        assert res.kept_clients == []
+        assert np.array_equal(res.new_joint.values, np.zeros(2))
 
     def test_empty_and_duplicate_updates_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_aggregate(zero_joint(), [], kept_ids=[])
-        ups = ups_from([[1.0, 0.0], [0.0, 1.0]])
-        ups[1] = ClientUpdate(client_id=0, delta=ups[1].delta, num_samples=1)
-        with pytest.raises(ValueError):
-            weighted_aggregate(zero_joint(), ups, kept_ids=[0])
+        with pytest.raises(ValueError, match="no updates"):
+            weighted_aggregate(zero_joint(), Round([], [], np.zeros((0, 2)), LAYOUT_2), kept=[])
+        with pytest.raises(ValueError, match="duplicate client ids"):
+            weighted_aggregate(zero_joint(), round_from([[1.0, 0.0], [0.0, 1.0]], ids=[0, 0]),
+                               kept=[True, False])
 
     def test_layout_mismatch_rejected(self):
-        ups = [ClientUpdate(client_id=0, delta=ParamVector(np.zeros(1), LAYOUT_1),
-                            num_samples=1)]
-        with pytest.raises(ValueError):
-            weighted_aggregate(zero_joint(LAYOUT_2), ups, kept_ids=[0])
+        rnd = round_from([[0.0]], layout=LAYOUT_1)
+        with pytest.raises(ValueError, match="layout does not match"):
+            weighted_aggregate(zero_joint(LAYOUT_2), rnd, kept=[True])
 
     def test_fedavg_sample_weighting(self):
-        ups = ups_from([[4.0, 0.0], [0.0, 8.0]], samples=[1, 3])
-        res = fedavg(zero_joint(), ups)
+        rnd = round_from([[4.0, 0.0], [0.0, 8.0]], samples=[1, 3])
+        res = fedavg(zero_joint(), rnd)
         assert np.allclose(res.new_joint.values, [1.0, 6.0])
         assert res.kept_clients == [0, 1]
 
@@ -100,7 +104,7 @@ class TestWeightedAggregate:
 class TestKrum:
     def toy(self):
         # four benign points spaced 0.1 apart and one far outlier
-        return ups_from([[0.0], [0.1], [0.2], [0.3], [100.0]], layout=LAYOUT_1)
+        return round_from([[0.0], [0.1], [0.2], [0.3], [100.0]], layout=LAYOUT_1)
 
     def test_toy_selection_and_average(self):
         res = krum(zero_joint(LAYOUT_1), self.toy(), assumed_malicious=1)
@@ -119,66 +123,77 @@ class TestKrum:
         assert 4 not in res.kept_clients
 
     def test_window_too_small_raises(self):
-        ups = ups_from([[0.0], [1.0], [2.0], [3.0]], layout=LAYOUT_1)
+        rnd = round_from([[0.0], [1.0], [2.0], [3.0]], layout=LAYOUT_1)
         with pytest.raises(ValueError):
-            krum(zero_joint(LAYOUT_1), ups, assumed_malicious=2)
+            krum(zero_joint(LAYOUT_1), rnd, assumed_malicious=2)
         with pytest.raises(ValueError):
-            krum(zero_joint(LAYOUT_1), ups, assumed_malicious=-1)
+            krum(zero_joint(LAYOUT_1), rnd, assumed_malicious=-1)
         with pytest.raises(ValueError):
-            fg_krum(zero_joint(LAYOUT_1), ups, assumed_malicious=-1)
+            fg_krum(zero_joint(LAYOUT_1), rnd, assumed_malicious=-1)
 
     def test_select_count_floor_and_clamp(self):
         # n=5, M=2: floor(5 - 1 - 2) = 2 survivors
-        ups = ups_from([[0.0], [0.1], [0.2], [0.3], [0.4]], layout=LAYOUT_1)
-        res = krum(zero_joint(LAYOUT_1), ups, assumed_malicious=2)
+        rnd = round_from([[0.0], [0.1], [0.2], [0.3], [0.4]], layout=LAYOUT_1)
+        res = krum(zero_joint(LAYOUT_1), rnd, assumed_malicious=2)
         assert len(res.kept_clients) == 2
         # n=4, M=1: floor(4 - 0.5 - 2) = 1 survivor
-        ups = ups_from([[0.0], [0.1], [0.2], [5.0]], layout=LAYOUT_1)
-        res = krum(zero_joint(LAYOUT_1), ups, assumed_malicious=1)
+        rnd = round_from([[0.0], [0.1], [0.2], [5.0]], layout=LAYOUT_1)
+        res = krum(zero_joint(LAYOUT_1), rnd, assumed_malicious=1)
         assert len(res.kept_clients) == 1
 
     def test_translation_invariant_selection(self):
         base = self.toy()
-        shifted = ups_from([[v.delta.values[0] + 7.5] for v in base], layout=LAYOUT_1)
+        shifted = round_from(base.deltas + 7.5, layout=LAYOUT_1)
         a = krum(zero_joint(LAYOUT_1), base, 1)
         b = krum(zero_joint(LAYOUT_1), shifted, 1)
         assert a.kept_clients == b.kept_clients
 
+    @pytest.mark.parametrize("position", range(8))
+    def test_nan_row_ranks_last(self, position):
+        # a NaN score sorts after every finite one, wherever the row sits
+        rows = np.random.default_rng(3).normal(size=(8, 2))
+        rows[position, 1] = np.nan
+        res = krum(zero_joint(), round_from(rows), assumed_malicious=1)
+        assert len(res.kept_clients) == 5
+        assert position not in res.kept_clients
+        assert math.isnan(res.scores[position])
+        assert np.all(np.isfinite(res.new_joint.values))
+
 
 class TestMedian:
     def test_even_cohort_averages_middle_pair(self):
-        ups = ups_from([[1.0], [2.0], [4.0], [8.0]], layout=LAYOUT_1)
-        res = coordinate_median(zero_joint(LAYOUT_1), ups)
+        rnd = round_from([[1.0], [2.0], [4.0], [8.0]], layout=LAYOUT_1)
+        res = coordinate_median(zero_joint(LAYOUT_1), rnd)
         assert res.new_joint.values[0] == pytest.approx(3.0, rel=1e-12)
 
     def test_odd_cohort_takes_middle(self):
-        ups = ups_from([[1.0], [2.0], [9.0]], layout=LAYOUT_1)
-        res = coordinate_median(zero_joint(LAYOUT_1), ups)
+        rnd = round_from([[1.0], [2.0], [9.0]], layout=LAYOUT_1)
+        res = coordinate_median(zero_joint(LAYOUT_1), rnd)
         assert res.new_joint.values[0] == 2.0
 
     def test_per_coordinate(self):
-        ups = ups_from([[1.0, 9.0], [2.0, 8.0], [3.0, 7.0]])
-        res = coordinate_median(zero_joint(), ups)
+        rnd = round_from([[1.0, 9.0], [2.0, 8.0], [3.0, 7.0]])
+        res = coordinate_median(zero_joint(), rnd)
         assert np.array_equal(res.new_joint.values, [2.0, 8.0])
 
     def test_bounded_by_extremes(self):
         rng = np.random.default_rng(23)
         rows = rng.normal(size=(7, 2))
-        res = coordinate_median(zero_joint(), ups_from(rows))
+        res = coordinate_median(zero_joint(), round_from(rows))
         assert np.all(res.new_joint.values >= rows.min(axis=0))
         assert np.all(res.new_joint.values <= rows.max(axis=0))
 
     def test_outlier_resistant(self):
-        ups = ups_from([[0.1], [0.2], [0.3], [1000.0]], layout=LAYOUT_1)
-        res = coordinate_median(zero_joint(LAYOUT_1), ups)
+        rnd = round_from([[0.1], [0.2], [0.3], [1000.0]], layout=LAYOUT_1)
+        res = coordinate_median(zero_joint(LAYOUT_1), rnd)
         assert res.new_joint.values[0] == pytest.approx(0.25, rel=1e-12)
 
 
 class TestFoolsGold:
     def test_identical_pair_loses_all_weight(self):
         # two clones pointing one way, two honest orthogonal clients
-        ups = ups_from([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        res = foolsgold(zero_joint(), ups)
+        rnd = round_from([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        res = foolsgold(zero_joint(), rnd)
         assert res.scores[0] == 0.0 and res.scores[1] == 0.0
         assert res.scores[2] == 1.0 and res.scores[3] == 1.0
         assert res.kept_clients == [2, 3]
@@ -189,8 +204,8 @@ class TestFoolsGold:
         # max similarities are [0.8, 0.8, 0.6, -0.6]; only client 2 is
         # pardoned (0.6/0.8), leaving weights before the logit at
         # [0.2, 0.2, 0.55, 1].
-        ups = ups_from([[1.0, 0.0], [0.8, 0.6], [0.6, -0.8], [-1.0, 0.0]])
-        res = foolsgold(zero_joint(), ups)
+        rnd = round_from([[1.0, 0.0], [0.8, 0.6], [0.6, -0.8], [-1.0, 0.0]])
+        res = foolsgold(zero_joint(), rnd)
         assert res.scores[0] == 0.0
         assert res.scores[1] == 0.0
         assert res.scores[2] == pytest.approx(math.log(0.55 / 0.45) + 0.5, rel=1e-9)
@@ -206,17 +221,17 @@ class TestFoolsGold:
     def test_direction_only(self):
         # rescaling a delta by a positive factor does not change any weight
         rows = np.array([[1.0, 0.2], [0.9, 0.3], [-0.5, 1.0], [0.1, -1.0]])
-        a = foolsgold(zero_joint(), ups_from(rows))
+        a = foolsgold(zero_joint(), round_from(rows))
         scaled = rows.copy()
         scaled[1] *= 37.0
         scaled[3] *= 0.01
-        b = foolsgold(zero_joint(), ups_from(scaled))
+        b = foolsgold(zero_joint(), round_from(scaled))
         for c in range(4):
             assert a.scores[c] == pytest.approx(b.scores[c], rel=1e-9, abs=1e-12)
 
     def test_zero_norm_update_gets_zero_similarity(self):
-        ups = ups_from([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        res = foolsgold(zero_joint(), ups)
+        rnd = round_from([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        res = foolsgold(zero_joint(), rnd)
         # the zero client matches nobody, so its credibility is full
         assert res.scores[0] == 1.0
 
@@ -235,8 +250,8 @@ class TestFoolsGold:
             assert np.array_equal(_foolsgold_weights(vectors), foolsgold_weights_loop(vectors))
 
     def test_all_identical_leaves_joint_unchanged(self):
-        ups = ups_from(np.tile([2.0, 2.0], (4, 1)))
-        res = foolsgold(zero_joint(), ups)
+        rnd = round_from(np.tile([2.0, 2.0], (4, 1)))
+        res = foolsgold(zero_joint(), rnd)
         assert res.kept_clients == []
         assert np.array_equal(res.new_joint.values, np.zeros(2))
         assert all(w == 0.0 for w in res.per_client_weight.values())
@@ -244,7 +259,7 @@ class TestFoolsGold:
 
 class TestFgKrum:
     def spread_updates(self):
-        return ups_from([[0.0, 0.1], [0.1, 0.0], [0.1, 0.2], [0.2, 0.1],
+        return round_from([[0.0, 0.1], [0.1, 0.0], [0.1, 0.2], [0.2, 0.1],
                          [3.0, 3.0]])
 
     def test_krum_first_drops_outlier_then_reweights(self):
@@ -254,27 +269,27 @@ class TestFgKrum:
 
     def test_krum_first_single_survivor_used_directly(self):
         # FoolsGold over one survivor gives it weight 1: the joint moves by its delta
-        ups = ups_from([[0.0], [0.1], [0.2], [5.0]], layout=LAYOUT_1)
-        res = fg_krum(zero_joint(LAYOUT_1), ups, assumed_malicious=1)
+        rnd = round_from([[0.0], [0.1], [0.2], [5.0]], layout=LAYOUT_1)
+        res = fg_krum(zero_joint(LAYOUT_1), rnd, assumed_malicious=1)
         assert len(res.kept_clients) == 1
         only = res.kept_clients[0]
         assert res.per_client_weight[only] == 1.0
-        assert res.new_joint.values[0] == ups[only].delta.values[0]
+        assert res.new_joint.values[0] == rnd.deltas[only, 0]
 
     def test_fg_first_filters_clones_before_krum(self):
-        ups = ups_from([[1.0, 0.0], [1.0, 0.0], [0.0, 0.3], [0.1, 0.2],
+        rnd = round_from([[1.0, 0.0], [1.0, 0.0], [0.0, 0.3], [0.1, 0.2],
                         [0.2, 0.1], [0.3, 0.0]])
-        res = fg_krum(zero_joint(), ups, assumed_malicious=1, order="fg_first")
+        res = fg_krum(zero_joint(), rnd, assumed_malicious=1, order="fg_first")
         assert 0 not in res.kept_clients and 1 not in res.kept_clients
 
     def test_fg_first_two_positive_returns_foolsgold_unchanged(self):
         # two clone pairs lose all weight; only clients 4 and 5 stay positive,
         # too few for Krum, so the FoolsGold result comes back as is
-        ups = ups_from([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0],
+        rnd = round_from([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0],
                         [-1.0, 0.1], [0.0, -1.0]])
-        fg = foolsgold(zero_joint(), ups)
+        fg = foolsgold(zero_joint(), rnd)
         assert fg.kept_clients == [4, 5]
-        res = fg_krum(zero_joint(), ups, assumed_malicious=1, order="fg_first")
+        res = fg_krum(zero_joint(), rnd, assumed_malicious=1, order="fg_first")
         assert np.array_equal(res.new_joint.values, fg.new_joint.values)
         assert res.kept_clients == fg.kept_clients
         assert res.per_client_weight == fg.per_client_weight
@@ -285,12 +300,12 @@ class TestFgKrum:
         # malicious leaves no Krum window, so Krum assumes 6 - 3 = 3 instead
         angles = np.deg2rad(60.0 * np.arange(6))
         radii = np.array([1.0, 1.1, 1.2, 1.3, 5.0, 6.0])
-        ups = ups_from(np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1))
-        assert len(foolsgold(zero_joint(), ups).kept_clients) == 6
+        rnd = round_from(np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1))
+        assert len(foolsgold(zero_joint(), rnd).kept_clients) == 6
         with pytest.raises(ValueError):
-            krum(zero_joint(), ups, assumed_malicious=5)
-        res = fg_krum(zero_joint(), ups, assumed_malicious=5, order="fg_first")
-        assert res.kept_clients == krum(zero_joint(), ups, assumed_malicious=3).kept_clients
+            krum(zero_joint(), rnd, assumed_malicious=5)
+        res = fg_krum(zero_joint(), rnd, assumed_malicious=5, order="fg_first")
+        assert res.kept_clients == krum(zero_joint(), rnd, assumed_malicious=3).kept_clients
         assert len(res.kept_clients) == 2
         assert sum(res.per_client_weight.values()) == pytest.approx(1.0, rel=1e-12)
 
@@ -301,23 +316,24 @@ class TestFgKrum:
 
 class TestResultShape:
     def test_aggregation_result_fields(self):
-        res = fedavg(zero_joint(), ups_from([[1.0, 1.0]]))
+        res = fedavg(zero_joint(), round_from([[1.0, 1.0]]))
         assert isinstance(res, AggregationResult)
         assert res.scores is None
         assert res.epsilon_used is None and res.h_used is None
         assert res.per_client_weight[0] == 1.0
 
 
-# Every rule validates its round through models.check_round (stack_deltas calls it).
+# Every rule takes a models.Round, whose constructor validates the round.
 SHARED_STACKER_RULES = {
-    "lomar_run": lambda ups: lomar_run(ups, KdeConfig(k=1)),
-    "weighted_aggregate": lambda ups: weighted_aggregate(zero_joint(), ups, [u.client_id for u in ups]),
-    "krum": lambda ups: krum(zero_joint(), ups, assumed_malicious=0),
-    "coordinate_median": lambda ups: coordinate_median(zero_joint(), ups),
-    "foolsgold": lambda ups: foolsgold(zero_joint(), ups),
-    "fg_krum-krum_first": lambda ups: fg_krum(zero_joint(), ups, 0, order="krum_first"),
-    "fg_krum-fg_first": lambda ups: fg_krum(zero_joint(), ups, 0, order="fg_first"),
+    "lomar_run": lambda rnd: lomar_run(rnd, KdeConfig(k=1)),
+    "weighted_aggregate": lambda rnd: weighted_aggregate(zero_joint(), rnd, np.ones(len(rnd.ids), dtype=bool)),
+    "krum": lambda rnd: krum(zero_joint(), rnd, assumed_malicious=0),
+    "coordinate_median": lambda rnd: coordinate_median(zero_joint(), rnd),
+    "foolsgold": lambda rnd: foolsgold(zero_joint(), rnd),
+    "fg_krum-krum_first": lambda rnd: fg_krum(zero_joint(), rnd, 0, order="krum_first"),
+    "fg_krum-fg_first": lambda rnd: fg_krum(zero_joint(), rnd, 0, order="fg_first"),
 }
+JOINT_RULES = {name: rule for name, rule in SHARED_STACKER_RULES.items() if name != "lomar_run"}
 # Same size as LAYOUT_2 but one label block, so only the layout check can tell them apart.
 LAYOUT_2_ONE_LABEL = ParamLayout(label_ranges=((0, 2),), shared_range=(2, 2))
 
@@ -328,49 +344,51 @@ class TestSharedStacker:
         return [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5], [0.3, -1.0]]
 
     def test_valid_round_accepted(self, rule):
-        rule(ups_from(self.rows()))
+        rule(round_from(self.rows()))
 
     def test_empty_round_rejected(self, rule):
         with pytest.raises(ValueError, match="no updates|at least 2"):
-            rule([])
+            rule(Round([], [], np.zeros((0, 2)), LAYOUT_2))
 
     def test_repeated_id_rejected(self, rule):
-        ups = ups_from(self.rows())
-        ups[2] = ClientUpdate(client_id=0, delta=ups[2].delta, num_samples=1)
         with pytest.raises(ValueError, match="duplicate client ids"):
-            rule(ups)
+            rule(round_from(self.rows(), ids=[0, 1, 0, 3]))
 
     def test_layout_mismatch_rejected(self, rule):
-        ups = ups_from(self.rows())
-        ups[3] = ClientUpdate(client_id=3, delta=ParamVector(ups[3].delta.values, LAYOUT_2_ONE_LABEL),
-                              num_samples=1)
+        # three-parameter rows do not fit the two-parameter layout
         with pytest.raises(ValueError, match="layout does not match"):
-            rule(ups)
+            rule(round_from(np.ones((4, 3))))
+
+
+@pytest.mark.parametrize("rule", JOINT_RULES.values(), ids=JOINT_RULES.keys())
+def test_round_layout_must_match_the_joint(rule):
+    with pytest.raises(ValueError, match="layout does not match"):
+        rule(round_from([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5], [0.3, -1.0]], layout=LAYOUT_2_ONE_LABEL))
 
 
 def test_lomar_run_rejects_a_single_update():
     with pytest.raises(ValueError, match="at least 2"):
-        lomar_run(ups_from([[1.0, 0.0]]), KdeConfig(k=1))
+        lomar_run(round_from([[1.0, 0.0]]), KdeConfig(k=1))
 
 
 def loop_sum(joint, weighted):
     """The reference weighted sum: values = values + w * delta, in the order given."""
     values = joint.values.copy()
-    for w, u in weighted:
+    for w, delta in weighted:
         if w > 0:
-            values = values + w * u.delta.values
+            values = values + w * delta
     return values
 
 
-def best_first(ups, scores, chosen):
-    """The chosen updates in Krum's best-first order (scores are negated, ties by lower id)."""
-    by_id = {u.client_id: u for u in ups}
-    return [by_id[c] for c in sorted(chosen, key=lambda c: (-scores[c], c))]
+def best_first(rnd, scores, chosen):
+    """The chosen rows in Krum's best-first order (scores are negated, ties by lower id)."""
+    position = {c: i for i, c in enumerate(rnd.ids.tolist())}
+    return rnd.select([position[c] for c in sorted(chosen, key=lambda c: (-scores[c], c))])
 
 
-def foolsgold_pairs(ups):
-    wv = _foolsgold_weights(np.stack([u.delta.values for u in ups]))
-    return list(zip(wv / wv.sum(), ups))
+def foolsgold_pairs(rnd):
+    wv = _foolsgold_weights(rnd.deltas)
+    return list(zip(wv / wv.sum(), rnd.deltas))
 
 
 class TestSummationOrder:
@@ -383,52 +401,56 @@ class TestSummationOrder:
     layout = ParamLayout(label_ranges=((0, 3), (3, 6)), shared_range=(6, 6))
 
     @pytest.fixture
-    def ups(self):
+    def rnd(self):
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(12, 6)) * 10.0 ** rng.integers(-3, 4, size=(12, 1))
         rows[:4] = rows[0] + 1e-9 * rng.normal(size=(4, 6))  # a clone cohort FoolsGold zeroes
-        return ups_from(rows, layout=self.layout, samples=rng.integers(1, 50, size=12).tolist())
+        return round_from(rows, layout=self.layout, samples=rng.integers(1, 50, size=12).tolist())
 
     def zero(self):
         return ParamVector.zeros(self.layout)
 
-    def test_fedavg_and_weighted_aggregate(self, ups):
+    def test_fedavg_and_weighted_aggregate(self, rnd):
         joint = ParamVector(np.linspace(-0.7, 0.3, 6), self.layout)
-        total = sum(u.num_samples for u in ups)
-        want = loop_sum(joint, [(u.num_samples / total, u) for u in ups])
-        assert np.array_equal(fedavg(joint, ups).new_joint.values, want)
+        rows = list(zip(rnd.ids.tolist(), rnd.num_samples.tolist(), rnd.deltas))
+        total = sum(s for _, s, _ in rows)
+        want = loop_sum(joint, [(s / total, d) for _, s, d in rows])
+        assert np.array_equal(fedavg(joint, rnd).new_joint.values, want)
         kept = [1, 4, 5, 8, 11]
-        want = loop_sum(joint, [(u.num_samples / total if u.client_id in kept else 0.0, u) for u in ups])
-        assert np.array_equal(weighted_aggregate(joint, ups, kept).new_joint.values, want)
-        kept_total = sum(u.num_samples for u in ups if u.client_id in kept)
-        want = loop_sum(joint, [(u.num_samples / kept_total if u.client_id in kept else 0.0, u) for u in ups])
-        assert np.array_equal(weighted_aggregate(joint, ups, kept, renormalize=True).new_joint.values, want)
+        mask = np.isin(rnd.ids, kept)
+        want = loop_sum(joint, [(s / total if c in kept else 0.0, d) for c, s, d in rows])
+        assert np.array_equal(weighted_aggregate(joint, rnd, mask).new_joint.values, want)
+        kept_total = sum(s for c, s, _ in rows if c in kept)
+        want = loop_sum(joint, [(s / kept_total if c in kept else 0.0, d) for c, s, d in rows])
+        assert np.array_equal(weighted_aggregate(joint, rnd, mask, renormalize=True).new_joint.values, want)
 
-    def test_foolsgold_in_input_order(self, ups):
-        res = foolsgold(self.zero(), ups)
-        assert 0 < len(res.kept_clients) < len(ups)
-        assert np.array_equal(res.new_joint.values, loop_sum(self.zero(), foolsgold_pairs(ups)))
+    def test_foolsgold_in_input_order(self, rnd):
+        res = foolsgold(self.zero(), rnd)
+        assert 0 < len(res.kept_clients) < len(rnd.ids)
+        assert np.array_equal(res.new_joint.values, loop_sum(self.zero(), foolsgold_pairs(rnd)))
 
-    def test_krum_in_input_order(self, ups):
-        res = krum(self.zero(), ups, assumed_malicious=3)
+    def test_krum_in_input_order(self, rnd):
+        res = krum(self.zero(), rnd, assumed_malicious=3)
         take = len(res.kept_clients)
-        want = loop_sum(self.zero(), [(1.0 / take if u.client_id in res.kept_clients else 0.0, u) for u in ups])
+        want = loop_sum(self.zero(), [(1.0 / take if c in res.kept_clients else 0.0, d)
+                                      for c, d in zip(rnd.ids.tolist(), rnd.deltas)])
         assert np.array_equal(res.new_joint.values, want)
 
-    def test_krum_first_reweights_survivors_best_first(self, ups):
-        selection = krum(self.zero(), ups, assumed_malicious=2)
-        survivors = best_first(ups, selection.scores, selection.kept_clients)
-        assert [u.client_id for u in survivors] != sorted(selection.kept_clients)
-        res = fg_krum(self.zero(), ups, assumed_malicious=2, order="krum_first")
+    def test_krum_first_reweights_survivors_best_first(self, rnd):
+        selection = krum(self.zero(), rnd, assumed_malicious=2)
+        survivors = best_first(rnd, selection.scores, selection.kept_clients)
+        assert survivors.ids.tolist() != sorted(selection.kept_clients)
+        res = fg_krum(self.zero(), rnd, assumed_malicious=2, order="krum_first")
         assert np.array_equal(res.new_joint.values, loop_sum(self.zero(), foolsgold_pairs(survivors)))
 
-    def test_fg_first_sums_krum_survivors_best_first(self, ups):
-        inner = foolsgold(self.zero(), ups)
-        positive = [u for u in ups if u.client_id in inner.kept_clients]
+    def test_fg_first_sums_krum_survivors_best_first(self, rnd):
+        inner = foolsgold(self.zero(), rnd)
+        positive = rnd.select(np.flatnonzero(np.isin(rnd.ids, inner.kept_clients)))
         selection = krum(self.zero(), positive, assumed_malicious=0)
         survivors = best_first(positive, selection.scores, selection.kept_clients)
-        assert [u.client_id for u in survivors] != sorted(selection.kept_clients)
-        total = sum(inner.scores[u.client_id] for u in survivors)
-        res = fg_krum(self.zero(), ups, assumed_malicious=0, order="fg_first")
-        want = loop_sum(self.zero(), [(inner.scores[u.client_id] / total, u) for u in survivors])
+        assert survivors.ids.tolist() != sorted(selection.kept_clients)
+        total = sum(inner.scores[c] for c in survivors.ids.tolist())
+        res = fg_krum(self.zero(), rnd, assumed_malicious=0, order="fg_first")
+        want = loop_sum(self.zero(), [(inner.scores[c] / total, d)
+                                      for c, d in zip(survivors.ids.tolist(), survivors.deltas)])
         assert np.array_equal(res.new_joint.values, want)

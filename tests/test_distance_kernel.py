@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from lomarlab import baselines, lomar
 from lomarlab.baselines import fg_krum, krum
 from lomarlab.lomar import KdeConfig, lomar_run, sq_dist_matrix
-from lomarlab.models import ClientUpdate
+from lomarlab.models import Round
 from lomarlab.params import ParamLayout, ParamVector
 
 # Ten 78-parameter label blocks plus a 5-parameter shared block: 785
@@ -50,9 +50,8 @@ def paper_shaped_matrix(seed: int) -> np.ndarray:
     return matrix
 
 
-def updates_from(matrix, layout=PAPER_LAYOUT):
-    return [ClientUpdate(client_id=i, delta=ParamVector(row.copy(), layout), num_samples=600)
-            for i, row in enumerate(matrix)]
+def round_from(matrix, layout=PAPER_LAYOUT):
+    return Round(np.arange(len(matrix)), np.full(len(matrix), 600), matrix, layout)
 
 
 def with_reference_kernel(monkeypatch):
@@ -74,27 +73,27 @@ class TestAgainstRowReference:
     @pytest.mark.parametrize("mode", ["own_neighborhood", "center_reference"])
     @pytest.mark.parametrize("bandwidth", [None, 0.05])
     def test_lomar_decisions_match(self, monkeypatch, mode, bandwidth):
-        ups = updates_from(paper_shaped_matrix(2))
+        rnd = round_from(paper_shaped_matrix(2))
         cfg = KdeConfig(bandwidth=bandwidth, neighbor_density_mode=mode)
-        fast = lomar_run(ups, cfg)
+        fast = lomar_run(rnd, cfg)
         with monkeypatch.context() as m:
             with_reference_kernel(m)
-            ref = lomar_run(ups, cfg)
+            ref = lomar_run(rnd, cfg)
         assert np.array_equal(fast.neighbors, ref.neighbors)
-        assert fast.kept_ids() == ref.kept_ids()
+        assert np.array_equal(fast.kept, ref.kept)
         assert fast.h_used == pytest.approx(ref.h_used, rel=1e-12)
         assert np.allclose(fast.log_factors, ref.log_factors, rtol=0.0, atol=1e-9)
 
     def test_krum_selection_matches(self, monkeypatch):
-        ups = updates_from(paper_shaped_matrix(3))
+        rnd = round_from(paper_shaped_matrix(3))
         joint = ParamVector.zeros(PAPER_LAYOUT)
         runs = {}
         for kernel in ("gram", "rows"):
             with monkeypatch.context() as m:
                 if kernel == "rows":
                     with_reference_kernel(m)
-                runs[kernel] = [krum(joint, ups, 10).kept_clients] + [
-                    fg_krum(joint, ups, 10, order=order).kept_clients
+                runs[kernel] = [krum(joint, rnd, 10).kept_clients] + [
+                    fg_krum(joint, rnd, 10, order=order).kept_clients
                     for order in ("krum_first", "fg_first")]
         assert runs["gram"] == runs["rows"]
 

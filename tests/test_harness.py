@@ -25,6 +25,7 @@ from lomarlab.harness import (
     run_sweep,
     sweep_values,
 )
+from lomarlab.models import Round
 
 
 def base_dict(**overrides):
@@ -637,3 +638,82 @@ class TestCli:
         proc = run_cli("sweep", "--config", str(cfg_path), "--param", "spread",
                        "--grid", "1,2", "--out", str(tmp_path / "s"))
         assert proc.returncode == 2
+
+
+# Clients 3 (clean) and 22 (malicious) of configs/example.yaml.
+NON_FINITE_CLIENTS = (3, 22)
+
+
+def non_finite_local_train(value, owners=NON_FINITE_CLIENTS):
+    """harness.local_train, except that the given owners' deltas get one `value` entry."""
+    train = harness.local_train
+
+    def patched(joint, shard, spec, seed):
+        delta = train(joint, shard, spec, seed)
+        if shard.owner in owners:
+            delta[0] = value
+        return delta
+    return patched
+
+
+def example_with(kind, rounds=5):
+    with open(EXAMPLE_CONFIG, encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    raw["defense"]["kind"] = kind
+    raw["rounds"] = rounds
+    return config_from_dict(raw)
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("kind", list(harness.DEFENSES))
+    def test_non_finite_client_is_dropped(self, tmp_path, monkeypatch, kind, value):
+        monkeypatch.setattr(harness, "local_train", non_finite_local_train(value))
+        kept_per_round = []
+        counts = harness.confusion_counts
+
+        def recording(kept, roles):
+            kept_per_round.append(set(kept))
+            return counts(kept, roles)
+
+        monkeypatch.setattr(harness, "confusion_counts", recording)
+        out_dir = tmp_path / "run"
+        out = run_experiment(example_with(kind), out_dir=out_dir)
+
+        assert np.all(np.isfinite(out.state.joint.values))
+        assert len(kept_per_round) == 5
+        assert all(not kept & set(NON_FINITE_CLIENTS) for kept in kept_per_round)
+        assert all(r.n_t + r.m_f == 20 and r.n_f + r.m_t == 8 for r in out.records)
+        if kind in ("none", "median"):
+            assert out.scores is None
+            return
+        assert all(out.scores[c] == -math.inf for c in NON_FINITE_CLIENTS)
+        assert all(math.isfinite(v) for c, v in out.scores.items() if c not in NON_FINITE_CLIENTS)
+        scores, roles = read_scores_csv(out_dir / "scores.csv")
+        assert len(scores) == 28
+        assert [scores[c] for c in NON_FINITE_CLIENTS] == [-math.inf, -math.inf]
+        result = CliRunner().invoke(cli.main, ["roc", "--from", str(out_dir)])
+        assert result.exit_code == 0, result.output
+        assert f"auc: {out.auc!r}" in result.output
+
+    def test_all_finite_round_is_passed_without_a_copy(self, monkeypatch):
+        built, seen = [], []
+
+        class RecordingRound(Round):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append(self)
+
+        rule = harness.DEFENSES["krum"]
+        monkeypatch.setattr(harness, "Round", RecordingRound)
+        monkeypatch.setitem(harness.DEFENSES, "krum", lambda state, rnd: rule(state, seen.append(rnd) or rnd))
+        run_experiment(example_with("krum", rounds=1))
+        assert len(built) == len(seen) == 1
+        assert seen[0] is built[0]
+
+    def test_no_finite_client_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "local_train", non_finite_local_train(math.nan, owners=range(28)))
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", yaml.safe_load(EXAMPLE_CONFIG.read_text()))
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 3
+        assert "no client submitted a finite update" in result.output

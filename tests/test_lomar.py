@@ -15,8 +15,8 @@ from lomarlab.lomar import (
     median_bandwidth,
     sq_dist_matrix,
 )
-from lomarlab.models import ClientUpdate
-from lomarlab.params import ParamLayout, ParamVector
+from lomarlab.models import Round
+from lomarlab.params import ParamLayout
 
 LAYOUT_2x2 = ParamLayout(label_ranges=((0, 2), (2, 4)), shared_range=(4, 4))
 LAYOUT_3x2 = ParamLayout(label_ranges=((0, 2), (2, 4), (4, 6)), shared_range=(6, 6))
@@ -25,10 +25,9 @@ LAYOUT_1x1 = ParamLayout(label_ranges=((0, 1),), shared_range=(1, 1))
 INV_SQRT_2PI = 0.3989422804014327
 
 
-def updates_from(matrix, layout=LAYOUT_2x2):
-    return [ClientUpdate(client_id=i, delta=ParamVector(np.asarray(row, dtype=np.float64), layout),
-                         num_samples=1)
-            for i, row in enumerate(matrix)]
+def round_from(matrix, layout=LAYOUT_2x2, ids=None):
+    matrix = np.asarray(matrix, dtype=np.float64)
+    return Round(np.arange(len(matrix)) if ids is None else ids, np.ones(len(matrix)), matrix, layout)
 
 
 class TestDefaultK:
@@ -85,8 +84,8 @@ class TestKnn:
 
 def toy_log_factors(points, k, **kw):
     """lomar_run's log factors for one-parameter, one-label updates."""
-    ups = updates_from(np.asarray(points, dtype=np.float64)[:, None], LAYOUT_1x1)
-    return lomar_run(ups, KdeConfig(k=k, **kw)).log_factors
+    rnd = round_from(np.asarray(points, dtype=np.float64)[:, None], LAYOUT_1x1)
+    return lomar_run(rnd, KdeConfig(k=k, **kw)).log_factors
 
 
 class TestKdeDensity:
@@ -122,11 +121,11 @@ class TestKdeDensity:
     def test_zero_distance_value(self):
         # identical updates sit at the kernel peak 1/(sqrt(2*pi)*h), which a
         # density floor just above it clamps for every client
-        ups = updates_from(np.ones((4, 1)), LAYOUT_1x1)
+        rnd = round_from(np.ones((4, 1)), LAYOUT_1x1)
         for h in (1.0, 0.5):
             peak = INV_SQRT_2PI / h
-            assert lomar_run(ups, KdeConfig(k=2, bandwidth=h, density_floor=peak * 0.999)).floor_hits == 0
-            assert lomar_run(ups, KdeConfig(k=2, bandwidth=h, density_floor=peak * 1.001)).floor_hits == 4
+            assert lomar_run(rnd, KdeConfig(k=2, bandwidth=h, density_floor=peak * 0.999)).floor_hits == 0
+            assert lomar_run(rnd, KdeConfig(k=2, bandwidth=h, density_floor=peak * 1.001)).floor_hits == 4
 
 
 class TestFactors:
@@ -149,7 +148,7 @@ class TestFactors:
         # pairwise summation order applies)
         layout = ParamLayout(label_ranges=tuple((r, r + 1) for r in range(10)), shared_range=(10, 10))
         rng = np.random.default_rng(16)
-        res = lomar_run(updates_from(rng.normal(size=(30, 10)), layout), KdeConfig(k=5))
+        res = lomar_run(round_from(rng.normal(size=(30, 10)), layout), KdeConfig(k=5))
         assert res.per_label_log_factors.shape == (30, 10)
         for row, log_f, f in zip(res.per_label_log_factors, res.log_factors, res.factors):
             assert log_f == np.sum(row)
@@ -175,28 +174,26 @@ class TestMedianBandwidth:
 
 class TestPipelineToys:
     def test_identical_updates_all_kept_at_default_epsilon(self):
-        ups = updates_from(np.ones((6, 4)))
-        res = lomar_run(ups, KdeConfig(k=3))
+        rnd = round_from(np.ones((6, 4)))
+        res = lomar_run(rnd, KdeConfig(k=3))
         assert np.all(res.factors == 1.0)
         assert np.all(res.log_factors == 0.0)
         assert np.all(res.kept)
-        assert res.kept_ids() == [0, 1, 2, 3, 4, 5]
+        assert res.client_ids[res.kept].tolist() == [0, 1, 2, 3, 4, 5]
         assert res.h_used == 1.0  # all-zero distances fall back
 
     def test_duplicate_ids_rejected(self):
-        ups = updates_from(np.ones((3, 4)))
-        ups[1] = ClientUpdate(client_id=0, delta=ups[1].delta, num_samples=1)
-        with pytest.raises(ValueError):
-            lomar_run(ups, KdeConfig(k=1))
+        with pytest.raises(ValueError, match="duplicate client ids"):
+            lomar_run(round_from(np.ones((3, 4)), ids=[0, 0, 2]), KdeConfig(k=1))
 
     def test_k_too_large_rejected(self):
-        ups = updates_from(np.ones((4, 4)))
+        rnd = round_from(np.ones((4, 4)))
         with pytest.raises(ValueError):
-            lomar_run(ups, KdeConfig(k=4))
+            lomar_run(rnd, KdeConfig(k=4))
 
     def test_default_k_resolution(self):
-        ups = updates_from(np.random.default_rng(0).normal(size=(10, 4)))
-        res = lomar_run(ups)
+        rnd = round_from(np.random.default_rng(0).normal(size=(10, 4)))
+        res = lomar_run(rnd)
         assert res.k_used == 4
 
     def test_tight_cluster_is_flagged(self):
@@ -204,42 +201,42 @@ class TestPipelineToys:
         rng = np.random.default_rng(14)
         clean = rng.normal(scale=1.0, size=(20, 4))
         spike = np.tile(clean.mean(axis=0), (5, 1))
-        ups = updates_from(np.vstack([clean, spike]))
-        res = lomar_run(ups, KdeConfig(k=10, bandwidth=0.3))
+        rnd = round_from(np.vstack([clean, spike]))
+        res = lomar_run(rnd, KdeConfig(k=10, bandwidth=0.3))
         assert not np.any(res.kept[20:])
         assert res.factors[20:].max() < res.factors[:20].min()
 
     def test_epsilon_threshold_is_inclusive(self):
-        ups = updates_from(np.ones((5, 4)))
-        res = lomar_run(ups, KdeConfig(k=2, epsilon=1.0))
+        rnd = round_from(np.ones((5, 4)))
+        res = lomar_run(rnd, KdeConfig(k=2, epsilon=1.0))
         assert np.all(res.kept)  # factor exactly 1 kept
-        res2 = lomar_run(ups, KdeConfig(k=2, epsilon=1.0000001))
+        res2 = lomar_run(rnd, KdeConfig(k=2, epsilon=1.0000001))
         assert not np.any(res2.kept)
 
     def test_density_floor_hits_counted(self):
         # far-apart points at a tiny bandwidth underflow the density floor
         pts = np.zeros((4, 4))
         pts[1, 0] = pts[2, 1] = pts[3, 2] = 1e6
-        ups = updates_from(pts)
-        res = lomar_run(ups, KdeConfig(k=2, bandwidth=1e-4))
+        rnd = round_from(pts)
+        res = lomar_run(rnd, KdeConfig(k=2, bandwidth=1e-4))
         assert res.floor_hits > 0
         assert np.all(np.isfinite(res.log_factors))
 
     def test_neighbor_sets_reported(self):
         rng = np.random.default_rng(15)
-        ups = updates_from(rng.normal(size=(7, 4)))
-        res = lomar_run(ups, KdeConfig(k=3))
+        rnd = round_from(rng.normal(size=(7, 4)))
+        res = lomar_run(rnd, KdeConfig(k=3))
         assert res.neighbors.shape == res.neighbor_sq_dist.shape == (7, 3)
         for i, row in enumerate(res.neighbors):
             assert i not in row.tolist()
-        full = sq_dist_matrix(np.stack([u.delta.values for u in ups]))
+        full = sq_dist_matrix(rnd.deltas)
         assert np.array_equal(res.neighbor_sq_dist, np.take_along_axis(full, res.neighbors, axis=1))
 
 
 class TestAgainstBruteForce:
     def run_both(self, matrix, layout, ranges, **kw):
-        ups = updates_from(matrix, layout)
-        res = lomar_run(ups, KdeConfig(**kw))
+        rnd = round_from(matrix, layout)
+        res = lomar_run(rnd, KdeConfig(**kw))
         oracle_factors, oracle_deltas, oracle_h = lomar_oracle.run(
             [list(map(float, row)) for row in matrix], ranges,
             k=kw.get("k"), h=kw.get("bandwidth"), kernel=kw.get("kernel", "exp"),

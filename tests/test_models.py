@@ -3,9 +3,8 @@ import pytest
 
 from lomarlab.data import DataShard
 from lomarlab.models import (
-    ClientUpdate,
     ModelSpec,
-    ROLE_MALICIOUS,
+    Round,
     local_train,
     loss_and_grad,
     predict,
@@ -63,25 +62,23 @@ class TestSingleStep:
         # entry of the delta is a dyadic rational and matches bit for bit.
         spec = logistic_spec()
         shard = whole_pool_shard(np.array([[1.0, -2.0, 0.5]]), np.array([1]), owner=0)
-        up = local_train(spec.init_params(), shard, spec, 7)
+        delta = local_train(spec.init_params(), shard, spec, 7)
         want = np.array([-0.25, 0.5, -0.125, -0.25, 0.25, -0.5, 0.125, 0.25])
-        assert np.array_equal(up.delta.values, want)
-        assert up.num_samples == 1
-        assert up.client_id == 0
+        assert np.array_equal(delta, want)
 
     def test_zero_learning_rate_gives_zero_delta(self):
         spec = logistic_spec(learning_rate=0.0, local_epochs=4, batch_size=2)
         rng = np.random.default_rng(3)
         shard = whole_pool_shard(rng.normal(size=(6, 3)), rng.integers(0, 2, size=6), owner=1)
-        up = local_train(spec.init_params(), shard, spec, 5)
-        assert np.array_equal(up.delta.values, np.zeros(8))
+        delta = local_train(spec.init_params(), shard, spec, 5)
+        assert np.array_equal(delta, np.zeros(8))
 
     def test_label_slice_views_update(self):
         spec = logistic_spec()
         shard = whole_pool_shard(np.array([[1.0, -2.0, 0.5]]), np.array([1]), owner=0)
-        up = local_train(spec.init_params(), shard, spec, 7)
-        assert np.array_equal(up.delta.label_slice(0), up.delta.values[0:4])
-        assert np.array_equal(up.delta.label_slice(1), up.delta.values[4:8])
+        delta = ParamVector(local_train(spec.init_params(), shard, spec, 7), spec.layout())
+        assert np.array_equal(delta.label_slice(0), delta.values[0:4])
+        assert np.array_equal(delta.label_slice(1), delta.values[4:8])
 
 
 class TestTrainingDeterminism:
@@ -93,14 +90,14 @@ class TestTrainingDeterminism:
         shard = self.make_shard(np.random.default_rng(11))
         a = local_train(spec.init_params(), shard, spec, 123)
         b = local_train(spec.init_params(), shard, spec, 123)
-        assert np.array_equal(a.delta.values, b.delta.values)
+        assert np.array_equal(a, b)
 
     def test_different_seed_different_delta(self):
         spec = logistic_spec(local_epochs=3, batch_size=4, learning_rate=0.1)
         shard = self.make_shard(np.random.default_rng(11))
         a = local_train(spec.init_params(), shard, spec, 123)
         b = local_train(spec.init_params(), shard, spec, 124)
-        assert not np.array_equal(a.delta.values, b.delta.values)
+        assert not np.array_equal(a, b)
 
     def test_generator_threading_reproduces_multi_epoch(self):
         # three single-epoch calls sharing one Generator == one 3-epoch call
@@ -113,21 +110,19 @@ class TestTrainingDeterminism:
         gen = np.random.default_rng(77)
         joint = spec1.init_params()
         for _ in range(3):
-            step = local_train(joint, shard, spec1, gen)
-            joint = joint + step.delta
-        assert np.allclose((joint - spec3.init_params()).values, whole.delta.values,
-                           rtol=0, atol=0)
+            joint = ParamVector(joint.values + local_train(joint, shard, spec1, gen), joint.layout)
+        assert np.allclose(joint.values - spec3.init_params().values, whole, rtol=0, atol=0)
 
     def test_seedsequence_accepted(self):
         spec = logistic_spec()
         shard = self.make_shard(np.random.default_rng(31), n=4)
         a = local_train(spec.init_params(), shard, spec, np.random.SeedSequence([9, 3, 1, 0]))
         b = local_train(spec.init_params(), shard, spec, np.random.SeedSequence([9, 3, 1, 0]))
-        assert np.array_equal(a.delta.values, b.delta.values)
+        assert np.array_equal(a, b)
 
 
 def reference_train(joint, shard, spec, seed):
-    """Minibatch SGD written over the public loss_and_grad, one ParamVector per step."""
+    """Minibatch SGD written over the public loss_and_grad, one ParamVector per step; returns the delta."""
     rng = np.random.default_rng(seed)
     x, y = shard.pool[shard.rows], shard.labels
     n = x.shape[0]
@@ -138,7 +133,7 @@ def reference_train(joint, shard, spec, seed):
             batch = order[start: start + spec.batch_size]
             _, grad = loss_and_grad(work, spec, x[batch], y[batch])
             work.values -= spec.learning_rate * grad.values
-    return work - joint
+    return work.values - joint.values
 
 
 class TestTrainingMatchesReference:
@@ -155,9 +150,9 @@ class TestTrainingMatchesReference:
         joint = ParamVector(rng.normal(scale=0.5, size=spec.layout().size), spec.layout())
         got = local_train(joint, shard, spec, np.random.SeedSequence([5, 3, 1, 4]))
         want = reference_train(joint, shard, spec, np.random.SeedSequence([5, 3, 1, 4]))
-        assert np.array_equal(got.delta.values, want.values)
-        assert got.delta.layout == joint.layout
-        assert not np.array_equal(want.values, np.zeros_like(want.values))
+        assert np.array_equal(got, want)
+        assert got.shape == (joint.layout.size,)
+        assert not np.array_equal(want, np.zeros_like(want))
 
 
 def finite_difference_check(spec, params, x, y, tol):
@@ -210,8 +205,8 @@ class TestGradients:
         shard = whole_pool_shard(x, y, owner=0)
         joint = spec.init_params()
         before, _ = loss_and_grad(joint, spec, x, y)
-        up = local_train(joint, shard, spec, 1)
-        after, _ = loss_and_grad(joint + up.delta, spec, x, y)
+        delta = local_train(joint, shard, spec, 1)
+        after, _ = loss_and_grad(ParamVector(joint.values + delta, joint.layout), spec, x, y)
         assert after < before
 
 
@@ -245,15 +240,23 @@ class TestPredict:
 
 
 class TestValidation:
-    def test_client_update_needs_samples(self):
+    def test_round_needs_samples(self):
         spec = logistic_spec()
-        with pytest.raises(ValueError):
-            ClientUpdate(client_id=0, delta=spec.init_params(), num_samples=0)
+        with pytest.raises(ValueError, match="num_samples"):
+            Round([0], [0], spec.init_params().values[None], spec.layout())
+        with pytest.raises(ValueError, match="num_samples"):
+            Round([0, 1], [3], np.zeros((2, 8)), spec.layout())
 
-    def test_client_update_role_checked(self):
+    def test_round_select_keeps_the_given_order(self):
         spec = logistic_spec()
-        with pytest.raises(ValueError):
-            ClientUpdate(client_id=0, delta=spec.init_params(), num_samples=1, role="confused")
+        deltas = np.arange(24.0).reshape(3, 8)
+        rnd = Round([7, 3, 9], [4, 5, 6], deltas, spec.layout())
+        assert rnd.deltas is deltas  # a float64 matrix is taken without a copy
+        picked = rnd.select([2, 0])
+        assert picked.ids.tolist() == [9, 7]
+        assert picked.num_samples.tolist() == [6, 4]
+        assert np.array_equal(picked.deltas, deltas[[2, 0]])
+        assert picked.layout == rnd.layout
 
     def test_local_train_rejects_bad_shards(self):
         spec = logistic_spec()
@@ -267,12 +270,6 @@ class TestValidation:
             local_train(spec.init_params(),
                         DataShard(np.zeros((2, 3)), np.empty(0, dtype=int), np.empty(0, dtype=int), owner=0),
                         spec, 1)
-
-    def test_malicious_role_carried_through(self):
-        spec = logistic_spec()
-        shard = whole_pool_shard(np.zeros((2, 3)), np.array([0, 1]), owner=3, role=ROLE_MALICIOUS)
-        up = local_train(spec.init_params(), shard, spec, 1)
-        assert up.role == ROLE_MALICIOUS
 
     def test_large_logits_stay_finite(self):
         spec = logistic_spec()

@@ -68,33 +68,8 @@ class TestVector:
         with pytest.raises(LayoutError):
             ParamVector(np.zeros(5), layout_2x3())
 
-    def test_arithmetic(self):
-        lay = layout_2x3()
-        a = ParamVector(np.arange(6.0), lay)
-        b = ParamVector(np.ones(6), lay)
-        assert np.array_equal((a + b).values, np.arange(6.0) + 1)
-        assert np.array_equal((a - b).values, np.arange(6.0) - 1)
-        assert np.array_equal((a * 2.0).values, np.arange(6.0) * 2)
-        assert np.array_equal((2.0 * a).values, np.arange(6.0) * 2)
-
-    def test_arithmetic_rejects_layout_mismatch(self):
-        a = ParamVector(np.zeros(6), layout_2x3())
-        b = ParamVector(np.zeros(10), layout_with_shared())
-        with pytest.raises(LayoutError):
-            a + b
-        with pytest.raises(LayoutError):
-            a - b
-
     def test_copy_is_independent(self):
         a = ParamVector(np.zeros(6), layout_2x3())
         c = a.copy()
         c.values[0] = 5.0
         assert a.values[0] == 0.0
-
-    def test_operators_do_not_alias(self):
-        lay = layout_2x3()
-        a = ParamVector(np.arange(6.0), lay)
-        b = ParamVector(np.ones(6), lay)
-        s = a + b
-        s.values[0] = 99.0
-        assert a.values[0] == 0.0 and b.values[0] == 1.0
