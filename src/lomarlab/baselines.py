@@ -1,18 +1,18 @@
 """Aggregation rules: plain FedAvg and the robust baselines.
 
 Every rule maps (joint, round) to an AggregationResult: the new joint model,
-the kept client ids, each kept client's weight, and per-client scores where
-the rule ranks clients (Krum: negated distance scores, FoolsGold: credibility
-weights). A defense that thresholds its scores also fills in the epsilon and
-bandwidth it used. FedAvg weights by sample counts over the full cohort; the
-filtered variant drops flagged clients without renormalizing, so removed
-weight simply vanishes (the renormalize flag restores it for ablations).
+a kept mask over the round's rows, and per-row scores where the rule ranks
+clients (Krum: negated distance scores, FoolsGold: credibility weights). A
+defense that thresholds its scores also fills in the epsilon and bandwidth it
+used. FedAvg weights by sample counts over the full cohort; the filtered
+variant drops flagged clients without renormalizing, so removed weight simply
+vanishes (the renormalize flag restores it for ablations).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,33 +26,31 @@ FG_KRUM_ORDERS = ("krum_first", "fg_first")
 @dataclass
 class AggregationResult:
     new_joint: ParamVector
-    kept_clients: list[int]
-    per_client_weight: dict[int, float]
-    # Per-client diagnostic scores where the rule produces them (Krum:
-    # negated distance scores, FoolsGold: credibility weights); None otherwise.
-    scores: dict[int, float] | None = None
+    # Both over the rows of the round the rule was given, in its order.
+    kept: np.ndarray
+    # Per-row diagnostic scores where the rule produces them (Krum: negated
+    # distance scores, FoolsGold: credibility weights); None otherwise.
+    scores: np.ndarray | None = None
     # Threshold and bandwidth of a density defense (LoMar); None otherwise.
     epsilon_used: float | None = None
     h_used: float | None = None
 
 
-def _apply_weights(joint: ParamVector, rnd: Round, weights,
-                   scores: dict[int, float] | None = None) -> AggregationResult:
+def _apply_weights(joint: ParamVector, rnd: Round, weights, scores=None, order=None) -> AggregationResult:
     """The one weighted sum: add w * delta to the joint for every positive weight.
 
-    Rows are visited in the round's order, which fixes the summation order
-    and so the bits of the result. The positive-weight clients are the kept
-    clients, and only they appear in per_client_weight.
+    weights holds one entry per row. Rows are visited in `order` (default: the
+    round's order), which fixes the summation order and so the bits of the
+    result. The positive-weight rows are the kept rows.
     """
     if rnd.layout != joint.layout:
         raise ValueError("update layout does not match the joint model's")
+    weights = np.asarray(weights, dtype=np.float64)
     values = joint.values.copy()
-    kept = {}
-    for client, delta, w in zip(rnd.ids.tolist(), rnd.deltas, weights):
-        if w > 0:
-            values = values + w * delta
-            kept[client] = w
-    return AggregationResult(ParamVector(values, joint.layout), sorted(kept), kept, scores)
+    for row in range(len(weights)) if order is None else order:
+        if weights[row] > 0:
+            values = values + weights[row] * rnd.deltas[row]
+    return AggregationResult(ParamVector(values, joint.layout), weights > 0, scores)
 
 
 def weighted_aggregate(joint: ParamVector, rnd: Round, kept, renormalize: bool = False) -> AggregationResult:
@@ -77,7 +75,7 @@ def fedavg(joint: ParamVector, rnd: Round) -> AggregationResult:
 
 
 def _krum_select(rnd: Round, assumed_malicious: int):
-    """Multi-Krum survivors as row positions, best first, and every client's negated score.
+    """Multi-Krum survivors as row positions, best first, and every row's negated score.
 
     A client's score is the summed squared distance to its closest
     n - assumed_malicious - 2 peers; floor(n - 0.5*assumed_malicious - 2)
@@ -94,7 +92,7 @@ def _krum_select(rnd: Round, assumed_malicious: int):
     np.fill_diagonal(d, np.inf)
     totals = np.sum(np.sort(d, axis=1)[:, :window], axis=1)
     take = max(int(math.floor(n - 0.5 * assumed_malicious - 2)), 1)
-    return np.lexsort((rnd.ids, totals))[:take], dict(zip(rnd.ids.tolist(), (-totals).tolist()))
+    return np.lexsort((rnd.ids, totals))[:take], -totals
 
 
 def krum(joint: ParamVector, rnd: Round, assumed_malicious: int) -> AggregationResult:
@@ -109,11 +107,8 @@ def coordinate_median(joint: ParamVector, rnd: Round) -> AggregationResult:
     """Coordinate-wise median of the deltas (even cohorts average the middle pair)."""
     if rnd.layout != joint.layout:
         raise ValueError("update layout does not match the joint model's")
-    return AggregationResult(
-        new_joint=ParamVector(joint.values + np.median(rnd.deltas, axis=0), joint.layout),
-        kept_clients=sorted(rnd.ids.tolist()),
-        per_client_weight={},
-    )
+    return AggregationResult(ParamVector(joint.values + np.median(rnd.deltas, axis=0), joint.layout),
+                             np.ones(len(rnd.ids), dtype=bool))
 
 
 def _foolsgold_weights(vectors: np.ndarray) -> np.ndarray:
@@ -150,8 +145,7 @@ def foolsgold(joint: ParamVector, rnd: Round) -> AggregationResult:
     """
     wv = _foolsgold_weights(rnd.deltas)
     total = float(wv.sum())
-    return _apply_weights(joint, rnd, wv / total if total > 0 else wv,
-                          scores=dict(zip(rnd.ids.tolist(), wv.tolist())))
+    return _apply_weights(joint, rnd, wv / total if total > 0 else wv, scores=wv)
 
 
 def fg_krum(joint: ParamVector, rnd: Round, assumed_malicious: int,
@@ -170,15 +164,18 @@ def fg_krum(joint: ParamVector, rnd: Round, assumed_malicious: int,
 
     if order == "krum_first":
         chosen, scores = _krum_select(rnd, assumed_malicious)
-        return replace(foolsgold(joint, rnd.select(chosen)), scores=scores)
+        inner = foolsgold(joint, rnd.select(chosen))
+        kept = np.zeros(len(rnd.ids), dtype=bool)
+        kept[chosen] = inner.kept
+        return AggregationResult(inner.new_joint, kept, scores)
 
     inner = foolsgold(joint, rnd)
-    positive = np.flatnonzero([c in inner.per_client_weight for c in rnd.ids.tolist()])
+    positive = np.flatnonzero(inner.kept)
     if len(positive) < 3:
         return inner
-    pool = rnd.select(positive)
-    chosen, _ = _krum_select(pool, min(assumed_malicious, len(positive) - 3))
-    survivors = pool.select(chosen)
-    raw = [inner.scores[c] for c in survivors.ids.tolist()]
+    chosen = positive[_krum_select(rnd.select(positive), min(assumed_malicious, len(positive) - 3))[0]]
+    raw = inner.scores[chosen].tolist()
     total = sum(raw)
-    return _apply_weights(joint, survivors, [r / total for r in raw], scores=inner.scores)
+    weights = np.zeros(len(rnd.ids))
+    weights[chosen] = [r / total for r in raw]
+    return _apply_weights(joint, rnd, weights, inner.scores, order=chosen)

@@ -92,8 +92,7 @@ def roc(run_dir):
     scores_path = Path(run_dir) / "scores.csv"
     if not scores_path.exists():
         raise FileNotFoundError(f"{scores_path} not found (the run's defense may not produce scores)")
-    scores, roles = harness.read_scores_csv(scores_path)
-    points, auc = roc_from_scores(scores, roles)
+    points, auc = roc_from_scores(*harness.read_scores_csv(scores_path))
     harness._write_roc_csv(Path(run_dir) / "roc_points.csv", points)
     click.echo(f"points: {len(points)}")
     click.echo(f"auc: {auc!r}")

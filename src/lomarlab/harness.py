@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .baselines import (FG_KRUM_ORDERS, AggregationResult, coordinate_median, fe
 from .data import DataShard, PartitionPlan, check_synth, load_idx, partition, synth_gaussian
 from .lomar import KdeConfig, lomar_run
 from .metrics import RoundRecord, confusion_counts, eval_accuracy, roc_from_scores
-from .models import ROLE_MALICIOUS, ModelSpec, Round, local_train
+from .models import ROLE_CLEAN, ROLE_MALICIOUS, ModelSpec, Round, local_train
 from .params import ParamVector
 
 # SeedSequence purpose tags; client order never feeds a stream.
@@ -104,12 +104,17 @@ def _assumed_malicious(cfg: ExperimentConfig) -> int:
     return cfg.attack.malicious_count if assumed is None else assumed
 
 
+def _krum_assumed(state: ExperimentState, rnd: Round) -> int:
+    # The non-finite guard can hand Krum fewer rows than the config was
+    # checked for; n - 3 keeps a window of at least one peer.
+    return min(_assumed_malicious(state.cfg), len(rnd.ids) - 3)
+
+
 def _lomar_defense(state: ExperimentState, rnd: Round) -> AggregationResult:
     result = lomar_run(rnd, state.cfg.defense)
     state.floor_hits_total += result.floor_hits
     agg = weighted_aggregate(state.joint, rnd, result.kept, renormalize=state.cfg.renormalize_weights)
-    return replace(agg, scores=result.factors_by_id(), epsilon_used=result.epsilon_used,
-                   h_used=result.h_used)
+    return replace(agg, scores=result.factors, epsilon_used=result.epsilon_used, h_used=result.h_used)
 
 
 # Defense kind -> (state, round) -> AggregationResult. Each entry looks its
@@ -118,10 +123,10 @@ def _lomar_defense(state: ExperimentState, rnd: Round) -> AggregationResult:
 DEFENSES = {
     "none": lambda state, rnd: fedavg(state.joint, rnd),
     "lomar": _lomar_defense,
-    "krum": lambda state, rnd: krum(state.joint, rnd, _assumed_malicious(state.cfg)),
+    "krum": lambda state, rnd: krum(state.joint, rnd, _krum_assumed(state, rnd)),
     "median": lambda state, rnd: coordinate_median(state.joint, rnd),
     "foolsgold": lambda state, rnd: foolsgold(state.joint, rnd),
-    "fg_krum": lambda state, rnd: fg_krum(state.joint, rnd, _assumed_malicious(state.cfg),
+    "fg_krum": lambda state, rnd: fg_krum(state.joint, rnd, _krum_assumed(state, rnd),
                                           order=state.cfg.defense.fg_krum_order),
 }
 
@@ -303,15 +308,17 @@ class ExperimentState:
     cfg: ExperimentConfig
     model: ModelSpec
     shards: list[DataShard]
-    roles: dict[int, str]
+    malicious: np.ndarray  # (n,) bool in shard order
     test_features: np.ndarray
     test_labels: np.ndarray
     eval_target: int | None
     eval_source: int | None
     joint: ParamVector
     round_index: int = 0
-    last_scores: dict[int, float] | None = None
-    last_kept: set[int] = field(default_factory=set)
+    # The last round's defense output over every shard; None before round 1,
+    # and last_scores stays None for a defense that scores no one.
+    last_scores: np.ndarray | None = None
+    last_kept: np.ndarray | None = None
     floor_hits_total: int = 0
     replacement_used: bool = False
 
@@ -363,7 +370,7 @@ def initialize_state(cfg: ExperimentConfig, seed: int | None = None) -> Experime
         cfg=cfg,
         model=model,
         shards=shards,
-        roles={s.owner: s.role for s in shards},
+        malicious=np.array([s.role == ROLE_MALICIOUS for s in shards]),
         test_features=test_x,
         test_labels=test_y,
         eval_target=eval_target,
@@ -393,23 +400,25 @@ def run_round(state: ExperimentState) -> tuple[ExperimentState, RoundRecord]:
     if not finite.any():
         raise ValueError(f"round {t}: no client submitted a finite update")
     agg = DEFENSES[cfg.defense.kind](state, rnd if finite.all() else rnd.select(np.flatnonzero(finite)))
-    if agg.scores is not None:
-        agg.scores.update(dict.fromkeys(rnd.ids[~finite].tolist(), -math.inf))
     state.joint = agg.new_joint
     state.round_index = t
-    state.last_scores = agg.scores
-    state.last_kept = set(agg.kept_clients)
+    state.last_kept = np.zeros(len(finite), dtype=bool)
+    state.last_kept[finite] = agg.kept
+    state.last_scores = None
+    if agg.scores is not None:
+        state.last_scores = np.full(len(finite), -math.inf)
+        state.last_scores[finite] = agg.scores
 
     overall, target, other = eval_accuracy(state.joint, state.test_features, state.test_labels,
                                            state.model, state.eval_target, state.eval_source)
-    n_t, n_f, m_t, m_f = confusion_counts(agg.kept_clients, state.roles)
+    n_t, n_f, m_t, m_f = confusion_counts(state.last_kept, state.malicious)
     record = RoundRecord(
         round_index=t,
         overall_acc=overall,
         target_acc=target,
         other_acc=other,
         n_t=n_t, n_f=n_f, m_t=m_t, m_f=m_f,
-        num_kept=len(agg.kept_clients),
+        num_kept=n_t + n_f,
         epsilon_used=agg.epsilon_used,
         h_used=agg.h_used,
     )
@@ -420,7 +429,7 @@ def run_round(state: ExperimentState) -> tuple[ExperimentState, RoundRecord]:
 class RunOutput:
     records: list[RoundRecord]
     summary: dict
-    scores: dict[int, float] | None
+    scores: np.ndarray | None
     auc: float | None
     state: ExperimentState
 
@@ -470,7 +479,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None)
     auc = None
     points = None
     if state.last_scores is not None and num_malicious > 0:
-        points, auc = roc_from_scores(state.last_scores, state.roles)
+        points, auc = roc_from_scores(state.last_scores, state.malicious)
 
     final = records[-1]
     summary = {
@@ -510,8 +519,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None)
             yaml.safe_dump(resolved_config_dict(cfg, state.model), fh, sort_keys=True)
         if state.last_scores is not None:
             _write_csv(out / "scores.csv", ["client_id", "role", "score", "kept"],
-                       ([c, state.roles[c], float(state.last_scores[c]), int(c in state.last_kept)]
-                        for c in sorted(state.last_scores)))
+                       ([s.owner, s.role, score, int(kept)] for s, score, kept
+                        in zip(state.shards, state.last_scores.tolist(), state.last_kept)))
         if points is not None:
             _write_roc_csv(out / "roc_points.csv", points)
 
@@ -533,20 +542,19 @@ def _jsonable(obj):
 
 
 def read_scores_csv(path):
-    """Load a scores.csv back into (scores, roles) keyed by client id."""
-    scores, roles = {}, {}
+    """Load a scores.csv back into aligned (scores, malicious) arrays in file order."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"client_id", "role", "score"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"{path}: expected columns {sorted(required)}")
-        for row in reader:
-            client_id = int(row["client_id"])
-            scores[client_id] = float(row["score"])
-            roles[client_id] = row["role"]
-    if not scores:
+        rows = [(float(row["score"]), row["role"]) for row in reader]
+    if not rows:
         raise ValueError(f"{path}: no score rows")
-    return scores, roles
+    unknown = sorted({role for _, role in rows} - {ROLE_CLEAN, ROLE_MALICIOUS})
+    if unknown:
+        raise ValueError(f"{path}: unknown roles {unknown}")
+    return np.array([score for score, _ in rows]), np.array([role == ROLE_MALICIOUS for _, role in rows])
 
 
 def sweep_values(grid: str) -> list[float]:

@@ -86,9 +86,6 @@ class LomarResult:
     epsilon_used: float
     floor_hits: int
 
-    def factors_by_id(self) -> dict[int, float]:
-        return dict(zip(self.client_ids.tolist(), self.factors.tolist()))
-
 
 def default_k(population: int) -> int:
     """k = floor(0.4 * population), clamped into [1, population - 1]."""

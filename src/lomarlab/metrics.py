@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ROLE_CLEAN, ROLE_MALICIOUS, ModelSpec, predict
+from .models import ModelSpec, predict
 from .params import ParamVector
 
 
@@ -71,47 +71,47 @@ def eval_accuracy(joint: ParamVector, features: np.ndarray, labels: np.ndarray,
     return overall, target, other
 
 
-def confusion_counts(kept_ids, roles: dict[int, str]):
-    """(n_t, n_f, m_t, m_f): clean kept, malicious kept, malicious dropped, clean dropped."""
-    kept = set(kept_ids)
-    unknown = kept - set(roles)
-    if unknown:
-        raise ValueError(f"kept ids without roles: {sorted(unknown)}")
-    n_t = sum(1 for c, r in roles.items() if r == ROLE_CLEAN and c in kept)
-    n_f = sum(1 for c, r in roles.items() if r == ROLE_MALICIOUS and c in kept)
-    m_t = sum(1 for c, r in roles.items() if r == ROLE_MALICIOUS and c not in kept)
-    m_f = sum(1 for c, r in roles.items() if r == ROLE_CLEAN and c not in kept)
+def confusion_counts(kept, malicious):
+    """(n_t, n_f, m_t, m_f): clean kept, malicious kept, malicious dropped, clean dropped.
+
+    kept and malicious are aligned bool arrays, one entry per client.
+    """
+    kept, malicious = np.asarray(kept, dtype=bool), np.asarray(malicious, dtype=bool)
+    if kept.shape != malicious.shape:
+        raise ValueError(f"kept mask of shape {kept.shape} for {malicious.shape} clients")
+    n_f, m_t = int(np.sum(kept & malicious)), int(np.sum(~kept & malicious))
+    n_t, m_f = int(np.sum(kept & ~malicious)), int(np.sum(~kept & ~malicious))
     return n_t, n_f, m_t, m_f
 
 
-def roc_from_scores(scores: dict[int, float], roles: dict[int, str]):
+def roc_from_scores(scores, malicious):
     """Sweep thresholds over the distinct scores; return (points, auc).
 
-    Scores follow the keep direction (higher = cleaner). The sweep starts
-    above the maximum (nothing kept) and ends at the minimum (everything
-    kept), so the curve always spans (0,0) to (1,1); AUC is the trapezoidal
-    area. Both roles must be present. NaN scores are rejected; ±inf scores
-    sort as the extremes they are.
+    scores and malicious are aligned arrays, one entry per client. Scores
+    follow the keep direction (higher = cleaner). The sweep starts above the
+    maximum (nothing kept) and ends at the minimum (everything kept), so the
+    curve always spans (0,0) to (1,1); AUC is the trapezoidal area. Both
+    roles must be present. NaN scores are rejected; ±inf scores sort as the
+    extremes they are.
     """
-    if set(scores) != set(roles):
-        raise ValueError("scores and roles must cover the same clients")
-    clean = [c for c, r in roles.items() if r == ROLE_CLEAN]
-    malicious = [c for c, r in roles.items() if r == ROLE_MALICIOUS]
-    if not clean or not malicious:
+    values = np.asarray(scores, dtype=np.float64)
+    malicious = np.asarray(malicious, dtype=bool)
+    if values.shape != malicious.shape:
+        raise ValueError(f"{values.shape} scores for {malicious.shape} clients")
+    num_malicious = int(malicious.sum())
+    num_clean = len(malicious) - num_malicious
+    if not num_clean or not num_malicious:
         raise ValueError("ROC needs both clean and malicious clients")
-    clients = list(scores)
-    values = np.array([scores[c] for c in clients], dtype=np.float64)
     if np.any(np.isnan(values)):
         raise ValueError("scores must not be NaN")
 
     # Distinct scores ascending; a client is kept at every threshold <= its score,
     # so counts accumulated from the top give the kept totals per threshold.
     thetas, level = np.unique(values, return_inverse=True)
-    role = np.array([roles[c] for c in clients])
-    clean_kept = np.cumsum(np.bincount(level[role == ROLE_CLEAN], minlength=thetas.size)[::-1])
-    malicious_kept = np.cumsum(np.bincount(level[role == ROLE_MALICIOUS], minlength=thetas.size)[::-1])
+    clean_kept = np.cumsum(np.bincount(level[~malicious], minlength=thetas.size)[::-1])
+    malicious_kept = np.cumsum(np.bincount(level[malicious], minlength=thetas.size)[::-1])
     points = [RocPoint(float("inf"), 0.0, 0.0)]
-    points += [RocPoint(theta, int(nc) / len(clean), int(nm) / len(malicious))
+    points += [RocPoint(theta, int(nc) / num_clean, int(nm) / num_malicious)
                for theta, nc, nm in zip(thetas[::-1].tolist(), clean_kept, malicious_kept)]
 
     xs = np.array([p.one_minus_specificity for p in points])

@@ -56,9 +56,6 @@ class ParamLayout:
         start, stop = self.label_ranges[label]
         return slice(start, stop)
 
-    def shared_slice(self) -> slice:
-        return slice(*self.shared_range)
-
 
 @dataclass
 class ParamVector:
@@ -77,13 +74,3 @@ class ParamVector:
     @classmethod
     def zeros(cls, layout: ParamLayout) -> "ParamVector":
         return cls(np.zeros(layout.size), layout)
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout)
-
-    def label_slice(self, label: int) -> np.ndarray:
-        """View of the block feeding output label r."""
-        return self.values[self.layout.label_slice(label)]
-
-    def shared_slice(self) -> np.ndarray:
-        return self.values[self.layout.shared_slice()]

@@ -59,16 +59,15 @@ class TestWeightedAggregate:
         rnd = round_from([[8.0, 0.0], [0.0, 8.0], [4.0, 4.0]], samples=[2, 2, 4])
         res = weighted_aggregate(zero_joint(), rnd, kept=[True, True, False])
         # alpha = samples / total over ALL submitted (8), dropped weight just
-        # disappears
-        assert res.per_client_weight == {0: 0.25, 1: 0.25}
-        assert np.allclose(res.new_joint.values, [2.0, 2.0])
-        assert res.kept_clients == [0, 1]
+        # disappears: 0.25 * [8, 0] + 0.25 * [0, 8]
+        assert np.array_equal(res.new_joint.values, [2.0, 2.0])
+        assert res.kept.tolist() == [True, True, False]
 
     def test_renormalize_over_kept(self):
         rnd = round_from([[8.0, 0.0], [0.0, 8.0], [4.0, 4.0]], samples=[2, 2, 4])
         res = weighted_aggregate(zero_joint(), rnd, kept=[True, True, False], renormalize=True)
-        assert res.per_client_weight == {0: 0.5, 1: 0.5}
-        assert np.allclose(res.new_joint.values, [4.0, 4.0])
+        # 0.5 * [8, 0] + 0.5 * [0, 8]
+        assert np.array_equal(res.new_joint.values, [4.0, 4.0])
 
     def test_unknown_kept_id_rejected(self):
         # a mask entry past the round's one row names no submitted client
@@ -79,7 +78,7 @@ class TestWeightedAggregate:
     def test_empty_kept_set_with_renormalize_leaves_joint(self):
         rnd = round_from([[1.0, 0.0], [0.0, 1.0]], samples=[2, 3])
         res = weighted_aggregate(zero_joint(), rnd, kept=[False, False], renormalize=True)
-        assert res.kept_clients == []
+        assert not res.kept.any()
         assert np.array_equal(res.new_joint.values, np.zeros(2))
 
     def test_empty_and_duplicate_updates_rejected(self):
@@ -98,7 +97,7 @@ class TestWeightedAggregate:
         rnd = round_from([[4.0, 0.0], [0.0, 8.0]], samples=[1, 3])
         res = fedavg(zero_joint(), rnd)
         assert np.allclose(res.new_joint.values, [1.0, 6.0])
-        assert res.kept_clients == [0, 1]
+        assert res.kept.tolist() == [True, True]
 
 
 class TestKrum:
@@ -109,18 +108,18 @@ class TestKrum:
     def test_toy_selection_and_average(self):
         res = krum(zero_joint(LAYOUT_1), self.toy(), assumed_malicious=1)
         # window = n-M-2 = 2; clients 1 and 2 both score 0.02 and win
-        assert res.kept_clients == [1, 2]
+        assert res.kept.tolist() == [False, True, True, False, False]
+        # equal weights: 0.5 * 0.1 + 0.5 * 0.2
         assert res.new_joint.values[0] == pytest.approx(0.15, rel=1e-12)
-        assert res.per_client_weight == {1: 0.5, 2: 0.5}
 
     def test_scores_negated_for_keep_direction(self):
         res = krum(zero_joint(LAYOUT_1), self.toy(), assumed_malicious=1)
         assert res.scores[1] == pytest.approx(-0.02, rel=1e-9)
-        assert res.scores[4] == min(res.scores.values())
+        assert res.scores[4] == res.scores.min()
 
     def test_outlier_never_chosen(self):
         res = krum(zero_joint(LAYOUT_1), self.toy(), assumed_malicious=1)
-        assert 4 not in res.kept_clients
+        assert not res.kept[4]
 
     def test_window_too_small_raises(self):
         rnd = round_from([[0.0], [1.0], [2.0], [3.0]], layout=LAYOUT_1)
@@ -135,18 +134,18 @@ class TestKrum:
         # n=5, M=2: floor(5 - 1 - 2) = 2 survivors
         rnd = round_from([[0.0], [0.1], [0.2], [0.3], [0.4]], layout=LAYOUT_1)
         res = krum(zero_joint(LAYOUT_1), rnd, assumed_malicious=2)
-        assert len(res.kept_clients) == 2
+        assert res.kept.sum() == 2
         # n=4, M=1: floor(4 - 0.5 - 2) = 1 survivor
         rnd = round_from([[0.0], [0.1], [0.2], [5.0]], layout=LAYOUT_1)
         res = krum(zero_joint(LAYOUT_1), rnd, assumed_malicious=1)
-        assert len(res.kept_clients) == 1
+        assert res.kept.sum() == 1
 
     def test_translation_invariant_selection(self):
         base = self.toy()
         shifted = round_from(base.deltas + 7.5, layout=LAYOUT_1)
         a = krum(zero_joint(LAYOUT_1), base, 1)
         b = krum(zero_joint(LAYOUT_1), shifted, 1)
-        assert a.kept_clients == b.kept_clients
+        assert np.array_equal(a.kept, b.kept)
 
     @pytest.mark.parametrize("position", range(8))
     def test_nan_row_ranks_last(self, position):
@@ -154,8 +153,8 @@ class TestKrum:
         rows = np.random.default_rng(3).normal(size=(8, 2))
         rows[position, 1] = np.nan
         res = krum(zero_joint(), round_from(rows), assumed_malicious=1)
-        assert len(res.kept_clients) == 5
-        assert position not in res.kept_clients
+        assert res.kept.sum() == 5
+        assert not res.kept[position]
         assert math.isnan(res.scores[position])
         assert np.all(np.isfinite(res.new_joint.values))
 
@@ -196,7 +195,7 @@ class TestFoolsGold:
         res = foolsgold(zero_joint(), rnd)
         assert res.scores[0] == 0.0 and res.scores[1] == 0.0
         assert res.scores[2] == 1.0 and res.scores[3] == 1.0
-        assert res.kept_clients == [2, 3]
+        assert res.kept.tolist() == [False, False, True, True]
         assert np.allclose(res.new_joint.values, [0.0, 0.0], atol=1e-15)
 
     def test_pardoning_hand_case(self):
@@ -211,10 +210,9 @@ class TestFoolsGold:
         assert res.scores[2] == pytest.approx(math.log(0.55 / 0.45) + 0.5, rel=1e-9)
         assert res.scores[3] == 1.0
 
+        assert res.kept.tolist() == [False, False, True, True]
         w2 = res.scores[2] / (res.scores[2] + 1.0)
         w3 = 1.0 / (res.scores[2] + 1.0)
-        assert res.per_client_weight[2] == pytest.approx(w2, rel=1e-9)
-        assert res.per_client_weight[3] == pytest.approx(w3, rel=1e-9)
         want = np.array([0.6 * w2 - w3, -0.8 * w2])
         assert np.allclose(res.new_joint.values, want, rtol=1e-9, atol=1e-12)
 
@@ -252,9 +250,9 @@ class TestFoolsGold:
     def test_all_identical_leaves_joint_unchanged(self):
         rnd = round_from(np.tile([2.0, 2.0], (4, 1)))
         res = foolsgold(zero_joint(), rnd)
-        assert res.kept_clients == []
+        assert not res.kept.any()
         assert np.array_equal(res.new_joint.values, np.zeros(2))
-        assert all(w == 0.0 for w in res.per_client_weight.values())
+        assert np.all(res.scores == 0.0)
 
 
 class TestFgKrum:
@@ -264,23 +262,21 @@ class TestFgKrum:
 
     def test_krum_first_drops_outlier_then_reweights(self):
         res = fg_krum(zero_joint(), self.spread_updates(), assumed_malicious=1)
-        assert 4 not in res.kept_clients
-        assert res.scores[4] == min(res.scores.values())  # krum scores reported
+        assert not res.kept[4]
+        assert res.scores[4] == res.scores.min()  # krum scores reported
 
     def test_krum_first_single_survivor_used_directly(self):
         # FoolsGold over one survivor gives it weight 1: the joint moves by its delta
         rnd = round_from([[0.0], [0.1], [0.2], [5.0]], layout=LAYOUT_1)
         res = fg_krum(zero_joint(LAYOUT_1), rnd, assumed_malicious=1)
-        assert len(res.kept_clients) == 1
-        only = res.kept_clients[0]
-        assert res.per_client_weight[only] == 1.0
-        assert res.new_joint.values[0] == rnd.deltas[only, 0]
+        assert res.kept.sum() == 1
+        assert res.new_joint.values[0] == rnd.deltas[res.kept][0, 0]
 
     def test_fg_first_filters_clones_before_krum(self):
         rnd = round_from([[1.0, 0.0], [1.0, 0.0], [0.0, 0.3], [0.1, 0.2],
                         [0.2, 0.1], [0.3, 0.0]])
         res = fg_krum(zero_joint(), rnd, assumed_malicious=1, order="fg_first")
-        assert 0 not in res.kept_clients and 1 not in res.kept_clients
+        assert not res.kept[0] and not res.kept[1]
 
     def test_fg_first_two_positive_returns_foolsgold_unchanged(self):
         # two clone pairs lose all weight; only clients 4 and 5 stay positive,
@@ -288,12 +284,11 @@ class TestFgKrum:
         rnd = round_from([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0],
                         [-1.0, 0.1], [0.0, -1.0]])
         fg = foolsgold(zero_joint(), rnd)
-        assert fg.kept_clients == [4, 5]
+        assert np.flatnonzero(fg.kept).tolist() == [4, 5]
         res = fg_krum(zero_joint(), rnd, assumed_malicious=1, order="fg_first")
         assert np.array_equal(res.new_joint.values, fg.new_joint.values)
-        assert res.kept_clients == fg.kept_clients
-        assert res.per_client_weight == fg.per_client_weight
-        assert res.scores == fg.scores
+        assert np.array_equal(res.kept, fg.kept)
+        assert np.array_equal(res.scores, fg.scores)
 
     def test_fg_first_clamps_assumed_malicious(self):
         # six updates 60 degrees apart all keep FoolsGold weight; assuming 5
@@ -301,13 +296,12 @@ class TestFgKrum:
         angles = np.deg2rad(60.0 * np.arange(6))
         radii = np.array([1.0, 1.1, 1.2, 1.3, 5.0, 6.0])
         rnd = round_from(np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1))
-        assert len(foolsgold(zero_joint(), rnd).kept_clients) == 6
+        assert foolsgold(zero_joint(), rnd).kept.all()
         with pytest.raises(ValueError):
             krum(zero_joint(), rnd, assumed_malicious=5)
         res = fg_krum(zero_joint(), rnd, assumed_malicious=5, order="fg_first")
-        assert res.kept_clients == krum(zero_joint(), rnd, assumed_malicious=3).kept_clients
-        assert len(res.kept_clients) == 2
-        assert sum(res.per_client_weight.values()) == pytest.approx(1.0, rel=1e-12)
+        assert np.array_equal(res.kept, krum(zero_joint(), rnd, assumed_malicious=3).kept)
+        assert res.kept.sum() == 2
 
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError):
@@ -320,7 +314,26 @@ class TestResultShape:
         assert isinstance(res, AggregationResult)
         assert res.scores is None
         assert res.epsilon_used is None and res.h_used is None
-        assert res.per_client_weight[0] == 1.0
+        assert res.kept.dtype == bool and res.kept.tolist() == [True]
+        assert np.array_equal(res.new_joint.values, [1.0, 1.0])
+
+    @pytest.mark.parametrize("rule", [
+        lambda j, r: fedavg(j, r), lambda j, r: krum(j, r, 1), lambda j, r: coordinate_median(j, r),
+        lambda j, r: foolsgold(j, r), lambda j, r: fg_krum(j, r, 1, order="krum_first"),
+        lambda j, r: fg_krum(j, r, 1, order="fg_first")],
+        ids=["fedavg", "krum", "median", "foolsgold", "fg_krum-krum_first", "fg_krum-fg_first"])
+    def test_kept_and_scores_follow_the_rows(self, rule):
+        # ids out of order: both arrays are indexed by row position, not by id
+        rows = np.array([[0.0, 0.1], [0.1, 0.0], [3.0, -3.0], [0.1, 0.2], [0.2, 0.1], [-0.1, 0.3]])
+        ids = np.array([40, 7, 19, 3, 25, 11])
+        res = rule(zero_joint(), round_from(rows, ids=ids))
+        perm = [5, 2, 0, 4, 1, 3]
+        permuted = rule(zero_joint(), round_from(rows[perm], ids=ids[perm]))
+        assert res.kept.shape == (6,)
+        assert np.array_equal(permuted.kept, res.kept[perm])
+        if res.scores is not None:
+            assert res.scores.shape == (6,)
+            assert np.allclose(permuted.scores, res.scores[perm], rtol=1e-12, atol=1e-15)
 
 
 # Every rule takes a models.Round, whose constructor validates the round.
@@ -380,10 +393,9 @@ def loop_sum(joint, weighted):
     return values
 
 
-def best_first(rnd, scores, chosen):
-    """The chosen rows in Krum's best-first order (scores are negated, ties by lower id)."""
-    position = {c: i for i, c in enumerate(rnd.ids.tolist())}
-    return rnd.select([position[c] for c in sorted(chosen, key=lambda c: (-scores[c], c))])
+def best_first(rnd, scores, kept):
+    """Positions of the kept rows in Krum's best-first order (scores are negated, ties by lower id)."""
+    return np.array(sorted(np.flatnonzero(kept), key=lambda i: (-scores[i], rnd.ids[i])))
 
 
 def foolsgold_pairs(rnd):
@@ -426,31 +438,31 @@ class TestSummationOrder:
 
     def test_foolsgold_in_input_order(self, rnd):
         res = foolsgold(self.zero(), rnd)
-        assert 0 < len(res.kept_clients) < len(rnd.ids)
+        assert 0 < res.kept.sum() < len(rnd.ids)
         assert np.array_equal(res.new_joint.values, loop_sum(self.zero(), foolsgold_pairs(rnd)))
 
     def test_krum_in_input_order(self, rnd):
         res = krum(self.zero(), rnd, assumed_malicious=3)
-        take = len(res.kept_clients)
-        want = loop_sum(self.zero(), [(1.0 / take if c in res.kept_clients else 0.0, d)
-                                      for c, d in zip(rnd.ids.tolist(), rnd.deltas)])
+        take = res.kept.sum()
+        want = loop_sum(self.zero(), [(1.0 / take if kept else 0.0, d) for kept, d in zip(res.kept, rnd.deltas)])
         assert np.array_equal(res.new_joint.values, want)
 
     def test_krum_first_reweights_survivors_best_first(self, rnd):
         selection = krum(self.zero(), rnd, assumed_malicious=2)
-        survivors = best_first(rnd, selection.scores, selection.kept_clients)
-        assert survivors.ids.tolist() != sorted(selection.kept_clients)
+        order = best_first(rnd, selection.scores, selection.kept)
+        assert order.tolist() != sorted(order)
+        survivors = rnd.select(order)
         res = fg_krum(self.zero(), rnd, assumed_malicious=2, order="krum_first")
         assert np.array_equal(res.new_joint.values, loop_sum(self.zero(), foolsgold_pairs(survivors)))
 
     def test_fg_first_sums_krum_survivors_best_first(self, rnd):
         inner = foolsgold(self.zero(), rnd)
-        positive = rnd.select(np.flatnonzero(np.isin(rnd.ids, inner.kept_clients)))
-        selection = krum(self.zero(), positive, assumed_malicious=0)
-        survivors = best_first(positive, selection.scores, selection.kept_clients)
-        assert survivors.ids.tolist() != sorted(selection.kept_clients)
-        total = sum(inner.scores[c] for c in survivors.ids.tolist())
+        positive = np.flatnonzero(inner.kept)
+        pool = rnd.select(positive)
+        selection = krum(self.zero(), pool, assumed_malicious=0)
+        order = positive[best_first(pool, selection.scores, selection.kept)]
+        assert order.tolist() != sorted(order)
+        total = sum(inner.scores[i] for i in order)
         res = fg_krum(self.zero(), rnd, assumed_malicious=0, order="fg_first")
-        want = loop_sum(self.zero(), [(inner.scores[c] / total, d)
-                                      for c, d in zip(survivors.ids.tolist(), survivors.deltas)])
+        want = loop_sum(self.zero(), [(inner.scores[i] / total, rnd.deltas[i]) for i in order])
         assert np.array_equal(res.new_joint.values, want)

@@ -207,8 +207,7 @@ class TestInitializeState:
         state = initialize_state(cfg)
         assert len(state.shards) == 8 + 3
         assert [s.owner for s in state.shards] == list(range(11))
-        assert all(state.roles[i] == "clean" for i in range(8))
-        assert all(state.roles[i] == "malicious" for i in range(8, 11))
+        assert state.malicious.tolist() == [False] * 8 + [True] * 3
         assert isinstance(state.replacement_used, bool)
 
     def test_every_shard_indexes_one_shared_pool(self):
@@ -303,7 +302,7 @@ class TestRunExperiment:
         if kind not in ("foolsgold", "fg_krum"):
             assert rec.num_kept >= 1
         if kind in SCORED_DEFENSES:
-            assert set(out.scores) == set(range(11))
+            assert out.scores.shape == (11,)
             assert out.auc is not None and 0.0 <= out.auc <= 1.0
         else:
             assert out.scores is None
@@ -433,11 +432,9 @@ class TestRunExperiment:
     def test_read_scores_csv_roundtrip(self, tmp_path):
         out_dir = tmp_path / "run"
         out = run_experiment(config_from_dict(base_dict()), out_dir=out_dir)
-        scores, roles = read_scores_csv(out_dir / "scores.csv")
-        assert set(scores) == set(out.scores)
-        for cid, value in out.scores.items():
-            assert scores[cid] == value  # repr round-trips floats exactly
-        assert roles == out.state.roles
+        scores, malicious = read_scores_csv(out_dir / "scores.csv")
+        assert np.array_equal(scores, out.scores)  # repr round-trips floats exactly
+        assert np.array_equal(malicious, out.state.malicious)
 
     def test_read_scores_csv_rejects_missing_columns(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -451,12 +448,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="no score rows"):
             read_scores_csv(path)
 
+    def test_read_scores_csv_rejects_unknown_role(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("client_id,role,score\n0,clean,1.0\n1,bystander,2.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown roles"):
+            read_scores_csv(path)
+
     def test_renormalize_changes_partial_aggregate(self):
         # pick a threshold between two observed factors so the filter drops a
         # strict subset, then renormalizing must shift the joint step
         raw = base_dict(rounds=1)
         probe = run_experiment(config_from_dict(raw))
-        ordered = sorted(probe.scores.values())
+        ordered = sorted(probe.scores.tolist())
         distinct = [(a, b) for a, b in zip(ordered, ordered[1:]) if a < b]
         assert distinct, "degenerate probe: all factors equal"
         lo, hi = distinct[len(distinct) // 2]
@@ -672,9 +675,9 @@ class TestNonFiniteGuard:
         kept_per_round = []
         counts = harness.confusion_counts
 
-        def recording(kept, roles):
-            kept_per_round.append(set(kept))
-            return counts(kept, roles)
+        def recording(kept, malicious):
+            kept_per_round.append(kept.copy())
+            return counts(kept, malicious)
 
         monkeypatch.setattr(harness, "confusion_counts", recording)
         out_dir = tmp_path / "run"
@@ -682,19 +685,45 @@ class TestNonFiniteGuard:
 
         assert np.all(np.isfinite(out.state.joint.values))
         assert len(kept_per_round) == 5
-        assert all(not kept & set(NON_FINITE_CLIENTS) for kept in kept_per_round)
+        assert not any(kept[list(NON_FINITE_CLIENTS)].any() for kept in kept_per_round)
         assert all(r.n_t + r.m_f == 20 and r.n_f + r.m_t == 8 for r in out.records)
         if kind in ("none", "median"):
             assert out.scores is None
             return
-        assert all(out.scores[c] == -math.inf for c in NON_FINITE_CLIENTS)
-        assert all(math.isfinite(v) for c, v in out.scores.items() if c not in NON_FINITE_CLIENTS)
-        scores, roles = read_scores_csv(out_dir / "scores.csv")
+        finite = np.ones(28, dtype=bool)
+        finite[list(NON_FINITE_CLIENTS)] = False
+        assert np.all(out.scores[~finite] == -math.inf)
+        assert np.all(np.isfinite(out.scores[finite]))
+        scores, _ = read_scores_csv(out_dir / "scores.csv")
         assert len(scores) == 28
-        assert [scores[c] for c in NON_FINITE_CLIENTS] == [-math.inf, -math.inf]
+        assert scores[list(NON_FINITE_CLIENTS)].tolist() == [-math.inf, -math.inf]
         result = CliRunner().invoke(cli.main, ["roc", "--from", str(out_dir)])
         assert result.exit_code == 0, result.output
         assert f"auc: {out.auc!r}" in result.output
+
+    @pytest.mark.parametrize("kind", ["krum", "fg_krum"])
+    def test_krum_window_shrinks_with_the_finite_rows(self, monkeypatch, kind):
+        # 28 clients admit assumed_malicious 25 at load, but only 26 rows reach
+        # Krum; it then assumes at most 26 - 3 = 23 of them malicious
+        raw = yaml.safe_load(EXAMPLE_CONFIG.read_text())
+        raw["defense"] = {"kind": kind, "assumed_malicious": 25}
+        raw["rounds"] = 2
+        monkeypatch.setattr(harness, "local_train", non_finite_local_train(math.nan))
+        state = initialize_state(config_from_dict(raw))
+        for _ in range(2):
+            state, record = harness.run_round(state)
+            assert not state.last_kept[list(NON_FINITE_CLIENTS)].any()
+            if kind == "krum":
+                assert record.num_kept == 12  # floor(26 - 0.5 * 23 - 2)
+        assert np.all(np.isfinite(state.joint.values))
+
+    def test_krum_with_fewer_than_three_finite_rows_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "local_train", non_finite_local_train(math.nan, owners=range(2, 28)))
+        raw = yaml.safe_load(EXAMPLE_CONFIG.read_text())
+        raw["defense"] = {"kind": "krum"}
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", raw)
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 3, result.output
 
     def test_all_finite_round_is_passed_without_a_copy(self, monkeypatch):
         built, seen = [], []

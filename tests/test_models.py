@@ -77,8 +77,8 @@ class TestSingleStep:
         spec = logistic_spec()
         shard = whole_pool_shard(np.array([[1.0, -2.0, 0.5]]), np.array([1]), owner=0)
         delta = ParamVector(local_train(spec.init_params(), shard, spec, 7), spec.layout())
-        assert np.array_equal(delta.label_slice(0), delta.values[0:4])
-        assert np.array_equal(delta.label_slice(1), delta.values[4:8])
+        assert np.array_equal(delta.values[delta.layout.label_slice(0)], delta.values[0:4])
+        assert np.array_equal(delta.values[delta.layout.label_slice(1)], delta.values[4:8])
 
 
 class TestTrainingDeterminism:
@@ -126,7 +126,7 @@ def reference_train(joint, shard, spec, seed):
     rng = np.random.default_rng(seed)
     x, y = shard.pool[shard.rows], shard.labels
     n = x.shape[0]
-    work = joint.copy()
+    work = ParamVector(joint.values.copy(), joint.layout)
     for _ in range(spec.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, spec.batch_size):
@@ -160,9 +160,9 @@ def finite_difference_check(spec, params, x, y, tol):
     eps = 1e-6
     num = np.zeros_like(grad.values)
     for j in range(params.values.shape[0]):
-        up = params.copy()
+        up = ParamVector(params.values.copy(), params.layout)
         up.values[j] += eps
-        down = params.copy()
+        down = ParamVector(params.values.copy(), params.layout)
         down.values[j] -= eps
         lu, _ = loss_and_grad(up, spec, x, y)
         ld, _ = loss_and_grad(down, spec, x, y)

@@ -20,12 +20,12 @@ class TestLayout:
         assert lay.size == 10
         assert lay.label_slice(0) == slice(0, 2)
         assert lay.label_slice(2) == slice(4, 6)
-        assert lay.shared_slice() == slice(6, 10)
+        assert lay.shared_range == (6, 10)
 
     def test_empty_shared_block(self):
         lay = layout_2x3()
         assert lay.size == 6
-        assert lay.shared_slice() == slice(6, 6)
+        assert lay.shared_range == (6, 6)
 
     def test_label_out_of_range(self):
         lay = layout_2x3()
@@ -55,10 +55,9 @@ class TestVector:
     def test_zeros_and_views(self):
         v = ParamVector.zeros(layout_with_shared())
         assert v.values.shape == (10,)
-        v.label_slice(1)[:] = 7.0
+        v.values[v.layout.label_slice(1)] = 7.0
         assert np.array_equal(v.values[2:4], [7.0, 7.0])
-        v.shared_slice()[:] = -1.0
-        assert np.array_equal(v.values[6:], [-1.0] * 4)
+        assert np.array_equal(v.values[[0, 1, 4, 5, 6, 7, 8, 9]], np.zeros(8))
 
     def test_coerces_to_float64(self):
         v = ParamVector(np.arange(6, dtype=np.int32), layout_2x3())
@@ -67,9 +66,3 @@ class TestVector:
     def test_length_mismatch(self):
         with pytest.raises(LayoutError):
             ParamVector(np.zeros(5), layout_2x3())
-
-    def test_copy_is_independent(self):
-        a = ParamVector(np.zeros(6), layout_2x3())
-        c = a.copy()
-        c.values[0] = 5.0
-        assert a.values[0] == 0.0
