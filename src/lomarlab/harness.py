@@ -45,7 +45,7 @@ MNIST_FILES = {
     "test_labels": "t10k-labels-idx1-ubyte",
 }
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -114,7 +114,7 @@ def _lomar_defense(state: ExperimentState, rnd: Round) -> AggregationResult:
     result = lomar_run(rnd, state.cfg.defense)
     state.floor_hits_total += result.floor_hits
     agg = weighted_aggregate(state.joint, rnd, result.kept, renormalize=state.cfg.renormalize_weights)
-    return replace(agg, scores=result.factors, epsilon_used=result.epsilon_used, h_used=result.h_used)
+    return replace(agg, scores=result.log_factors, epsilon_used=result.epsilon_used, h_used=result.h_used)
 
 
 # Defense kind -> (state, round) -> AggregationResult. Each entry looks its

@@ -9,9 +9,10 @@ is the product across labels. Colluding poisoners sit in a tight cluster, so
 their own density is inflated and their factor falls below the clean range;
 an isolated clean client stays near 1.
 
-Phase II thresholds: keep client i iff F(i) >= epsilon (default 1). A
-theoretical false-alarm bound for the threshold is exposed as a diagnostic;
-it never drives filtering.
+Phase II thresholds: keep client i iff log F(i) >= log(epsilon) (default
+epsilon 1), which never forms F(i) itself, so a product over many labels
+cannot overflow. A theoretical false-alarm bound for the threshold is exposed
+as a diagnostic; it never drives filtering.
 
 All density work happens in the log domain. The default kernel's exponent is
 linear in the distance, exp(-d/(2h)) with the Gaussian normalizer 1/(sqrt(2*pi)*h);
@@ -79,8 +80,7 @@ class LomarResult:
     neighbor_sq_dist: np.ndarray       # (n, k) squared distances to them
     per_label_log_factors: np.ndarray  # (n, labels)
     log_factors: np.ndarray            # (n,) row sums of per_label_log_factors
-    factors: np.ndarray                # (n,) exp(log_factors)
-    kept: np.ndarray                   # (n,) bool, factors >= epsilon
+    kept: np.ndarray                   # (n,) bool, log_factors >= log(epsilon)
     k_used: int
     h_used: float
     epsilon_used: float
@@ -223,15 +223,13 @@ def lomar_run(rnd: Round, cfg: KdeConfig = KdeConfig()) -> LomarResult:
     # a sum over that client's row alone.
     per_label = np.ascontiguousarray(label_log_factor(neighbor_ld, log_density[:, :, None]).T)
     log_factors = per_label.sum(axis=1)
-    factors = np.exp(log_factors)
     return LomarResult(
         client_ids=ids,
         neighbors=neighbor_pos,
         neighbor_sq_dist=np.take_along_axis(full_dist, neighbor_pos, axis=1),
         per_label_log_factors=per_label,
         log_factors=log_factors,
-        factors=factors,
-        kept=factors >= cfg.epsilon,
+        kept=log_factors >= math.log(cfg.epsilon),
         k_used=k,
         h_used=float(h),
         epsilon_used=cfg.epsilon,

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from lomarlab.harness import (
     sweep_values,
 )
 from lomarlab.models import Round
+from lomarlab.params import ParamLayout, ParamVector
 
 
 def base_dict(**overrides):
@@ -455,19 +457,36 @@ class TestRunExperiment:
             read_scores_csv(path)
 
     def test_renormalize_changes_partial_aggregate(self):
-        # pick a threshold between two observed factors so the filter drops a
-        # strict subset, then renormalizing must shift the joint step
+        # pick a threshold between two observed log factors so the filter drops
+        # a strict subset, then renormalizing must shift the joint step
         raw = base_dict(rounds=1)
         probe = run_experiment(config_from_dict(raw))
         ordered = sorted(probe.scores.tolist())
         distinct = [(a, b) for a, b in zip(ordered, ordered[1:]) if a < b]
         assert distinct, "degenerate probe: all factors equal"
         lo, hi = distinct[len(distinct) // 2]
-        raw["defense"] = {"kind": "lomar", "epsilon": (lo + hi) / 2.0}
+        raw["defense"] = {"kind": "lomar", "epsilon": math.exp((lo + hi) / 2.0)}
         plain = run_experiment(config_from_dict(raw))
         renorm = run_experiment(config_from_dict(dict(raw, renormalize_weights=True)))
         assert 1 <= plain.records[0].num_kept < 11
         assert not np.allclose(plain.state.joint.values, renorm.state.joint.values)
+
+
+class TestLomarLogDomain:
+    def test_factors_beyond_float64_keep_finite_scores(self):
+        # 100 labels of 3 parameters, 60 standard-normal clean rows and 20
+        # colluders on the clean mean, at a tight bandwidth: every clean F(i)
+        # is past the float64 range, so only its log can be the score
+        layout = ParamLayout(tuple((3 * r, 3 * r + 3) for r in range(100)), (300, 300))
+        clean = np.random.default_rng(0).normal(size=(60, 300))
+        rnd = Round(np.arange(80), np.ones(80), np.vstack([clean, np.tile(clean.mean(axis=0), (20, 1))]), layout)
+        cfg = config_from_dict(base_dict(defense={"kind": "lomar", "bandwidth": 0.05}))
+        state = SimpleNamespace(cfg=cfg, joint=ParamVector.zeros(layout), floor_hits_total=0)
+        agg = harness.DEFENSES["lomar"](state, rnd)
+        assert np.all(np.isfinite(agg.scores))
+        assert agg.scores[:60].min() > math.log(np.finfo(np.float64).max)
+        assert np.array_equal(agg.kept, agg.scores >= 0)
+        assert agg.kept[:60].all() and not agg.kept[60:].any()
 
 
 class TestSweep:
