@@ -26,10 +26,10 @@ FG_KRUM_ORDERS = ("krum_first", "fg_first")
 @dataclass
 class AggregationResult:
     new_joint: ParamVector
-    # Both over the rows of the round the rule was given, in its order.
+    # kept and scores hold one entry per row of the round the rule was given.
     kept: np.ndarray
-    # Per-row diagnostic scores where the rule produces them (Krum: negated
-    # distance scores, FoolsGold: credibility weights); None otherwise.
+    # Diagnostic scores where the rule produces them (Krum: negated distance
+    # scores, FoolsGold: credibility weights); None otherwise.
     scores: np.ndarray | None = None
     # Threshold and bandwidth of a density defense (LoMar); None otherwise.
     epsilon_used: float | None = None
@@ -174,8 +174,7 @@ def fg_krum(joint: ParamVector, rnd: Round, assumed_malicious: int,
     if len(positive) < 3:
         return inner
     chosen = positive[_krum_select(rnd.select(positive), min(assumed_malicious, len(positive) - 3))[0]]
-    raw = inner.scores[chosen].tolist()
-    total = sum(raw)
+    total = sum(inner.scores[chosen].tolist())  # left to right, as a loop over the survivors
     weights = np.zeros(len(rnd.ids))
-    weights[chosen] = [r / total for r in raw]
+    weights[chosen] = inner.scores[chosen] / total
     return _apply_weights(joint, rnd, weights, inner.scores, order=chosen)

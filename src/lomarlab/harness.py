@@ -105,9 +105,9 @@ def _assumed_malicious(cfg: ExperimentConfig) -> int:
 
 
 def _krum_assumed(state: ExperimentState, rnd: Round) -> int:
-    # The non-finite guard can hand Krum fewer rows than the config was
-    # checked for; n - 3 keeps a window of at least one peer.
-    return min(_assumed_malicious(state.cfg), len(rnd.ids) - 3)
+    # The non-finite guard can hand Krum fewer rows than the config was checked
+    # for. n - 3 leaves a window of one peer; under 3 rows Krum's check fails.
+    return max(0, min(_assumed_malicious(state.cfg), len(rnd.ids) - 3))
 
 
 def _lomar_defense(state: ExperimentState, rnd: Round) -> AggregationResult:
@@ -545,7 +545,7 @@ def read_scores_csv(path):
     """Load a scores.csv back into aligned (scores, malicious) arrays in file order."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"client_id", "role", "score"}
+        required = {"role", "score"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"{path}: expected columns {sorted(required)}")
         rows = [(float(row["score"]), row["role"]) for row in reader]

@@ -94,8 +94,7 @@ def roc_from_scores(scores, malicious):
     roles must be present. NaN scores are rejected; ±inf scores sort as the
     extremes they are.
     """
-    values = np.asarray(scores, dtype=np.float64)
-    malicious = np.asarray(malicious, dtype=bool)
+    values, malicious = np.asarray(scores, dtype=np.float64), np.asarray(malicious, dtype=bool)
     if values.shape != malicious.shape:
         raise ValueError(f"{values.shape} scores for {malicious.shape} clients")
     num_malicious = int(malicious.sum())

@@ -302,6 +302,9 @@ class TestFgKrum:
         res = fg_krum(zero_joint(), rnd, assumed_malicious=5, order="fg_first")
         assert np.array_equal(res.kept, krum(zero_joint(), rnd, assumed_malicious=3).kept)
         assert res.kept.sum() == 2
+        # the survivors' credibility weights are renormalized to sum to 1
+        w = foolsgold(zero_joint(), rnd).scores[res.kept]
+        assert np.allclose(res.new_joint.values, w @ rnd.deltas[res.kept] / w.sum(), rtol=1e-12, atol=0)
 
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError):

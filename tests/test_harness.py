@@ -743,6 +743,7 @@ class TestNonFiniteGuard:
         cfg_path = write_yaml(tmp_path / "cfg.yaml", raw)
         result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert result.exit_code == 3, result.output
+        assert "krum needs n - assumed_malicious - 2 >= 1, got n=2, assumed=0" in result.output
 
     def test_all_finite_round_is_passed_without_a_copy(self, monkeypatch):
         built, seen = [], []
