@@ -41,6 +41,7 @@ variants = {
     "gaussian_renormalize": {"defense": {"kernel": "gaussian"}, "renormalize_weights": True},
     "mlp": {"model": {"kind": "mlp", "hidden_dim": 5}},
     "model_poison_krum": {"attack": {"kind": "model_poison"}, "defense": {"kind": "krum"}},
+    "spread0": {"dataset": {"spread": 0}},
 }
 (dest / "example.yaml").write_text(yaml.safe_dump(example))
 for workload in sorted((root / "perfbench/workloads").glob("*.yaml")):

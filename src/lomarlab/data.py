@@ -145,7 +145,8 @@ def synth_gaussian(num_labels: int, input_dim: int, per_label_count: int, spread
     """Isotropic Gaussian blobs, one per label, shuffled. Returns (features, labels).
 
     Built and shuffled in one array; the noise is scaled and shifted in place,
-    which gives the same bits as mean + spread * noise.
+    which gives the same bits as mean + spread * noise, and permute_rows shuffles
+    the rows one cycle at a time, which gives the same bits as features[order].
     """
     check_synth(num_labels, input_dim, per_label_count, spread)
     rng = np.random.default_rng(seed)
@@ -164,9 +165,26 @@ def synth_gaussian(num_labels: int, input_dim: int, per_label_count: int, spread
 
 
 def permute_rows(x: np.ndarray, order: np.ndarray) -> None:
-    """Set x to x[order] in place; one 64-column block's gathered copy is the only scratch."""
-    for c in range(0, x.shape[1], 64):
-        x[:, c:c + 64] = x[order, c:c + 64]
+    """Set x to x[order] in place, one cycle of the permutation `order` at a time.
+
+    Each cycle start -> order[start] -> ... is walked with x[j] = x[order[j]],
+    whole rows at a time; the start row, saved before it is overwritten, closes
+    the cycle. Besides one byte per row to mark the rows already placed, one
+    row is the only scratch, and the bytes written are those of x[order].
+    """
+    src = memoryview(order)
+    seen = bytearray(len(src))
+    row = np.empty(x.shape[1:], dtype=x.dtype)
+    for start in range(len(src)):
+        if seen[start]:
+            continue
+        row[...] = x[start]
+        j, k = start, src[start]
+        while k != start:
+            x[j] = x[k]
+            seen[k] = 1
+            j, k = k, src[k]
+        x[j] = row
 
 
 def major_count(lam: float, samples: int) -> int:
@@ -237,7 +255,7 @@ def partition(features: np.ndarray, labels: np.ndarray, plan: PartitionPlan, see
                 if not plan.allow_replacement:
                     raise ValueError(f"label {majors[client]} pool exhausted ({short} short) and replacement disabled")
                 full = np.flatnonzero(labels == majors[client])
-                picked.append(rng.choice(full, size=short, replace=True))
+                picked.append(full[rng.integers(0, len(full), size=short)])
                 flagged = True
 
         if n_rand > 0:
@@ -247,7 +265,7 @@ def partition(features: np.ndarray, labels: np.ndarray, plan: PartitionPlan, see
             if short > 0:
                 if not plan.allow_replacement:
                     raise ValueError(f"pool exhausted ({short} short) and replacement disabled")
-                picked.append(rng.choice(total, size=short, replace=True))
+                picked.append(rng.integers(0, total, size=short))
                 flagged = True
 
         idx = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)

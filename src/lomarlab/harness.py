@@ -429,7 +429,6 @@ def run_round(state: ExperimentState) -> tuple[ExperimentState, RoundRecord]:
 class RunOutput:
     records: list[RoundRecord]
     summary: dict
-    scores: np.ndarray | None
     auc: float | None
     state: ExperimentState
 
@@ -524,7 +523,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None)
         if points is not None:
             _write_roc_csv(out / "roc_points.csv", points)
 
-    return RunOutput(records=records, summary=summary, scores=state.last_scores, auc=auc, state=state)
+    return RunOutput(records=records, summary=summary, auc=auc, state=state)
 
 
 def _jsonable(obj):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,7 +117,6 @@ def synth_reference(num_labels, input_dim, per_label_count, spread, seed, radius
 
 
 class TestSynthInPlace:
-    # 64-column blocks: 1, 8 and 64 are one block, 65 and 130 end in a partial one
     @pytest.mark.parametrize("input_dim", [1, 8, 64, 65, 130])
     @pytest.mark.parametrize("spread", [0.0, 0.7, 3.0])
     def test_bitwise_the_out_of_place_formula(self, input_dim, spread):
@@ -136,6 +136,33 @@ class TestSynthInPlace:
         x = np.random.default_rng(seed).normal(size=(len(order), width))
         want = x[order]
         permute_rows(x, order)
+        assert np.array_equal(x, want)
+
+    @pytest.mark.parametrize("order", [
+        np.arange(9),                               # identity: every row a fixed point
+        np.roll(np.arange(9), -1),                  # one 9-cycle
+        np.arange(10).reshape(5, 2)[:, ::-1].ravel(),  # an involution of five 2-cycles
+        np.array([0]),                              # n = 1
+        np.array([3, 0, 4, 1, 2, 5]),               # a 5-cycle beside a fixed point
+    ], ids=["identity", "one-cycle", "involution", "single-row", "cycle-and-fixed-point"])
+    def test_fixed_permutations(self, order):
+        x = np.random.default_rng(len(order)).normal(size=(len(order), 7))
+        want = x[order]
+        permute_rows(x, order)
+        assert np.array_equal(x, want)
+
+    def test_scratch_is_far_below_the_array(self):
+        # a gathered copy of x, or of a wide column block of it, would show here
+        x = np.random.default_rng(2).normal(size=(2000, 100))
+        order = np.random.default_rng(3).permutation(2000)
+        want = x[order]
+        tracemalloc.start()
+        try:
+            permute_rows(x, order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 8
         assert np.array_equal(x, want)
 
 
@@ -302,3 +329,54 @@ class TestPartition:
                 DataShard(pool, rows, np.zeros(3, dtype=int), owner=0)
         with pytest.raises(ValueError, match="role"):
             DataShard(pool, [0], [0], owner=0, role="confused")
+
+
+def choice_partition(labels, plan, seed):
+    """partition's draws with the shortfall taken by rng.choice(..., replace=True).
+
+    Returns one (rows, labels, used_replacement) per client. The queues are the
+    per-entry LoopPool, so only the replacement draws are the thing compared.
+    """
+    rng = np.random.default_rng(seed)
+    total = len(labels)
+    present = np.unique(labels)
+    majors = [int(present[i % len(present)]) for i in range(plan.num_clients)]
+    taken = np.zeros(total, dtype=bool)
+    label_pools = {int(lab): LoopPool(rng.permutation(np.flatnonzero(labels == lab)), taken) for lab in present}
+    global_pool = LoopPool(rng.permutation(total), taken)
+    out = []
+    for client in range(plan.num_clients):
+        n_major = major_count(plan.lam, plan.samples_per_client)
+        draws = [(label_pools[majors[client]], n_major, np.flatnonzero(labels == majors[client])),
+                 (global_pool, plan.samples_per_client - n_major, total)]
+        picked, flagged = [], False
+        for pool, count, population in draws:
+            if count > 0:
+                picked.append(pool.draw(count))
+                if len(picked[-1]) < count:
+                    picked.append(rng.choice(population, size=count - len(picked[-1]), replace=True))
+                    flagged = True
+        idx = np.concatenate(picked)
+        idx = idx[rng.permutation(len(idx))]
+        out.append((idx, labels[idx], flagged))
+    return out
+
+
+class TestReplacementDraws:
+    # (labels, rows per label, clients, shard size): every plan oversubscribes its
+    # pool; the first two pools are smaller than one shard
+    @pytest.mark.parametrize("shape", [(2, 1, 3, 5), (3, 4, 5, 20), (3, 10, 8, 10), (4, 25, 30, 12)])
+    @pytest.mark.parametrize("lam", [0.0, 0.9])
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2**31 + 5])
+    def test_partition_equals_the_choice_draws(self, shape, lam, seed):
+        num_labels, per_label, clients, samples = shape
+        x, y = synth_gaussian(num_labels, 3, per_label, 1.0, seed=seed + 1)
+        plan = PartitionPlan(num_clients=clients, samples_per_client=samples, lam=lam)
+        shards = partition(x, y, plan, seed=seed)
+        want = choice_partition(y, plan, seed)
+        assert any(flagged for _, _, flagged in want)
+        for shard, (rows, labels, flagged) in zip(shards, want, strict=True):
+            assert shard.rows.dtype == rows.dtype == np.int64
+            assert np.array_equal(shard.rows, rows)
+            assert np.array_equal(shard.labels, labels)
+            assert shard.used_replacement == flagged

@@ -304,10 +304,10 @@ class TestRunExperiment:
         if kind not in ("foolsgold", "fg_krum"):
             assert rec.num_kept >= 1
         if kind in SCORED_DEFENSES:
-            assert out.scores.shape == (11,)
+            assert out.state.last_scores.shape == (11,)
             assert out.auc is not None and 0.0 <= out.auc <= 1.0
         else:
-            assert out.scores is None
+            assert out.state.last_scores is None
             assert out.auc is None
         # only the density defense has a threshold and a bandwidth to report
         assert (rec.epsilon_used is not None) == (kind == "lomar")
@@ -435,7 +435,7 @@ class TestRunExperiment:
         out_dir = tmp_path / "run"
         out = run_experiment(config_from_dict(base_dict()), out_dir=out_dir)
         scores, malicious = read_scores_csv(out_dir / "scores.csv")
-        assert np.array_equal(scores, out.scores)  # repr round-trips floats exactly
+        assert np.array_equal(scores, out.state.last_scores)  # repr round-trips floats exactly
         assert np.array_equal(malicious, out.state.malicious)
 
     def test_read_scores_csv_rejects_missing_columns(self, tmp_path):
@@ -461,7 +461,7 @@ class TestRunExperiment:
         # a strict subset, then renormalizing must shift the joint step
         raw = base_dict(rounds=1)
         probe = run_experiment(config_from_dict(raw))
-        ordered = sorted(probe.scores.tolist())
+        ordered = sorted(probe.state.last_scores.tolist())
         distinct = [(a, b) for a, b in zip(ordered, ordered[1:]) if a < b]
         assert distinct, "degenerate probe: all factors equal"
         lo, hi = distinct[len(distinct) // 2]
@@ -707,12 +707,12 @@ class TestNonFiniteGuard:
         assert not any(kept[list(NON_FINITE_CLIENTS)].any() for kept in kept_per_round)
         assert all(r.n_t + r.m_f == 20 and r.n_f + r.m_t == 8 for r in out.records)
         if kind in ("none", "median"):
-            assert out.scores is None
+            assert out.state.last_scores is None
             return
         finite = np.ones(28, dtype=bool)
         finite[list(NON_FINITE_CLIENTS)] = False
-        assert np.all(out.scores[~finite] == -math.inf)
-        assert np.all(np.isfinite(out.scores[finite]))
+        assert np.all(out.state.last_scores[~finite] == -math.inf)
+        assert np.all(np.isfinite(out.state.last_scores[finite]))
         scores, _ = read_scores_csv(out_dir / "scores.csv")
         assert len(scores) == 28
         assert scores[list(NON_FINITE_CLIENTS)].tolist() == [-math.inf, -math.inf]
