@@ -335,7 +335,7 @@ def choice_partition(labels, plan, seed):
     """partition's draws with the shortfall taken by rng.choice(..., replace=True).
 
     Returns one (rows, labels, used_replacement) per client. The queues are the
-    per-entry LoopPool, so only the replacement draws are the thing compared.
+    per-entry LoopPool; the replacement draws are what this reference pins.
     """
     rng = np.random.default_rng(seed)
     total = len(labels)
