@@ -101,35 +101,61 @@ _GRAM_CANCELLATION_RTOL = 1e-6
 _DIRECT_CHUNK_ELEMENTS = 1 << 22
 
 
+def _row_key(row: np.ndarray) -> int:
+    """Bucket key of a row for duplicate detection; equal bytes give equal keys."""
+    return hash(row.tobytes())
+
+
+def _first_owners(matrix: np.ndarray) -> np.ndarray:
+    """Position of the first row byte-identical to each row.
+
+    Rows meet in buckets by `_row_key` and join an earlier row only when their
+    bytes compare equal, so at most two rows' bytes are alive at once.
+    """
+    buckets: dict[int, list[int]] = {}
+    owner = np.arange(matrix.shape[0])
+    for i, row in enumerate(matrix):
+        bucket = buckets.setdefault(_row_key(row), [])
+        owner[i] = next((j for j in bucket if matrix[j].tobytes() == row.tobytes()), i)
+        if owner[i] == i:
+            bucket.append(i)
+    return owner
+
+
 def sq_dist_matrix(matrix: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of `matrix`.
 
     Uses the Gram form ||a||^2 + ||b||^2 - 2 a.b over the distinct rows only,
     then expands back by index, so byte-identical rows get identical distance
-    rows and exactly 0 between them. Pairs whose Gram value falls to the
-    cancellation level are recomputed as sum((a - b)^2). The upper triangle
-    is mirrored, so the result is exactly symmetric with a zero diagonal and
-    no negative entries.
+    rows and exactly 0 between them. Without repeated rows it works on
+    `matrix` itself. Pairs whose Gram value falls to the cancellation level
+    are recomputed as sum((a - b)^2). The upper triangle is mirrored, so the
+    result is exactly symmetric with a zero diagonal and no negative entries.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    first: dict[bytes, int] = {}
-    owner = np.fromiter((first.setdefault(row.tobytes(), i) for i, row in enumerate(matrix)),
-                        dtype=np.intp, count=matrix.shape[0])
-    rows_kept, inverse = np.unique(owner, return_inverse=True)
-    distinct = matrix[rows_kept]
+    rows_kept, inverse = np.unique(_first_owners(matrix), return_inverse=True)
+    distinct = matrix if rows_kept.size == matrix.shape[0] else matrix[rows_kept]
     sq = np.einsum("ij,ij->i", distinct, distinct)
-    rows, cols = np.triu_indices(distinct.shape[0], k=1)
-    norms = sq[rows] + sq[cols]
-    upper = norms - 2.0 * (distinct @ distinct.T)[rows, cols]
-    close = np.flatnonzero(upper <= _GRAM_CANCELLATION_RTOL * norms)
+    lower = np.tri(distinct.shape[0], dtype=bool)
+    # In place, so at most two float (n, n) arrays are alive: out = norms - 2 a.b,
+    # then the cancellation test against the scaled norms.
+    norms = sq[:, None] + sq
+    out = distinct @ distinct.T
+    out *= -2.0
+    out += norms
+    norms *= _GRAM_CANCELLATION_RTOL
+    close = out <= norms
+    del norms
+    close[lower] = False
+    rows, cols = np.nonzero(close)
     step = max(1, _DIRECT_CHUNK_ELEMENTS // max(1, distinct.shape[1]))
-    for start in range(0, close.size, step):
-        pick = close[start:start + step]
-        upper[pick] = np.sum((distinct[rows[pick]] - distinct[cols[pick]]) ** 2, axis=1)
-    out = np.zeros((distinct.shape[0], distinct.shape[0]))
-    out[rows, cols] = np.maximum(upper, 0.0)
-    out[cols, rows] = out[rows, cols]
-    return out[np.ix_(inverse, inverse)]
+    for start in range(0, rows.size, step):
+        r, c = rows[start:start + step], cols[start:start + step]
+        out[r, c] = np.sum((distinct[r] - distinct[c]) ** 2, axis=1)
+    np.maximum(out, 0.0, out=out)
+    out[lower] = out.T[lower]
+    np.fill_diagonal(out, 0.0)
+    return out if distinct is matrix else out[np.ix_(inverse, inverse)]
 
 
 def knn(dist: np.ndarray, k: int, ids=None) -> np.ndarray:

@@ -5,6 +5,8 @@ broadcast subtraction per row. It stays here as the reference the fast
 kernel must reproduce on everything the defenses decide with.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,3 +125,40 @@ class TestKernelProperties:
                 if matrix[i].tobytes() == matrix[j].tobytes():
                     assert d[i, j] == 0.0
                     assert np.array_equal(d[i], d[j])
+
+
+def one_bucket(matrix):
+    """`sq_dist_matrix(matrix)` with every row hashed into the same bucket."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lomar, "_row_key", lambda row: 0)
+        return sq_dist_matrix(matrix)
+
+
+class TestDuplicateDetection:
+    def test_peak_memory_without_repeated_rows(self):
+        matrix = np.random.default_rng(4).normal(size=(200, 4000))
+        sq_dist_matrix(matrix[:3])  # warm-up outside the trace
+        tracemalloc.start()
+        try:
+            sq_dist_matrix(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.nbytes / 8
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_bucket_matches_paper_shaped(self, seed):
+        matrix = paper_shaped_matrix(seed)
+        assert one_bucket(matrix).tobytes() == sq_dist_matrix(matrix).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(matrices_with_duplicates())
+    def test_one_bucket_matches(self, matrix):
+        assert one_bucket(matrix).tobytes() == sq_dist_matrix(matrix).tobytes()
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_groups_by_bytes_first_row_owns(self, monkeypatch, forced):
+        if forced:
+            monkeypatch.setattr(lomar, "_row_key", lambda row: 0)
+        matrix = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [2.0, 3.0], [-0.0, 1.0]])
+        assert lomar._first_owners(matrix).tolist() == [0, 1, 0, 3, 1]
