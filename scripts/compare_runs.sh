@@ -4,10 +4,12 @@
 #     scripts/compare_runs.sh BASE_REV
 #
 # BASE_REV's tree is extracted with `git archive` into a temporary directory.
-# Every config variant written below runs once on each tree: configs/example.yaml,
-# both perfbench workloads, and example.yaml with the overrides listed in
-# `variants`. Each tree also runs `lomarlab sweep --param epsilon --grid 0.8,1.0
-# --seed 7` on example.yaml, then `lomarlab roc --from` on its epsilon_0.8 run.
+# Every config variant written below runs once on each tree, 15 in all:
+# configs/example.yaml, both perfbench workloads, and example.yaml with each of
+# the 12 overrides listed in `variants` (`noreplace` is the one config whose
+# partition draws without replacement). Each tree also runs `lomarlab sweep
+# --param epsilon --grid 0.8,1.0 --seed 7` on example.yaml, then `lomarlab roc
+# --from` on its epsilon_0.8 run.
 # Both trees run the working tree's config files. The output directories are
 # compared with `diff -r` and the stdout with `diff`, minus the "wrote <dir>"
 # line. Prints one line per variant (and one for the sweep) and exits 1 if any
@@ -42,6 +44,7 @@ variants = {
     "mlp": {"model": {"kind": "mlp", "hidden_dim": 5}},
     "model_poison_krum": {"attack": {"kind": "model_poison"}, "defense": {"kind": "krum"}},
     "spread0": {"dataset": {"spread": 0}},
+    "noreplace": {"partition": {"samples_per_client": 10, "allow_replacement": False}},
 }
 (dest / "example.yaml").write_text(yaml.safe_dump(example))
 for workload in sorted((root / "perfbench/workloads").glob("*.yaml")):

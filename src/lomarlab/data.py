@@ -62,26 +62,22 @@ class DataShard:
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """How to split a pool among clients.
+    """How to split a pool among clients: the config's `partition` section.
 
     lam is the major-label bias: each client's shard is ceil(lam * l) samples
     of its assigned major label plus uniform draws for the remainder. lam=0 is
     the homogeneous (iid) setting.
     """
 
-    num_clients: int
-    samples_per_client: int
+    samples_per_client: int = 600
     lam: float = 0.0
-    major_label_assignment: tuple[int, ...] | None = None
     allow_replacement: bool = True
 
     def __post_init__(self):
-        if self.num_clients < 1 or self.samples_per_client < 1:
-            raise ValueError("need num_clients >= 1 and samples_per_client >= 1")
+        if self.samples_per_client < 1:
+            raise ValueError("need samples_per_client >= 1")
         if not 0.0 <= self.lam < 1.0:
             raise ValueError("lam must be in [0, 1)")
-        if self.major_label_assignment is not None and len(self.major_label_assignment) != self.num_clients:
-            raise ValueError("major_label_assignment length must equal num_clients")
 
 
 def load_idx(images_path, labels_path):
@@ -209,38 +205,34 @@ class _Pool:
         return out
 
 
-def partition(features: np.ndarray, labels: np.ndarray, plan: PartitionPlan, seed) -> list[DataShard]:
-    """Split (features, labels) into per-client shards of row indices into features.
+def partition(features: np.ndarray, labels: np.ndarray, num_clients: int, plan: PartitionPlan,
+              seed) -> list[DataShard]:
+    """Split (features, labels) into num_clients shards of row indices into features.
 
-    Major-label assignment defaults to round-robin over the labels present.
-    Raises when the plan cannot be satisfied: a major label with no samples at
-    all, or any shortfall while allow_replacement=False.
+    Major labels go round-robin over the labels present. Raises on any
+    shortfall while allow_replacement=False.
     """
+    if num_clients < 1:
+        raise ValueError("need num_clients >= 1")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     total = labels.shape[0]
     if total == 0:
         raise ValueError("empty pool")
-    demanded = plan.num_clients * plan.samples_per_client
+    demanded = num_clients * plan.samples_per_client
     if not plan.allow_replacement and demanded > total:
         raise ValueError(f"plan demands {demanded} samples from a pool of {total} without replacement")
 
     rng = np.random.default_rng(seed)
     present = np.sort(np.unique(labels))
-    if plan.major_label_assignment is not None:
-        majors = list(plan.major_label_assignment)
-        for m in majors:
-            if m not in present:
-                raise ValueError(f"major label {m} absent from the pool")
-    else:
-        majors = [int(present[i % len(present)]) for i in range(plan.num_clients)]
+    majors = [int(present[i % len(present)]) for i in range(num_clients)]
 
     taken = np.zeros(total, dtype=bool)
     label_pools = {int(lab): _Pool(rng.permutation(np.flatnonzero(labels == lab)), taken) for lab in present}
     global_pool = _Pool(rng.permutation(total), taken)
 
     shards = []
-    for client in range(plan.num_clients):
+    for client in range(num_clients):
         n_major = major_count(plan.lam, plan.samples_per_client)
         n_rand = plan.samples_per_client - n_major
         picked = []

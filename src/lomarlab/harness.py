@@ -92,9 +92,7 @@ class ModelSection:
         if self.num_labels is not None and self.num_labels != num_labels:
             raise ConfigError(f"model num_labels {self.num_labels} != dataset label count {num_labels}")
         try:
-            return ModelSpec(kind=self.kind, input_dim=input_dim, num_labels=num_labels,
-                             hidden_dim=self.hidden_dim, learning_rate=self.learning_rate,
-                             local_epochs=self.local_epochs, batch_size=self.batch_size)
+            return ModelSpec(**{**asdict(self), "input_dim": input_dim, "num_labels": num_labels})
         except ValueError as exc:
             raise ConfigError(f"bad section 'model': {exc}") from exc
 
@@ -148,13 +146,6 @@ class DefenseConfig(KdeConfig):
 
 
 @dataclass(frozen=True)
-class PartitionSection:
-    samples_per_client: int = 600
-    lam: float = 0.0
-    allow_replacement: bool = True
-
-
-@dataclass(frozen=True)
 class EvalSection:
     target_label: int | None = None
     source_label: int | None = None
@@ -169,7 +160,7 @@ class ExperimentConfig:
     num_clean: int
     dataset: DatasetConfig = DatasetConfig()
     model: ModelSection = ModelSection()
-    partition: PartitionSection = PartitionSection()
+    partition: PartitionPlan = PartitionPlan()
     attack: AttackConfig = AttackConfig()
     defense: DefenseConfig = DefenseConfig()
     eval: EvalSection = EvalSection()
@@ -195,13 +186,9 @@ class ExperimentConfig:
             if clients - assumed - 2 < 1:
                 raise ConfigError(f"krum needs clients - assumed_malicious - 2 >= 1, "
                                   f"got {clients} clients and assumed_malicious {assumed}")
-        self.partition_plan()
         # An IDX dataset's dims are known only once its files are read.
         if self.dataset.kind == "synth":
             self.model.to_spec(self.dataset.input_dim, self.dataset.num_labels)
-
-    def partition_plan(self) -> PartitionPlan:
-        return PartitionPlan(num_clients=self.num_clean, **asdict(self.partition))
 
     def eval_labels(self) -> tuple[int | None, int | None]:
         """Evaluation labels: the attack's victim class and its impersonated class.
@@ -240,9 +227,7 @@ def _build_section(cls, raw: dict, section: str, aliases: dict[str, str] | None 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    known_top = {"num_clean", "rounds", "seed", "renormalize_weights", "output_dir",
-                 "dataset", "model", "partition", "attack", "defense", "eval"}
-    unknown = set(raw) - known_top
+    unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     if "num_clean" not in raw:
@@ -264,7 +249,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             output_dir=raw.get("output_dir"),
             dataset=_build_section(DatasetConfig, raw.get("dataset"), "dataset"),
             model=_build_section(ModelSection, raw.get("model"), "model"),
-            partition=_build_section(PartitionSection, raw.get("partition"), "partition",
+            partition=_build_section(PartitionPlan, raw.get("partition"), "partition",
                                      aliases={"lambda": "lam"}),
             attack=_build_section(AttackConfig, attack_raw, "attack"),
             defense=_build_section(DefenseConfig, raw.get("defense"), "defense"),
@@ -288,7 +273,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def resolved_config_dict(cfg: ExperimentConfig, model: ModelSpec) -> dict:
-    out = {
+    target, source = cfg.eval_labels()
+    return {
         "num_clean": cfg.num_clean,
         "rounds": cfg.rounds,
         "seed": cfg.seed,
@@ -298,9 +284,8 @@ def resolved_config_dict(cfg: ExperimentConfig, model: ModelSpec) -> dict:
         "partition": asdict(cfg.partition),
         "attack": {**asdict(cfg.attack), "flip_pairs": [list(p) for p in cfg.attack.flip_pairs]},
         "defense": asdict(cfg.defense),
-        "eval": {"target_label": cfg.eval_labels()[0], "source_label": cfg.eval_labels()[1]},
+        "eval": {"target_label": target, "source_label": source},
     }
-    return out
 
 
 @dataclass
@@ -311,8 +296,6 @@ class ExperimentState:
     malicious: np.ndarray  # (n,) bool in shard order
     test_features: np.ndarray
     test_labels: np.ndarray
-    eval_target: int | None
-    eval_source: int | None
     joint: ParamVector
     round_index: int = 0
     # The last round's defense output over every shard; None before round 1,
@@ -320,7 +303,6 @@ class ExperimentState:
     last_scores: np.ndarray | None = None
     last_kept: np.ndarray | None = None
     floor_hits_total: int = 0
-    replacement_used: bool = False
 
 
 def _load_mnist_dir(directory: str):
@@ -358,14 +340,13 @@ def initialize_state(cfg: ExperimentConfig, seed: int | None = None) -> Experime
     outside = sorted({label for label in labels if label is not None and not 0 <= label < num_labels})
     if outside:
         raise ConfigError(f"labels {outside} outside the dataset's {num_labels} labels")
-    shards = partition(train_x, train_y, cfg.partition_plan(),
+    shards = partition(train_x, train_y, cfg.num_clean, cfg.partition,
                        np.random.SeedSequence([cfg.seed, TAG_PARTITION]))
     shards += build_malicious_shards(cfg.attack, train_x, train_y,
                                      cfg.partition.samples_per_client,
                                      np.random.SeedSequence([cfg.seed, TAG_ATTACK]),
                                      first_owner=cfg.num_clean)
 
-    eval_target, eval_source = cfg.eval_labels()
     return ExperimentState(
         cfg=cfg,
         model=model,
@@ -373,10 +354,7 @@ def initialize_state(cfg: ExperimentConfig, seed: int | None = None) -> Experime
         malicious=np.array([s.role == ROLE_MALICIOUS for s in shards]),
         test_features=test_x,
         test_labels=test_y,
-        eval_target=eval_target,
-        eval_source=eval_source,
         joint=model.init_params(),
-        replacement_used=any(s.used_replacement for s in shards),
     )
 
 
@@ -410,7 +388,7 @@ def run_round(state: ExperimentState) -> tuple[ExperimentState, RoundRecord]:
         state.last_scores[finite] = agg.scores
 
     overall, target, other = eval_accuracy(state.joint, state.test_features, state.test_labels,
-                                           state.model, state.eval_target, state.eval_source)
+                                           state.model, *cfg.eval_labels())
     n_t, n_f, m_t, m_f = confusion_counts(state.last_kept, state.malicious)
     record = RoundRecord(
         round_index=t,
@@ -499,7 +477,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None)
         "final_epsilon": final.epsilon_used,
         "final_h": final.h_used,
         "floor_hits_total": state.floor_hits_total,
-        "replacement_used": state.replacement_used,
+        "replacement_used": any(s.used_replacement for s in state.shards),
     }
 
     if out_dir is not None:

@@ -97,8 +97,6 @@ def default_k(population: int) -> int:
 # Gram-form distances below this fraction of ||a||^2 + ||b||^2 have lost most
 # of their digits to cancellation and are recomputed directly.
 _GRAM_CANCELLATION_RTOL = 1e-6
-# Elements gathered per chunk when recomputing cancellation-prone pairs.
-_DIRECT_CHUNK_ELEMENTS = 1 << 22
 
 
 def _row_key(row: np.ndarray) -> int:
@@ -148,7 +146,8 @@ def sq_dist_matrix(matrix: np.ndarray) -> np.ndarray:
     del norms
     close[lower] = False
     rows, cols = np.nonzero(close)
-    step = max(1, _DIRECT_CHUNK_ELEMENTS // max(1, distinct.shape[1]))
+    # A chunk gathers at most one round's rows per side.
+    step = max(1, distinct.shape[0])
     for start in range(0, rows.size, step):
         r, c = rows[start:start + step], cols[start:start + step]
         out[r, c] = np.sum((distinct[r] - distinct[c]) ** 2, axis=1)

@@ -235,17 +235,15 @@ class TestPartition:
 
     def test_counts_and_owners(self):
         x, y = self.make_pool()
-        plan = PartitionPlan(num_clients=10, samples_per_client=12, lam=0.0)
-        shards = partition(x, y, plan, seed=1)
+        shards = partition(x, y, 10, PartitionPlan(samples_per_client=12, lam=0.0), seed=1)
         assert len(shards) == 10
         assert [s.owner for s in shards] == list(range(10))
         assert all(len(s) == 12 for s in shards)
 
     def test_disjoint_when_pool_is_large_enough(self):
         x, y = self.make_pool(per_label=100)
-        plan = PartitionPlan(num_clients=10, samples_per_client=12, lam=0.0,
-                             allow_replacement=False)
-        shards = partition(x, y, plan, seed=2)
+        plan = PartitionPlan(samples_per_client=12, lam=0.0, allow_replacement=False)
+        shards = partition(x, y, 10, plan, seed=2)
         seen = np.concatenate([s.pool[s.rows] for s in shards])
         # all drawn rows distinct -> no sample was handed to two clients
         assert np.unique(seen, axis=0).shape[0] == seen.shape[0]
@@ -253,66 +251,45 @@ class TestPartition:
 
     def test_major_label_fraction(self):
         x, y = self.make_pool(per_label=200)
-        plan = PartitionPlan(num_clients=6, samples_per_client=40, lam=0.8)
-        shards = partition(x, y, plan, seed=3)
+        shards = partition(x, y, 6, PartitionPlan(samples_per_client=40, lam=0.8), seed=3)
         for shard in shards:
             major = np.bincount(shard.labels, minlength=3).max()
             assert major >= 32  # ceil(0.8 * 40)
 
     def test_round_robin_major_assignment(self):
         x, y = self.make_pool(per_label=200)
-        plan = PartitionPlan(num_clients=6, samples_per_client=20, lam=0.9)
-        shards = partition(x, y, plan, seed=4)
+        shards = partition(x, y, 6, PartitionPlan(samples_per_client=20, lam=0.9), seed=4)
         for i, shard in enumerate(shards):
             counts = np.bincount(shard.labels, minlength=3)
             assert counts.argmax() == i % 3
 
-    def test_explicit_major_assignment(self):
-        x, y = self.make_pool(per_label=100)
-        plan = PartitionPlan(num_clients=4, samples_per_client=10, lam=0.9,
-                             major_label_assignment=(2, 2, 0, 1))
-        shards = partition(x, y, plan, seed=5)
-        for want, shard in zip((2, 2, 0, 1), shards):
-            assert np.bincount(shard.labels, minlength=3).argmax() == want
-
     def test_replacement_flagged_on_shortfall(self):
         x, y = self.make_pool(per_label=10)
-        plan = PartitionPlan(num_clients=8, samples_per_client=10, lam=0.9)
-        shards = partition(x, y, plan, seed=6)
+        shards = partition(x, y, 8, PartitionPlan(samples_per_client=10, lam=0.9), seed=6)
         assert all(len(s) == 10 for s in shards)
         assert any(s.used_replacement for s in shards)
 
     def test_no_replacement_raises_on_shortfall(self):
         x, y = self.make_pool(per_label=10)
-        plan = PartitionPlan(num_clients=8, samples_per_client=10, lam=0.9,
-                             allow_replacement=False)
+        plan = PartitionPlan(samples_per_client=10, lam=0.9, allow_replacement=False)
         with pytest.raises(ValueError):
-            partition(x, y, plan, seed=7)
-
-    def test_absent_major_label_raises(self):
-        x, y = self.make_pool()
-        plan = PartitionPlan(num_clients=2, samples_per_client=5, lam=0.5,
-                             major_label_assignment=(0, 7))
-        with pytest.raises(ValueError):
-            partition(x, y, plan, seed=8)
+            partition(x, y, 8, plan, seed=7)
 
     def test_seed_reproducibility(self):
         x, y = self.make_pool()
-        plan = PartitionPlan(num_clients=5, samples_per_client=9, lam=0.4)
-        a = partition(x, y, plan, seed=11)
-        b = partition(x, y, plan, seed=11)
+        plan = PartitionPlan(samples_per_client=9, lam=0.4)
+        a = partition(x, y, 5, plan, seed=11)
+        b = partition(x, y, 5, plan, seed=11)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.pool[sa.rows], sb.pool[sb.rows])
             assert np.array_equal(sa.labels, sb.labels)
 
     def test_plan_validation(self):
+        x, y = self.make_pool()
+        with pytest.raises(ValueError, match="num_clients"):
+            partition(x, y, 0, PartitionPlan(samples_per_client=5), seed=8)
         with pytest.raises(ValueError):
-            PartitionPlan(num_clients=0, samples_per_client=5)
-        with pytest.raises(ValueError):
-            PartitionPlan(num_clients=1, samples_per_client=5, lam=1.0)
-        with pytest.raises(ValueError):
-            PartitionPlan(num_clients=2, samples_per_client=5,
-                          major_label_assignment=(0,))
+            PartitionPlan(samples_per_client=5, lam=1.0)
 
     def test_shard_validation(self):
         pool = np.zeros((3, 2))
@@ -331,7 +308,7 @@ class TestPartition:
             DataShard(pool, [0], [0], owner=0, role="confused")
 
 
-def choice_partition(labels, plan, seed):
+def choice_partition(labels, num_clients, plan, seed):
     """partition's draws with the shortfall taken by rng.choice(..., replace=True).
 
     Returns one (rows, labels, used_replacement) per client. The queues are the
@@ -340,12 +317,12 @@ def choice_partition(labels, plan, seed):
     rng = np.random.default_rng(seed)
     total = len(labels)
     present = np.unique(labels)
-    majors = [int(present[i % len(present)]) for i in range(plan.num_clients)]
+    majors = [int(present[i % len(present)]) for i in range(num_clients)]
     taken = np.zeros(total, dtype=bool)
     label_pools = {int(lab): LoopPool(rng.permutation(np.flatnonzero(labels == lab)), taken) for lab in present}
     global_pool = LoopPool(rng.permutation(total), taken)
     out = []
-    for client in range(plan.num_clients):
+    for client in range(num_clients):
         n_major = major_count(plan.lam, plan.samples_per_client)
         draws = [(label_pools[majors[client]], n_major, np.flatnonzero(labels == majors[client])),
                  (global_pool, plan.samples_per_client - n_major, total)]
@@ -371,9 +348,9 @@ class TestReplacementDraws:
     def test_partition_equals_the_choice_draws(self, shape, lam, seed):
         num_labels, per_label, clients, samples = shape
         x, y = synth_gaussian(num_labels, 3, per_label, 1.0, seed=seed + 1)
-        plan = PartitionPlan(num_clients=clients, samples_per_client=samples, lam=lam)
-        shards = partition(x, y, plan, seed=seed)
-        want = choice_partition(y, plan, seed)
+        plan = PartitionPlan(samples_per_client=samples, lam=lam)
+        shards = partition(x, y, clients, plan, seed=seed)
+        want = choice_partition(y, clients, plan, seed)
         assert any(flagged for _, _, flagged in want)
         for shard, (rows, labels, flagged) in zip(shards, want, strict=True):
             assert shard.rows.dtype == rows.dtype == np.int64

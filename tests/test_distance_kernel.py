@@ -146,6 +146,21 @@ class TestDuplicateDetection:
             tracemalloc.stop()
         assert peak < matrix.nbytes / 8
 
+    def test_peak_memory_recomputing_a_near_duplicate_cohort(self):
+        # A paper-scale round whose last 60 rows sit 1e-5 around row 0: 1,065
+        # pairs are recomputed directly, in chunks of at most the round's rows.
+        rng = np.random.default_rng(0)
+        matrix = 0.01 * rng.standard_normal((210, 7850))
+        matrix[150:] = matrix[0] + 1e-5 * rng.standard_normal((60, 7850))
+        sq_dist_matrix(matrix[:3])  # warm-up outside the trace
+        tracemalloc.start()
+        try:
+            sq_dist_matrix(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * matrix.nbytes
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_one_bucket_matches_paper_shaped(self, seed):
         matrix = paper_shaped_matrix(seed)

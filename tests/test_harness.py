@@ -210,7 +210,7 @@ class TestInitializeState:
         assert len(state.shards) == 8 + 3
         assert [s.owner for s in state.shards] == list(range(11))
         assert state.malicious.tolist() == [False] * 8 + [True] * 3
-        assert isinstance(state.replacement_used, bool)
+        assert all(isinstance(s.used_replacement, bool) for s in state.shards)
 
     def test_every_shard_indexes_one_shared_pool(self):
         cfg = load_config(EXAMPLE_CONFIG)

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import lomar_oracle
 from lomarlab.lomar import (
+    KERNELS,
+    NEIGHBOR_DENSITY_MODES,
     KdeConfig,
     ball_volume,
     default_k,
@@ -171,14 +176,35 @@ class TestMedianBandwidth:
         assert median_bandwidth([d]) == 1.0
 
 
+@st.composite
+def identical_rounds(draw):
+    """n copies of one row over uneven label blocks, plus the pipeline's knobs."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    bounds = np.cumsum([0] + widths).tolist()
+    shared = draw(st.integers(0, 3))
+    layout = ParamLayout(label_ranges=tuple(zip(bounds[:-1], bounds[1:])),
+                         shared_range=(bounds[-1], bounds[-1] + shared))
+    row = draw(arrays(np.float64, layout.size, elements=st.floats(-1.0, 1.0)))
+    n = draw(st.integers(2, 12))
+    matrix = np.tile(row * draw(st.sampled_from([0.0, 1e-8, 1.0, 1e6])), (n, 1))
+    cfg = KdeConfig(k=draw(st.integers(1, n - 1)), bandwidth=draw(st.sampled_from([None, 1e-3, 1.0, 50.0])),
+                    kernel=draw(st.sampled_from(KERNELS)),
+                    neighbor_density_mode=draw(st.sampled_from(NEIGHBOR_DENSITY_MODES)))
+    return round_from(matrix, layout), cfg
+
+
 class TestPipelineToys:
-    def test_identical_updates_all_kept_at_default_epsilon(self):
-        rnd = round_from(np.ones((6, 4)))
-        res = lomar_run(rnd, KdeConfig(k=3))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(identical_rounds())
+    def test_identical_updates_all_kept_at_default_epsilon(self, case):
+        rnd, cfg = case
+        res = lomar_run(rnd, cfg)
+        assert np.all(res.per_label_log_factors == 0.0)
         assert np.all(res.log_factors == 0.0)
         assert np.all(res.kept)
-        assert res.client_ids[res.kept].tolist() == [0, 1, 2, 3, 4, 5]
-        assert res.h_used == 1.0  # all-zero distances fall back
+        assert res.client_ids[res.kept].tolist() == list(range(len(rnd.ids)))
+        # all-zero distances fall back to 1.0 under the median heuristic
+        assert res.h_used == (1.0 if cfg.bandwidth is None else cfg.bandwidth)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate client ids"):
