@@ -9,11 +9,12 @@
 # the 12 overrides listed in `variants` (`noreplace` is the one config whose
 # partition draws without replacement). Each tree also runs `lomarlab sweep
 # --param epsilon --grid 0.8,1.0 --seed 7` on example.yaml, then `lomarlab roc
-# --from` on its epsilon_0.8 run.
+# --from` on its epsilon_0.8 run, and reruns the config_resolved.yaml that its
+# own example.yaml run wrote (the `resolved` entry).
 # Both trees run the working tree's config files. The output directories are
 # compared with `diff -r` and the stdout with `diff`, minus the "wrote <dir>"
-# line. Prints one line per variant (and one for the sweep) and exits 1 if any
-# differs.
+# line. Prints one line per variant (and one each for the sweep and the
+# resolved rerun) and exits 1 if any differs.
 set -euo pipefail
 
 base_rev=${1:?usage: scripts/compare_runs.sh BASE_REV}
@@ -93,4 +94,10 @@ for side in base head; do
       lomarlab $side roc --from "$sweep/epsilon_0.8"; } > "$tmp/out/$side-sweep.stdout"
 done
 compare sweep
+
+for side in base head; do
+    lomarlab $side run --config "$tmp/out/$side/example/config_resolved.yaml" --seed 7 \
+        --out "$tmp/out/$side/resolved" > "$tmp/out/$side-resolved.stdout"
+done
+compare resolved
 exit $status

@@ -61,8 +61,8 @@ def run(config_path, seed, out):
     click.echo(f"final overall_acc: {final.overall_acc!r}")
     click.echo(f"final target_acc: {final.target_acc!r}")
     click.echo(f"final other_acc: {final.other_acc!r}")
-    if output.auc is not None:
-        click.echo(f"auc: {output.auc!r}")
+    if output.summary["auc"] is not None:
+        click.echo(f"auc: {output.summary['auc']!r}")
     click.echo(f"wrote {out_dir}")
 
 

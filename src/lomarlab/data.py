@@ -12,6 +12,7 @@ a copy of its rows.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -80,37 +81,33 @@ class PartitionPlan:
             raise ValueError("lam must be in [0, 1)")
 
 
+def _read_idx(path, magic: int, dims: int) -> tuple[list[int], bytes]:
+    """An IDX file's `dims` header sizes and its payload of their product in bytes."""
+    with open(path, "rb") as fh:
+        head = fh.read(4 * (dims + 1))
+        if len(head) < 4 * (dims + 1):
+            raise IdxFormatError(f"{path}: truncated header")
+        found, *shape = struct.unpack(f">{dims + 1}I", head)
+        if found != magic:
+            raise IdxFormatError(f"{path}: bad magic {found}, expected {magic}")
+        size = math.prod(shape)
+        raw = fh.read(size)
+    if len(raw) != size:
+        raise IdxFormatError(f"{path}: expected {size} payload bytes, got {len(raw)}")
+    return shape, raw
+
+
 def load_idx(images_path, labels_path):
     """Read an IDX image/label file pair.
 
     Returns (features, labels): features are float64 pixels scaled by 1/255
     and flattened to (n, rows*cols); labels are int64.
     """
-    with open(images_path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) < 16:
-            raise IdxFormatError(f"{images_path}: truncated header")
-        magic, count, rows, cols = struct.unpack(">IIII", head)
-        if magic != IDX_IMAGE_MAGIC:
-            raise IdxFormatError(f"{images_path}: bad magic {magic}, expected {IDX_IMAGE_MAGIC}")
-        raw = fh.read(count * rows * cols)
-    if len(raw) != count * rows * cols:
-        raise IdxFormatError(f"{images_path}: expected {count * rows * cols} pixel bytes, got {len(raw)}")
+    (count, rows, cols), raw = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
     features = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols)
     features /= 255.0
-
-    with open(labels_path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) < 8:
-            raise IdxFormatError(f"{labels_path}: truncated header")
-        magic, label_count = struct.unpack(">II", head)
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxFormatError(f"{labels_path}: bad magic {magic}, expected {IDX_LABEL_MAGIC}")
-        raw = fh.read(label_count)
-    if len(raw) != label_count:
-        raise IdxFormatError(f"{labels_path}: expected {label_count} label bytes, got {len(raw)}")
+    (label_count,), raw = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-
     if count != label_count:
         raise IdxFormatError(f"image count {count} != label count {label_count}")
     return features, labels
@@ -224,43 +221,35 @@ def partition(features: np.ndarray, labels: np.ndarray, num_clients: int, plan: 
         raise ValueError(f"plan demands {demanded} samples from a pool of {total} without replacement")
 
     rng = np.random.default_rng(seed)
-    present = np.sort(np.unique(labels))
-    majors = [int(present[i % len(present)]) for i in range(num_clients)]
+    present = [int(lab) for lab in np.unique(labels)]
+    label_rows = {lab: np.flatnonzero(labels == lab) for lab in present}
+    all_rows = np.arange(total)
 
     taken = np.zeros(total, dtype=bool)
-    label_pools = {int(lab): _Pool(rng.permutation(np.flatnonzero(labels == lab)), taken) for lab in present}
-    global_pool = _Pool(rng.permutation(total), taken)
+    label_pools = {lab: _Pool(rng.permutation(rows), taken) for lab, rows in label_rows.items()}
+    global_pool = _Pool(rng.permutation(all_rows), taken)
+    n_major = major_count(plan.lam, plan.samples_per_client)
 
     shards = []
     for client in range(num_clients):
-        n_major = major_count(plan.lam, plan.samples_per_client)
-        n_rand = plan.samples_per_client - n_major
+        major = present[client % len(present)]
+        draws = [(label_pools[major], n_major, label_rows[major], major),
+                 (global_pool, plan.samples_per_client - n_major, all_rows, None)]
         picked = []
         flagged = False
-
-        if n_major > 0:
-            pool = label_pools[majors[client]]
-            got = pool.draw(n_major)
-            picked.append(got)
-            short = n_major - len(got)
+        for pool, count, population, label in draws:
+            if count == 0:
+                continue
+            picked.append(pool.draw(count))
+            short = count - len(picked[-1])
             if short > 0:
                 if not plan.allow_replacement:
-                    raise ValueError(f"label {majors[client]} pool exhausted ({short} short) and replacement disabled")
-                full = np.flatnonzero(labels == majors[client])
-                picked.append(full[rng.integers(0, len(full), size=short)])
+                    name = "pool" if label is None else f"label {label} pool"
+                    raise ValueError(f"{name} exhausted ({short} short) and replacement disabled")
+                picked.append(population[rng.integers(0, len(population), size=short)])
                 flagged = True
 
-        if n_rand > 0:
-            got = global_pool.draw(n_rand)
-            picked.append(got)
-            short = n_rand - len(got)
-            if short > 0:
-                if not plan.allow_replacement:
-                    raise ValueError(f"pool exhausted ({short} short) and replacement disabled")
-                picked.append(rng.integers(0, total, size=short))
-                flagged = True
-
-        idx = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
+        idx = np.concatenate(picked)
         idx = idx[rng.permutation(len(idx))]
         shards.append(DataShard(features, idx, labels[idx], owner=client, used_replacement=flagged))
     return shards

@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+import types
+import typing
+from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from .baselines import (FG_KRUM_ORDERS, AggregationResult, coordinate_median, fe
                         foolsgold, krum, weighted_aggregate)
 from .data import DataShard, PartitionPlan, check_synth, load_idx, partition, synth_gaussian
 from .lomar import KdeConfig, lomar_run
-from .metrics import RoundRecord, confusion_counts, eval_accuracy, roc_from_scores
+from .metrics import RocPoint, RoundRecord, confusion_counts, eval_accuracy, roc_from_scores
 from .models import ROLE_CLEAN, ROLE_MALICIOUS, ModelSpec, Round, local_train
 from .params import ParamVector
 
@@ -37,6 +39,8 @@ TAG_TRAIN = 3
 DATASET_KINDS = ("synth", "mnist")
 # Sweep parameter -> (config section, field).
 SWEEP_PARAMS = {"tau": ("attack", "tau"), "lambda": ("partition", "lam"), "epsilon": ("defense", "epsilon")}
+# Config section -> {YAML key: field} for keys that are not the field's name.
+SECTION_ALIASES = {"partition": {"lambda": "lam"}}
 
 MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -205,19 +209,31 @@ class ExperimentConfig:
         return None, None
 
 
-def _build_section(cls, raw: dict, section: str, aliases: dict[str, str] | None = None):
+def _check_types(cls, values: dict, where: str) -> None:
+    """Reject a value not of its field's type; an int passes for a float, a bool only for a bool."""
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        hint = hints[key]
+        allowed = typing.get_args(hint) if isinstance(hint, types.UnionType) else (typing.get_origin(hint) or hint,)
+        accepted = allowed + (int,) if float in allowed else allowed
+        if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in allowed):
+            names = " | ".join("None" if t is type(None) else t.__name__ for t in allowed)
+            raise ConfigError(f"{where}: {key} must be {names}, got {value!r}")
+
+
+def _build_section(cls, raw: dict, section: str):
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"section {section!r} must be a mapping")
-    aliases = aliases or {}
-    known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+    aliases = SECTION_ALIASES.get(section, {})
     kwargs = {}
     for key, value in raw.items():
         name = aliases.get(key, key)
-        if name not in known:
+        if name not in cls.__dataclass_fields__:
             raise ConfigError(f"unknown key {key!r} in section {section!r}")
         kwargs[name] = value
+    _check_types(cls, kwargs, f"section {section!r}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -233,28 +249,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "num_clean" not in raw:
         raise ConfigError("config needs num_clean")
 
-    attack_raw = dict(raw.get("attack") or {})
-    if "flip_pairs" in attack_raw:
-        pairs = attack_raw["flip_pairs"]
+    attack = raw.get("attack")
+    if isinstance(attack, dict) and "flip_pairs" in attack:
+        pairs = attack["flip_pairs"]
         if not isinstance(pairs, (list, tuple)):
             raise ConfigError("flip_pairs must be a list of [source, target] pairs")
-        attack_raw["flip_pairs"] = tuple((int(s), int(t)) for s, t in pairs)
+        raw = {**raw, "attack": {**attack, "flip_pairs": tuple((int(s), int(t)) for s, t in pairs)}}
 
+    kwargs = dict(raw)
+    for name, f in ExperimentConfig.__dataclass_fields__.items():
+        if is_dataclass(f.default):
+            kwargs[name] = _build_section(type(f.default), raw.get(name), name)
+    _check_types(ExperimentConfig, kwargs, "top level")
     try:
-        return ExperimentConfig(
-            num_clean=int(raw["num_clean"]),
-            rounds=int(raw.get("rounds", 200)),
-            seed=int(raw.get("seed", 0)),
-            renormalize_weights=bool(raw.get("renormalize_weights", False)),
-            output_dir=raw.get("output_dir"),
-            dataset=_build_section(DatasetConfig, raw.get("dataset"), "dataset"),
-            model=_build_section(ModelSection, raw.get("model"), "model"),
-            partition=_build_section(PartitionPlan, raw.get("partition"), "partition",
-                                     aliases={"lambda": "lam"}),
-            attack=_build_section(AttackConfig, attack_raw, "attack"),
-            defense=_build_section(DefenseConfig, raw.get("defense"), "defense"),
-            eval=_build_section(EvalSection, raw.get("eval"), "eval"),
-        )
+        return ExperimentConfig(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -273,19 +281,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def resolved_config_dict(cfg: ExperimentConfig, model: ModelSpec) -> dict:
+    """cfg as load_config reads it back: the model and eval labels resolved, no output_dir."""
+    resolved = asdict(cfg)
+    del resolved["output_dir"]
     target, source = cfg.eval_labels()
-    return {
-        "num_clean": cfg.num_clean,
-        "rounds": cfg.rounds,
-        "seed": cfg.seed,
-        "renormalize_weights": cfg.renormalize_weights,
-        "dataset": asdict(cfg.dataset),
-        "model": asdict(model),
-        "partition": asdict(cfg.partition),
-        "attack": {**asdict(cfg.attack), "flip_pairs": [list(p) for p in cfg.attack.flip_pairs]},
-        "defense": asdict(cfg.defense),
-        "eval": {"target_label": target, "source_label": source},
-    }
+    return {**resolved, "model": asdict(model), "eval": {"target_label": target, "source_label": source}}
 
 
 @dataclass
@@ -358,8 +358,8 @@ def initialize_state(cfg: ExperimentConfig, seed: int | None = None) -> Experime
     )
 
 
-def run_round(state: ExperimentState) -> tuple[ExperimentState, RoundRecord]:
-    """Train every client from the current joint, defend, aggregate, evaluate.
+def run_round(state: ExperimentState) -> RoundRecord:
+    """Advance state one round in place: train every client, defend, aggregate, evaluate.
 
     A delta holding a NaN or inf counts as not submitted: the defense never
     sees it, and where the defense scores clients its owner scores -inf.
@@ -390,24 +390,22 @@ def run_round(state: ExperimentState) -> tuple[ExperimentState, RoundRecord]:
     overall, target, other = eval_accuracy(state.joint, state.test_features, state.test_labels,
                                            state.model, *cfg.eval_labels())
     n_t, n_f, m_t, m_f = confusion_counts(state.last_kept, state.malicious)
-    record = RoundRecord(
-        round_index=t,
+    return RoundRecord(
+        round=t,
         overall_acc=overall,
         target_acc=target,
         other_acc=other,
         n_t=n_t, n_f=n_f, m_t=m_t, m_f=m_f,
         num_kept=n_t + n_f,
-        epsilon_used=agg.epsilon_used,
-        h_used=agg.h_used,
+        epsilon=agg.epsilon_used,
+        h=agg.h_used,
     )
-    return state, record
 
 
 @dataclass
 class RunOutput:
     records: list[RoundRecord]
     summary: dict
-    auc: float | None
     state: ExperimentState
 
 
@@ -427,8 +425,7 @@ def _write_csv(path: Path, header: list[str], rows):
 
 
 def _write_roc_csv(path: Path, points):
-    _write_csv(path, ["threshold", "sensitivity", "one_minus_specificity"],
-               ([p.threshold, p.sensitivity, p.one_minus_specificity] for p in points))
+    _write_csv(path, [f.name for f in fields(RocPoint)], map(astuple, points))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None) -> RunOutput:
@@ -438,10 +435,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None)
     """
     state = initialize_state(cfg, seed=seed)
     cfg = state.cfg
-    records = []
-    for _ in range(cfg.rounds):
-        state, record = run_round(state)
-        records.append(record)
+    records = [run_round(state) for _ in range(cfg.rounds)]
 
     num_clean = cfg.num_clean
     num_malicious = cfg.attack.malicious_count
@@ -474,8 +468,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None)
         },
         "mean_rates": rates,
         "auc": auc,
-        "final_epsilon": final.epsilon_used,
-        "final_h": final.h_used,
+        "final_epsilon": final.epsilon,
+        "final_h": final.h,
         "floor_hits_total": state.floor_hits_total,
         "replacement_used": any(s.used_replacement for s in state.shards),
     }
@@ -483,12 +477,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "rounds.csv",
-                   ["round", "overall_acc", "target_acc", "other_acc",
-                    "n_t", "n_f", "m_t", "m_f", "num_kept", "epsilon", "h"],
-                   ([r.round_index, r.overall_acc, r.target_acc, r.other_acc,
-                     r.n_t, r.n_f, r.m_t, r.m_f, r.num_kept, r.epsilon_used, r.h_used]
-                    for r in records))
+        _write_csv(out / "rounds.csv", [f.name for f in fields(RoundRecord)], map(astuple, records))
         with open(out / "summary.json", "w", encoding="utf-8", newline="") as fh:
             json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -501,7 +490,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None)
         if points is not None:
             _write_roc_csv(out / "roc_points.csv", points)
 
-    return RunOutput(records=records, summary=summary, auc=auc, state=state)
+    return RunOutput(records=records, summary=summary, state=state)
 
 
 def _jsonable(obj):
@@ -574,8 +563,7 @@ def run_sweep(cfg: ExperimentConfig, param: str, grid: str, out_root, seed: int 
             "final_overall_acc": final.overall_acc,
             "final_target_acc": final.target_acc,
             "combined_acc": combined,
-            "auc": output.auc,
+            "auc": output.summary["auc"],
         })
-    header = ["param", "value", "dir", "final_overall_acc", "final_target_acc", "combined_acc", "auc"]
-    _write_csv(out_root / "sweep_summary.csv", header, ([row[k] for k in header] for row in rows))
+    _write_csv(out_root / "sweep_summary.csv", list(rows[0]), (row.values() for row in rows))
     return rows

@@ -20,9 +20,9 @@ from .params import ParamVector
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One aggregation round's outcome."""
+    """One aggregation round's outcome; its fields are the rounds.csv columns, in order."""
 
-    round_index: int
+    round: int
     overall_acc: float
     target_acc: float
     other_acc: float
@@ -31,8 +31,8 @@ class RoundRecord:
     m_t: int  # malicious dropped
     m_f: int  # clean dropped
     num_kept: int
-    epsilon_used: float | None
-    h_used: float | None
+    epsilon: float | None
+    h: float | None
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,7 @@ def test_criterion_2_separation_property():
     aucs, flagged = [], []
     for seed in CRIT2_SEEDS:
         out = run_experiment(cfg, seed=seed)
-        aucs.append(out.auc)
+        aucs.append(out.summary["auc"])
         flagged.append(out.records[-1].m_t)
     elapsed = time.monotonic() - start
 
@@ -430,8 +430,8 @@ class TestSyntheticStandIn:
                 failures.append(f"seed {seed}: filtered overall "
                                 f"{g.overall_acc:.3f} trails clean run "
                                 f"{clean.overall_acc:.3f}")
-            if guarded.auc < 0.85:
-                failures.append(f"seed {seed}: detection AUC {guarded.auc:.3f}")
+            if guarded.summary["auc"] < 0.85:
+                failures.append(f"seed {seed}: detection AUC {guarded.summary['auc']:.3f}")
         status = "PASS" if not failures else "FAIL"
         print(f"\nACCEPTANCE 3-5 stand-in (synthetic): {status}")
         assert not failures, "; ".join(failures)

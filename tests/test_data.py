@@ -275,6 +275,13 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition(x, y, 8, plan, seed=7)
 
+    def test_no_replacement_names_the_exhausted_label(self):
+        # 16 of 20 rows are demanded, but label 0's 3 rows cannot fill two major blocks of 2
+        labels = np.array([0] * 3 + [1] * 17)
+        plan = PartitionPlan(samples_per_client=4, lam=0.5, allow_replacement=False)
+        with pytest.raises(ValueError, match="label 0 pool exhausted"):
+            partition(np.zeros((20, 2)), labels, 4, plan, seed=0)
+
     def test_seed_reproducibility(self):
         x, y = self.make_pool()
         plan = PartitionPlan(samples_per_client=9, lam=0.4)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -50,6 +51,9 @@ def base_dict(**overrides):
     return raw
 
 
+OUTPUT_FILES = ("rounds.csv", "summary.json", "config_resolved.yaml", "scores.csv", "roc_points.csv")
+
+
 def write_yaml(path, raw):
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(raw, fh)
@@ -87,8 +91,9 @@ class TestConfigParsing:
             config_from_dict(raw)
 
     def test_section_must_be_mapping(self):
-        with pytest.raises(ConfigError, match="mapping"):
-            config_from_dict(base_dict(dataset=[1, 2]))
+        for section, value in [("dataset", [1, 2]), ("attack", "label_flip")]:
+            with pytest.raises(ConfigError, match=f"section '{section}' must be a mapping"):
+                config_from_dict(base_dict(**{section: value}))
 
     def test_lambda_alias(self):
         cfg = config_from_dict(base_dict(partition={"samples_per_client": 30,
@@ -110,6 +115,28 @@ class TestConfigParsing:
         raw["attack"]["flip_pairs"] = "0,1"
         with pytest.raises(ConfigError):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("section, key, value, want", [
+        pytest.param("defense", "k", 2.5, "int | None", id="k-float"),
+        pytest.param("partition", "samples_per_client", 2.5, "int", id="samples-float"),
+        pytest.param("model", "local_epochs", True, "int", id="epochs-bool"),
+        pytest.param(None, "renormalize_weights", "false", "bool", id="renormalize-str"),
+        pytest.param(None, "rounds", 2.7, "int", id="rounds-float"),
+        pytest.param(None, "num_clean", "8", "int", id="num-clean-str"),
+        pytest.param(None, "seed", 1.5, "int", id="seed-float"),
+    ])
+    def test_mistyped_value_rejected(self, section, key, value, want):
+        raw = base_dict()
+        (raw if section is None else raw[section])[key] = value
+        where = "top level" if section is None else f"section {section!r}"
+        with pytest.raises(ConfigError, match=re.escape(f"{where}: {key} must be {want}, got {value!r}")):
+            config_from_dict(raw)
+
+    def test_int_for_float_and_null_for_optional_load(self):
+        raw = base_dict(defense={"kind": "lomar", "epsilon": 1, "k": None})
+        raw["dataset"]["spread"] = 0
+        cfg = config_from_dict(raw)
+        assert cfg.defense.epsilon == 1 and cfg.defense.k is None and cfg.dataset.spread == 0
 
     def test_bad_section_values(self):
         raw = base_dict()
@@ -305,13 +332,13 @@ class TestRunExperiment:
             assert rec.num_kept >= 1
         if kind in SCORED_DEFENSES:
             assert out.state.last_scores.shape == (11,)
-            assert out.auc is not None and 0.0 <= out.auc <= 1.0
+            assert out.summary["auc"] is not None and 0.0 <= out.summary["auc"] <= 1.0
         else:
             assert out.state.last_scores is None
-            assert out.auc is None
+            assert out.summary["auc"] is None
         # only the density defense has a threshold and a bandwidth to report
-        assert (rec.epsilon_used is not None) == (kind == "lomar")
-        assert (rec.h_used is not None) == (kind == "lomar")
+        assert (rec.epsilon is not None) == (kind == "lomar")
+        assert (rec.h is not None) == (kind == "lomar")
 
     @pytest.mark.parametrize("kind, name", [("lomar", "lomar_run"), ("krum", "krum")])
     def test_defense_rule_looked_up_at_call_time(self, monkeypatch, kind, name):
@@ -370,8 +397,7 @@ class TestRunExperiment:
     def test_output_files(self, tmp_path):
         out_dir = tmp_path / "run"
         out = run_experiment(config_from_dict(base_dict()), out_dir=out_dir)
-        for name in ("rounds.csv", "summary.json", "config_resolved.yaml",
-                     "scores.csv", "roc_points.csv"):
+        for name in OUTPUT_FILES:
             assert (out_dir / name).exists(), name
 
         with open(out_dir / "rounds.csv", encoding="utf-8", newline="") as fh:
@@ -416,11 +442,24 @@ class TestRunExperiment:
         cfg = config_from_dict(base_dict())
         run_experiment(cfg, out_dir=tmp_path / "a")
         run_experiment(cfg, out_dir=tmp_path / "b")
-        for name in ("rounds.csv", "summary.json", "config_resolved.yaml",
-                     "scores.csv", "roc_points.csv"):
+        for name in OUTPUT_FILES:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"renormalize_weights": True, "partition": {"samples_per_client": 30, "lambda": 0.3}},
+                     id="lomar"),
+        pytest.param({"model": {"kind": "mlp", "hidden_dim": 3, "learning_rate": 0.1, "local_epochs": 1,
+                                "batch_size": 30},
+                      "defense": {"kind": "fg_krum"}}, id="mlp-fg_krum"),
+    ])
+    def test_resolved_config_reruns_exactly(self, tmp_path, overrides):
+        # the seed override is part of the resolved config
+        run_experiment(config_from_dict(base_dict(**overrides)), out_dir=tmp_path / "a", seed=11)
+        run_experiment(load_config(tmp_path / "a" / "config_resolved.yaml"), out_dir=tmp_path / "b")
+        for name in OUTPUT_FILES:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = config_from_dict(base_dict())
@@ -587,6 +626,7 @@ class TestCli:
     @pytest.mark.parametrize("section, values", [
         pytest.param("model", {"learning_rate": -1}, id="learning-rate"),
         pytest.param("partition", {"samples_per_client": 0}, id="samples-per-client"),
+        pytest.param("defense", {"k": 2.5}, id="k-float"),
         pytest.param("dataset", {"spread": -1}, id="spread"),
         pytest.param("attack", {"flip_pairs": [[0, 5]]}, id="flip-target"),
         pytest.param("eval", {"target_label": 99}, id="eval-target"),
@@ -718,7 +758,7 @@ class TestNonFiniteGuard:
         assert scores[list(NON_FINITE_CLIENTS)].tolist() == [-math.inf, -math.inf]
         result = CliRunner().invoke(cli.main, ["roc", "--from", str(out_dir)])
         assert result.exit_code == 0, result.output
-        assert f"auc: {out.auc!r}" in result.output
+        assert f"auc: {out.summary['auc']!r}" in result.output
 
     @pytest.mark.parametrize("kind", ["krum", "fg_krum"])
     def test_krum_window_shrinks_with_the_finite_rows(self, monkeypatch, kind):
@@ -730,7 +770,7 @@ class TestNonFiniteGuard:
         monkeypatch.setattr(harness, "local_train", non_finite_local_train(math.nan))
         state = initialize_state(config_from_dict(raw))
         for _ in range(2):
-            state, record = harness.run_round(state)
+            record = harness.run_round(state)
             assert not state.last_kept[list(NON_FINITE_CLIENTS)].any()
             if kind == "krum":
                 assert record.num_kept == 12  # floor(26 - 0.5 * 23 - 2)
