@@ -15,7 +15,10 @@
 # compared with `diff -r` and the stdout with `diff`, minus the "wrote <dir>"
 # line. Prints one line per variant (and one each for the sweep and the
 # resolved rerun) and exits 1 if any differs.
+# Both sides run one OpenBLAS thread, the count the CLI pins itself to, so a
+# base revision without that pin runs under the same contract as the head.
 set -euo pipefail
+export OPENBLAS_NUM_THREADS=1
 
 base_rev=${1:?usage: scripts/compare_runs.sh BASE_REV}
 root=$(git rev-parse --show-toplevel)

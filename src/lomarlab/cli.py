@@ -7,10 +7,12 @@ files, infeasible runs).
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import harness
 from .harness import ConfigError, SWEEP_PARAMS
@@ -25,17 +27,25 @@ def _guarded(fn):
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             raise SystemExit(2)
-        except click.ClickException:
-            raise
         except Exception as exc:
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(3)
     return wrapper
 
 
+def _pin_blas_thread():
+    """One thread for numpy's bundled OpenBLAS, whose sums split by thread
+    count; any other BLAS is left alone."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_(1)
+
+
 @click.group()
 def main():
     """Federated-learning poisoning lab: attacks, defenses, experiments."""
+    _pin_blas_thread()
 
 
 def _resolve_out(cfg, out):

@@ -10,12 +10,13 @@ same config and seed produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import types
 import typing
-from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +99,7 @@ class ModelSection:
         try:
             return ModelSpec(**{**asdict(self), "input_dim": input_dim, "num_labels": num_labels})
         except ValueError as exc:
-            raise ConfigError(f"bad section 'model': {exc}") from exc
+            raise ConfigError(f"section 'model': {exc}") from exc
 
 
 def _assumed_malicious(cfg: ExperimentConfig) -> int:
@@ -209,64 +210,58 @@ class ExperimentConfig:
         return None, None
 
 
-def _check_types(cls, values: dict, where: str) -> None:
-    """Reject a value not of its field's type; an int passes for a float, a bool only for a bool."""
-    hints = typing.get_type_hints(cls)
-    for key, value in values.items():
-        hint = hints[key]
-        allowed = typing.get_args(hint) if isinstance(hint, types.UnionType) else (typing.get_origin(hint) or hint,)
-        accepted = allowed + (int,) if float in allowed else allowed
-        if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in allowed):
-            names = " | ".join("None" if t is type(None) else t.__name__ for t in allowed)
-            raise ConfigError(f"{where}: {key} must be {names}, got {value!r}")
+def _typed(hint, value, what: str):
+    """value checked against the type `hint`, else a ConfigError naming `what`.
+    An int passes for a float, a bool only for a bool, and a list for a
+    declared tuple, checked item by item and returned as a tuple."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        for member in args:
+            with contextlib.suppress(ConfigError):
+                return _typed(member, value, what)
+    elif typing.get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)):
+            items = args[:1] * len(value) if args[1:] == (...,) else args
+            if len(items) == len(value):
+                return tuple(_typed(item, v, what) for item, v in zip(items, value))
+    elif (isinstance(value, (int, float) if hint is float else hint)
+          and (hint is bool or not isinstance(value, bool))):
+        return value
+    raise ConfigError(f"{what} must be {hint.__name__ if isinstance(hint, type) else hint}, got {value!r}")
 
 
-def _build_section(cls, raw: dict, section: str):
-    if raw is None:
-        raw = {}
+def _build(cls, raw, section: str | None = None):
+    """cls from a YAML mapping, the config root being section None. A field
+    whose default is a dataclass is a section, built from its own mapping."""
+    where = "top level" if section is None else f"section {section!r}"
+    raw = {} if raw is None else raw
     if not isinstance(raw, dict):
-        raise ConfigError(f"section {section!r} must be a mapping")
+        raise ConfigError(f"{where} must be a mapping")
     aliases = SECTION_ALIASES.get(section, {})
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in raw.items():
         name = aliases.get(key, key)
-        if name not in cls.__dataclass_fields__:
-            raise ConfigError(f"unknown key {key!r} in section {section!r}")
+        if name not in hints:
+            raise ConfigError(f"unknown key {key!r} in {where}")
         kwargs[name] = value
-    _check_types(cls, kwargs, f"section {section!r}")
+    for f in fields(cls):
+        if is_dataclass(f.default):
+            kwargs[f.name] = _build(hints[f.name], kwargs.get(f.name), f.name)
+        elif f.name in kwargs:
+            kwargs[f.name] = _typed(hints[f.name], kwargs[f.name], f"{where}: {f.name}")
+        elif f.default is MISSING:
+            raise ConfigError(f"{where} needs {f.name}")
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad section {section!r}: {exc}") from exc
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    if "num_clean" not in raw:
-        raise ConfigError("config needs num_clean")
-
-    attack = raw.get("attack")
-    if isinstance(attack, dict) and "flip_pairs" in attack:
-        pairs = attack["flip_pairs"]
-        if not isinstance(pairs, (list, tuple)):
-            raise ConfigError("flip_pairs must be a list of [source, target] pairs")
-        raw = {**raw, "attack": {**attack, "flip_pairs": tuple((int(s), int(t)) for s, t in pairs)}}
-
-    kwargs = dict(raw)
-    for name, f in ExperimentConfig.__dataclass_fields__.items():
-        if is_dataclass(f.default):
-            kwargs[name] = _build_section(type(f.default), raw.get(name), name)
-    _check_types(ExperimentConfig, kwargs, "top level")
-    try:
-        return ExperimentConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(ExperimentConfig, raw)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -494,17 +489,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None)
 
 
 def _jsonable(obj):
+    """The summary, which holds only dicts and Python scalars, with NaN as null."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
+    return None if isinstance(obj, float) and math.isnan(obj) else obj
 
 
 def read_scores_csv(path):

@@ -202,14 +202,11 @@ def label_log_factor(neighbor_log_densities: np.ndarray, center_log_density) -> 
     return _logsumexp(terms) - math.log(terms.shape[-1])
 
 
-def median_bandwidth(slice_dists: list[np.ndarray]) -> float:
-    """Median heuristic: pooled median pairwise slice distance / sqrt(2)."""
-    pooled = []
-    for d in slice_dists:
-        n = d.shape[0]
-        iu = np.triu_indices(n, k=1)
-        pooled.append(d[iu])
-    med = float(np.median(np.concatenate(pooled)))
+def median_bandwidth(slice_dists: np.ndarray) -> float:
+    """Median heuristic: the median pairwise distance over every label's
+    slice in the (labels, n, n) `slice_dists`, divided by sqrt(2)."""
+    rows, cols = np.triu_indices(slice_dists.shape[-1], k=1)
+    med = float(np.median(slice_dists[:, rows, cols]))
     return med / math.sqrt(2.0) if med > 0 else 1.0
 
 
@@ -223,10 +220,13 @@ def lomar_run(rnd: Round, cfg: KdeConfig = KdeConfig()) -> LomarResult:
     full_dist = sq_dist_matrix(matrix)
     neighbor_pos = knn(full_dist, k, ids)
 
-    slice_dists = [np.sqrt(sq_dist_matrix(matrix[:, layout.label_slice(r)]))
-                   for r in range(layout.num_labels)]
+    # (labels, n, n) Euclidean distances between the clients' label slices,
+    # rooted in place: np.sqrt of the list would allocate the stack twice.
+    slice_dists = np.stack([sq_dist_matrix(matrix[:, layout.label_slice(r)])
+                            for r in range(layout.num_labels)])
+    np.sqrt(slice_dists, out=slice_dists)
     h = cfg.bandwidth if cfg.bandwidth is not None else median_bandwidth(slice_dists)
-    log_kernels = np.stack([_log_kernel(d, h, cfg.kernel) for d in slice_dists])
+    log_kernels = _log_kernel(slice_dists, h, cfg.kernel)
     log_floor = math.log(cfg.density_floor)
     log_k = math.log(k)
 

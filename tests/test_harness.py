@@ -1,8 +1,10 @@
 """Experiment harness tests: config parsing, runs, outputs, sweeps, CLI."""
 
 import csv
+import ctypes
 import json
 import math
+import os
 import re
 import struct
 import subprocess
@@ -81,7 +83,7 @@ class TestConfigParsing:
             config_from_dict([1, 2, 3])
 
     def test_unknown_top_level_key(self):
-        with pytest.raises(ConfigError, match="unknown top-level"):
+        with pytest.raises(ConfigError, match="unknown key 'bogus' in top level"):
             config_from_dict(base_dict(bogus=1))
 
     def test_unknown_section_key(self):
@@ -105,10 +107,29 @@ class TestConfigParsing:
 
     def test_flip_pairs_coerced_to_int_tuples(self):
         raw = base_dict()
-        raw["attack"]["flip_pairs"] = [[0, 1], [1.0, 0.0]]
+        raw["attack"]["flip_pairs"] = [[0, 1], [1, 0]]
         cfg = config_from_dict(raw)
         assert cfg.attack.flip_pairs == ((0, 1), (1, 0))
         assert all(isinstance(v, int) for pair in cfg.attack.flip_pairs for v in pair)
+        # flip labels follow the int rule: a float never passes, even an integral one
+        raw["attack"]["flip_pairs"] = [[0, 1], [1.0, 0.0]]
+        with pytest.raises(ConfigError, match=re.escape("section 'attack': flip_pairs must be")):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("pairs, want", [
+        pytest.param([[0.5, 1]], "int, got 0.5", id="fraction"),
+        pytest.param([[True, 0]], "int, got True", id="bool"),
+        pytest.param([[1.0, 0]], "int, got 1.0", id="integral-float"),
+        pytest.param([[1, 2, 3]], "tuple[int, int], got [1, 2, 3]", id="triple"),
+        pytest.param([7], "tuple[int, int], got 7", id="bare-label"),
+        pytest.param([["a", 1]], "int, got 'a'", id="str"),
+    ])
+    def test_malformed_flip_pairs_rejected(self, pairs, want):
+        # the message names the first item that breaks the declared type
+        raw = base_dict()
+        raw["attack"]["flip_pairs"] = pairs
+        with pytest.raises(ConfigError, match=re.escape(f"section 'attack': flip_pairs must be {want}")):
+            config_from_dict(raw)
 
     def test_flip_pairs_must_be_list(self):
         raw = base_dict()
@@ -580,6 +601,12 @@ def run_cli(*args):
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
 
 
+def bundled_openblas() -> bool:
+    """Whether numpy runs the OpenBLAS bundled in its wheel, whose thread count the CLI pins."""
+    libs = (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")
+    return any(hasattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_") for lib in libs)
+
+
 def cli_dict(**overrides):
     raw = base_dict(num_clean=6, rounds=1)
     raw["attack"]["malicious_count"] = 2
@@ -629,6 +656,12 @@ class TestCli:
         pytest.param("defense", {"k": 2.5}, id="k-float"),
         pytest.param("dataset", {"spread": -1}, id="spread"),
         pytest.param("attack", {"flip_pairs": [[0, 5]]}, id="flip-target"),
+        pytest.param("attack", {"flip_pairs": [[0.5, 1]]}, id="flip-fraction"),
+        pytest.param("attack", {"flip_pairs": [[True, 0]]}, id="flip-bool"),
+        pytest.param("attack", {"flip_pairs": [[1.0, 0]]}, id="flip-integral-float"),
+        pytest.param("attack", {"flip_pairs": [[1, 2, 3]]}, id="flip-triple"),
+        pytest.param("attack", {"flip_pairs": [7]}, id="flip-bare-label"),
+        pytest.param("attack", {"flip_pairs": [["a", 1]]}, id="flip-str"),
         pytest.param("eval", {"target_label": 99}, id="eval-target"),
         pytest.param("eval", {"target_label": 0, "source_label": 99}, id="eval-source"),
         pytest.param("eval", {"source_label": 0}, id="eval-source-without-target"),
@@ -643,6 +676,26 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert "config error" in result.output
         assert not out_dir.exists()
+
+    @pytest.mark.skipif(not bundled_openblas(), reason="numpy's BLAS is not its bundled OpenBLAS")
+    def test_run_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # One FedSGD step at batch 600 over 784 dims: unpinned, two OpenBLAS
+        # threads change the last bits of the deltas and of Krum's distances.
+        raw = {"num_clean": 20, "rounds": 1, "seed": 3,
+               "dataset": {"kind": "synth", "num_labels": 10, "input_dim": 784, "per_label_count": 1200},
+               "model": {"kind": "logistic", "local_epochs": 1, "batch_size": 600},
+               "partition": {"samples_per_client": 600},
+               "attack": {"kind": "model_poison", "malicious_count": 8, "flip_pairs": [[7, 1]]},
+               "defense": {"kind": "fg_krum"}}
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", raw)
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-m", "lomarlab", "run", "--config", str(cfg_path),
+                                   "--out", str(tmp_path / threads)], capture_output=True, text=True,
+                                  timeout=120, env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in (tmp_path / "1").iterdir()) == sorted(OUTPUT_FILES)
+        for name in OUTPUT_FILES:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
     def test_run_missing_config_exits_2(self, tmp_path):
         proc = run_cli("run", "--config", str(tmp_path / "absent.yaml"),

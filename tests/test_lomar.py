@@ -164,16 +164,16 @@ class TestMedianBandwidth:
     def test_hand_case(self):
         # one label, three points at 0, 1, 3: distances 1, 2, 3; median 2
         d = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
-        assert median_bandwidth([d]) == pytest.approx(2.0 / math.sqrt(2.0), rel=1e-12)
+        assert median_bandwidth(np.stack([d])) == pytest.approx(2.0 / math.sqrt(2.0), rel=1e-12)
 
     def test_pools_across_labels(self):
         d1 = np.array([[0.0, 1.0], [1.0, 0.0]])
         d2 = np.array([[0.0, 5.0], [5.0, 0.0]])
-        assert median_bandwidth([d1, d2]) == pytest.approx(3.0 / math.sqrt(2.0), rel=1e-12)
+        assert median_bandwidth(np.stack([d1, d2])) == pytest.approx(3.0 / math.sqrt(2.0), rel=1e-12)
 
     def test_zero_median_falls_back_to_one(self):
         d = np.zeros((3, 3))
-        assert median_bandwidth([d]) == 1.0
+        assert median_bandwidth(np.stack([d])) == 1.0
 
 
 @st.composite
