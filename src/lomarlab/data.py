@@ -114,15 +114,12 @@ def load_idx(images_path, labels_path):
 
 
 def _class_means(num_labels: int, input_dim: int, radius: float) -> np.ndarray:
-    """Pairwise-distinct class centers: a circle in the first two dims, a line in 1-D."""
-    means = np.zeros((num_labels, input_dim))
+    """Pairwise-distinct class centers in the dims they occupy, zero in the rest:
+    (num_labels, 2) on a circle in the first two dims, (num_labels, 1) on a line in 1-D."""
     if input_dim == 1:
-        means[:, 0] = radius * np.arange(num_labels)
-    else:
-        angles = 2.0 * np.pi * np.arange(num_labels) / num_labels
-        means[:, 0] = radius * np.cos(angles)
-        means[:, 1] = radius * np.sin(angles)
-    return means
+        return (radius * np.arange(num_labels))[:, None]
+    angles = 2.0 * np.pi * np.arange(num_labels) / num_labels
+    return np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
 
 
 def check_synth(num_labels: int, input_dim: int, per_label_count: int, spread: float) -> None:
@@ -135,49 +132,24 @@ def check_synth(num_labels: int, input_dim: int, per_label_count: int, spread: f
 
 def synth_gaussian(num_labels: int, input_dim: int, per_label_count: int, spread: float, seed,
                    radius: float = 3.0):
-    """Isotropic Gaussian blobs, one per label, shuffled. Returns (features, labels).
+    """Isotropic Gaussian blobs, one per label, in shuffled order. Returns (features, labels).
 
-    Built and shuffled in one array; the noise is scaled and shifted in place,
-    which gives the same bits as mean + spread * noise, and permute_rows shuffles
-    the rows one cycle at a time, which gives the same bits as features[order].
+    The labels are shuffled first; row i is then its label's center plus spread
+    times the i-th noise draw, built in place in the one array: the noise is
+    scaled, and the centers are added to the dims they occupy only.
     """
     check_synth(num_labels, input_dim, per_label_count, spread)
     rng = np.random.default_rng(seed)
-    means = _class_means(num_labels, input_dim, radius)
+    count = num_labels * per_label_count
     if spread > 0:
-        features = rng.standard_normal((num_labels * per_label_count, input_dim))
+        features = rng.standard_normal((count, input_dim))
         features *= spread
-        blocks = features.reshape(num_labels, per_label_count, input_dim)
-        blocks += means[:, None, :]
     else:
-        features = np.repeat(means, per_label_count, axis=0)
-    labels = np.repeat(np.arange(num_labels, dtype=np.int64), per_label_count)
-    order = rng.permutation(len(labels))
-    permute_rows(features, order)
-    return features, labels[order]
-
-
-def permute_rows(x: np.ndarray, order: np.ndarray) -> None:
-    """Set x to x[order] in place, one cycle of the permutation `order` at a time.
-
-    Each cycle start -> order[start] -> ... is walked with x[j] = x[order[j]],
-    whole rows at a time; the start row, saved before it is overwritten, closes
-    the cycle. Besides one byte per row to mark the rows already placed, one
-    row is the only scratch, and the bytes written are those of x[order].
-    """
-    src = memoryview(order)
-    seen = bytearray(len(src))
-    row = np.empty(x.shape[1:], dtype=x.dtype)
-    for start in range(len(src)):
-        if seen[start]:
-            continue
-        row[...] = x[start]
-        j, k = start, src[start]
-        while k != start:
-            x[j] = x[k]
-            seen[k] = 1
-            j, k = k, src[k]
-        x[j] = row
+        features = np.zeros((count, input_dim))
+    labels = np.repeat(np.arange(num_labels, dtype=np.int64), per_label_count)[rng.permutation(count)]
+    centers = _class_means(num_labels, input_dim, radius)
+    features[:, :centers.shape[1]] += centers[labels]
+    return features, labels
 
 
 def major_count(lam: float, samples: int) -> int:
