@@ -114,8 +114,8 @@ def load_idx(images_path, labels_path):
 
 
 def _class_means(num_labels: int, input_dim: int, radius: float) -> np.ndarray:
-    """Pairwise-distinct class centers in the dims they occupy, zero in the rest:
-    (num_labels, 2) on a circle in the first two dims, (num_labels, 1) on a line in 1-D."""
+    """Pairwise-distinct class centers, only in the dims they occupy (every other dim
+    is 0): (num_labels, 2) on a circle in the first two dims, (num_labels, 1) on a line in 1-D."""
     if input_dim == 1:
         return (radius * np.arange(num_labels))[:, None]
     angles = 2.0 * np.pi * np.arange(num_labels) / num_labels
@@ -134,9 +134,9 @@ def synth_gaussian(num_labels: int, input_dim: int, per_label_count: int, spread
                    radius: float = 3.0):
     """Isotropic Gaussian blobs, one per label, in shuffled order. Returns (features, labels).
 
-    The labels are shuffled first; row i is then its label's center plus spread
-    times the i-th noise draw, built in place in the one array: the noise is
-    scaled, and the centers are added to the dims they occupy only.
+    Row i is the center of labels[i] plus spread times the i-th noise draw. The
+    noise is drawn before the label shuffle, scaled in place, and shifted only in
+    the dims the centers occupy, so the pool is the one array of its size.
     """
     check_synth(num_labels, input_dim, per_label_count, spread)
     rng = np.random.default_rng(seed)

@@ -179,6 +179,8 @@ class ExperimentConfig:
             raise ConfigError("need num_clean >= 2")
         if self.rounds < 1:
             raise ConfigError("need rounds >= 1")
+        if self.seed < 0:
+            raise ConfigError("need seed >= 0")
         self.attack.check_budget(self.num_clean)
         assumed = _assumed_malicious(self)
         if assumed < 0:
@@ -212,8 +214,8 @@ class ExperimentConfig:
 
 def _typed(hint, value, what: str):
     """value checked against the type `hint`, else a ConfigError naming `what`.
-    An int passes for a float, a bool only for a bool, and a list for a
-    declared tuple, checked item by item and returned as a tuple."""
+    An int passes for a float, a float only if finite, a bool only for a bool,
+    and a list for a declared tuple, checked item by item and returned as a tuple."""
     args = typing.get_args(hint)
     if isinstance(hint, types.UnionType):
         for member in args:
@@ -225,7 +227,8 @@ def _typed(hint, value, what: str):
             if len(items) == len(value):
                 return tuple(_typed(item, v, what) for item, v in zip(items, value))
     elif (isinstance(value, (int, float) if hint is float else hint)
-          and (hint is bool or not isinstance(value, bool))):
+          and (hint is bool or not isinstance(value, bool))
+          and (not isinstance(value, float) or math.isfinite(value))):
         return value
     raise ConfigError(f"{what} must be {hint.__name__ if isinstance(hint, type) else hint}, got {value!r}")
 
@@ -244,6 +247,9 @@ def _build(cls, raw, section: str | None = None):
         name = aliases.get(key, key)
         if name not in hints:
             raise ConfigError(f"unknown key {key!r} in {where}")
+        if name in kwargs:
+            first = next(k for k in raw if aliases.get(k, k) == name)
+            raise ConfigError(f"keys {first!r} and {key!r} in {where} both set {name}")
         kwargs[name] = value
     for f in fields(cls):
         if is_dataclass(f.default):
@@ -518,6 +524,8 @@ def sweep_values(grid: str) -> list[float]:
         raise ConfigError(f"bad grid {grid!r}: {exc}") from exc
     if not values:
         raise ConfigError("empty sweep grid")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"bad grid {grid!r}: values must be finite")
     return values
 
 

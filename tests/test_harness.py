@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -104,6 +105,19 @@ class TestConfigParsing:
         cfg = config_from_dict(base_dict(partition={"samples_per_client": 30,
                                                     "lam": 0.3}))
         assert cfg.partition.lam == 0.3
+
+    @pytest.mark.parametrize("keys", [("lambda", "lam"), ("lam", "lambda")])
+    def test_field_named_twice_rejected(self, keys):
+        partition = {"samples_per_client": 30, keys[0]: 0.7, keys[1]: 0.3}
+        with pytest.raises(ConfigError, match=f"keys '{keys[0]}' and '{keys[1]}'"):
+            config_from_dict(base_dict(partition=partition))
+
+    def test_readme_block_shows_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = yaml.safe_load(re.search(r"```yaml\n(.*?)```", readme, re.S).group(1))
+        block["partition"]["lam"] = block["partition"].pop("lambda")
+        defaults = yaml.safe_load(yaml.safe_dump(asdict(config_from_dict({"num_clean": 50}))))
+        assert block == defaults
 
     def test_flip_pairs_coerced_to_int_tuples(self):
         raw = base_dict()
@@ -665,6 +679,14 @@ class TestCli:
         pytest.param("eval", {"target_label": 99}, id="eval-target"),
         pytest.param("eval", {"target_label": 0, "source_label": 99}, id="eval-source"),
         pytest.param("eval", {"source_label": 0}, id="eval-source-without-target"),
+        pytest.param("defense", {"epsilon": math.nan}, id="epsilon-nan"),
+        pytest.param("defense", {"epsilon": math.inf}, id="epsilon-inf"),
+        pytest.param("dataset", {"spread": math.nan}, id="spread-nan"),
+        pytest.param("attack", {"kind": "model_poison", "boost_factor": math.nan}, id="boost-factor-nan"),
+        pytest.param("defense", {"bandwidth": math.nan}, id="bandwidth-nan"),
+        pytest.param("defense", {"density_floor": math.nan}, id="density-floor-nan"),
+        pytest.param("model", {"learning_rate": math.nan}, id="learning-rate-nan"),
+        pytest.param("dataset", {"radius": math.nan}, id="radius-nan"),
     ])
     def test_run_bad_value_exits_2_before_training(self, tmp_path, monkeypatch, section, values):
         monkeypatch.setattr(harness, "local_train", lambda *a, **k: pytest.fail("a client trained"))
@@ -676,6 +698,21 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert "config error" in result.output
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("overrides, command, args", [
+        pytest.param({"seed": -1}, "run", [], id="yaml-seed-negative"),
+        pytest.param({}, "run", ["--seed", "-1"], id="run-seed-negative"),
+        pytest.param({}, "sweep", ["--seed", "-1", "--param", "epsilon", "--grid", "1.0"],
+                     id="sweep-seed-negative"),
+        pytest.param({}, "sweep", ["--param", "epsilon", "--grid", "nan,inf"], id="sweep-grid-non-finite"),
+    ])
+    def test_bad_seed_or_grid_exits_2_before_training(self, tmp_path, monkeypatch, overrides, command, args):
+        monkeypatch.setattr(harness, "local_train", lambda *a, **k: pytest.fail("a client trained"))
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cli_dict(**overrides))
+        result = CliRunner().invoke(cli.main, [command, "--config", str(cfg_path), *args,
+                                               "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
 
     @pytest.mark.skipif(not bundled_openblas(), reason="numpy's BLAS is not its bundled OpenBLAS")
     def test_run_outputs_do_not_depend_on_blas_threads(self, tmp_path):
