@@ -4,13 +4,15 @@
 #     scripts/compare_runs.sh BASE_REV
 #
 # BASE_REV's tree is extracted with `git archive` into a temporary directory.
-# Every config variant written below runs once on each tree, 15 in all:
+# Every config variant written below runs once on each tree, 17 in all:
 # configs/example.yaml, both perfbench workloads, and example.yaml with each of
-# the 12 overrides listed in `variants` (`noreplace` is the one config whose
-# partition draws without replacement). Each tree also runs `lomarlab sweep
-# --param epsilon --grid 0.8,1.0 --seed 7` on example.yaml, then `lomarlab roc
-# --from` on its epsilon_0.8 run, and reruns the config_resolved.yaml that its
-# own example.yaml run wrote (the `resolved` entry).
+# the 14 overrides listed in `variants` (`noreplace` is the one config whose
+# partition draws without replacement; `minibatch` and `mlp_minibatch` train
+# several steps per epoch with a short last batch, 200 = 3 x 64 + 8 rows).
+# Each tree also runs `lomarlab sweep --param epsilon --grid 0.8,1.0 --seed 7`
+# on example.yaml, then `lomarlab roc --from` on its epsilon_0.8 run, and
+# reruns the config_resolved.yaml that its own example.yaml run wrote (the
+# `resolved` entry).
 # Both trees run the working tree's config files. The output directories are
 # compared with `diff -r` and the stdout with `diff`, minus the "wrote <dir>"
 # line. Prints one line per variant (and one each for the sweep and the
@@ -49,6 +51,8 @@ variants = {
     "model_poison_krum": {"attack": {"kind": "model_poison"}, "defense": {"kind": "krum"}},
     "spread0": {"dataset": {"spread": 0}},
     "noreplace": {"partition": {"samples_per_client": 10, "allow_replacement": False}},
+    "minibatch": {"model": {"batch_size": 64, "local_epochs": 2}},
+    "mlp_minibatch": {"model": {"kind": "mlp", "hidden_dim": 5, "batch_size": 64, "local_epochs": 2}},
 }
 (dest / "example.yaml").write_text(yaml.safe_dump(example))
 for workload in sorted((root / "perfbench/workloads").glob("*.yaml")):

@@ -542,14 +542,15 @@ def apply_sweep_value(cfg: ExperimentConfig, param: str, value: float) -> Experi
 
 def run_sweep(cfg: ExperimentConfig, param: str, grid: str, out_root, seed: int | None = None):
     """One run per grid value; returns rows of (value, dir, final accs, auc)."""
-    # Every grid value is checked before the first run starts.
+    # The seed and every grid value are checked before the output root is made.
+    cfg = cfg if seed is None else replace(cfg, seed=seed)
     configs = [(value, apply_sweep_value(cfg, param, value)) for value in sweep_values(grid)]
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []
     for value, value_cfg in configs:
         sub = out_root / f"{param}_{value!r}"
-        output = run_experiment(value_cfg, out_dir=sub, seed=seed)
+        output = run_experiment(value_cfg, out_dir=sub)
         final = output.records[-1]
         combined = (final.overall_acc + final.target_acc) / 2.0 if not math.isnan(final.target_acc) else final.overall_acc
         rows.append({

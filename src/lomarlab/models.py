@@ -99,30 +99,23 @@ class Round:
 
 def _unpack(values: np.ndarray, spec: ModelSpec):
     """Views (w, b, w1, b1) into a flat vector; w1 and b1 are None for the logistic model."""
-    m, r = spec.output_fan_in, spec.num_labels
-    out = values[: r * (m + 1)].reshape(r, m + 1)
-    if spec.kind == "logistic":
-        return out[:, :m], out[:, m], None, None
-    shared = values[r * (m + 1):]
-    d = spec.input_dim
-    return out[:, :m], out[:, m], shared[: m * d].reshape(m, d), shared[m * d:]
+    m, r, d = spec.output_fan_in, spec.num_labels, spec.input_dim
+    out, shared = values[: r * (m + 1)].reshape(r, m + 1), values[r * (m + 1):]
+    w1, b1 = (None, None) if spec.kind == "logistic" else (shared[: m * d].reshape(m, d), shared[m * d:])
+    return out[:, :m], out[:, m], w1, b1
 
 
-def _forward(values: np.ndarray, spec: ModelSpec, x: np.ndarray):
-    """(pre-activation, hidden, logits); the logistic model's hidden layer is x itself."""
-    w, b, w1, b1 = _unpack(values, spec)
-    if w1 is None:
-        pre = hidden = x
-    else:
-        pre = x @ w1.T + b1
-        hidden = np.maximum(pre, 0.0)
-    return pre, hidden, hidden @ w.T + b
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _logits(views, x: np.ndarray):
+    """(hidden, logits) of batch x at _unpack's views; the logistic model's hidden layer is x itself."""
+    w, b, w1, b1 = views
+    hidden = x
+    if w1 is not None:
+        hidden = x @ w1.T
+        hidden += b1
+        np.maximum(hidden, 0.0, out=hidden)
+    logits = hidden @ w.T
+    logits += b
+    return hidden, logits
 
 
 def predict(joint: ParamVector, features: np.ndarray, spec: ModelSpec) -> np.ndarray:
@@ -131,48 +124,50 @@ def predict(joint: ParamVector, features: np.ndarray, spec: ModelSpec) -> np.nda
     Accepts a single feature vector or a batch; returns an int64 scalar array
     element or a 1-D label array to match.
     """
-    x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    single = np.ndim(features) == 1
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[1] != spec.input_dim:
         raise ValueError(f"feature dim {x.shape[1]} != input_dim {spec.input_dim}")
-    labels = np.argmax(_forward(joint.values, spec, x)[2], axis=1)
+    labels = np.argmax(_logits(_unpack(joint.values, spec), x)[1], axis=1)
     return labels[0] if single else labels
 
 
-def _grad(values: np.ndarray, spec: ModelSpec, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy gradient as a flat array, plus each sample's true-label probability."""
-    n = x.shape[0]
-    pre, hidden, logits = _forward(values, spec, x)
-    dlogits = _softmax(logits)
-    rows = np.arange(n)
-    p_true = dlogits[rows, y]
-    dlogits[rows, y] -= 1.0
-    dlogits /= n
-    grad = np.zeros_like(values)
-    gw, gb, gw1, gb1 = _unpack(grad, spec)
-    gw[:] = dlogits.T @ hidden
-    gb[:] = dlogits.sum(axis=0)
+def _gradient(views, grad, x: np.ndarray, onehot: np.ndarray, p_true=None):
+    """Write the mean cross-entropy gradient of batch x at `views` into all of `grad` (both _unpack's views).
+
+    onehot holds the batch's labels as one-hot rows; p_true, if given, receives each true-label probability.
+    """
+    hidden, p = _logits(views, x)
+    p -= np.maximum.reduce(p, axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=1, keepdims=True)
+    if p_true is not None:
+        p_true[:] = p[onehot == 1.0]
+    p -= onehot
+    p /= x.shape[0]
+    gw, gb, gw1, gb1 = grad
+    np.matmul(p.T, hidden, out=gw)
+    np.add.reduce(p, axis=0, out=gb)
     if gw1 is not None:
-        dhidden = (dlogits @ _unpack(values, spec)[0]) * (pre > 0.0)
-        gw1[:] = dhidden.T @ x
-        gb1[:] = dhidden.sum(axis=0)
-    return grad, p_true
+        dhidden = p @ views[0]
+        dhidden *= hidden > 0.0
+        np.matmul(dhidden.T, x, out=gw1)
+        np.add.reduce(dhidden, axis=0, out=gb1)
 
 
 def loss_and_grad(params: ParamVector, spec: ModelSpec, x: np.ndarray, y: np.ndarray):
     """Mean cross-entropy over the batch and its gradient as a ParamVector."""
-    x = np.asarray(x, dtype=np.float64)
-    grad, p_true = _grad(params.values, spec, x, np.asarray(y, dtype=np.int64))
-    loss = -np.mean(np.log(np.clip(p_true, 1e-300, None)))
-    return loss, ParamVector(grad, params.layout)
+    x, onehot = np.asarray(x, dtype=np.float64), np.eye(spec.num_labels)[np.asarray(y, dtype=np.int64)]
+    grad, p_true = np.empty_like(params.values), np.empty(len(x))
+    _gradient(_unpack(params.values, spec), _unpack(grad, spec), x, onehot, p_true)
+    return -np.mean(np.log(np.clip(p_true, 1e-300, None))), ParamVector(grad, params.layout)
 
 
 def local_train(joint: ParamVector, shard, spec: ModelSpec, rng_seed) -> np.ndarray:
     """Run E epochs of minibatch SGD from the joint model, return the delta array.
 
-    shard is a data.DataShard; each batch gathers its rows from shard.pool.
+    shard is a data.DataShard. Each epoch gathers its shuffled pool row indices
+    and one-hot labels once; each batch gathers its feature rows from shard.pool.
 
     rng_seed may be an int, a numpy SeedSequence, or a Generator. Passing the
     same Generator object across successive single-epoch calls reproduces one
@@ -188,11 +183,15 @@ def local_train(joint: ParamVector, shard, spec: ModelSpec, rng_seed) -> np.ndar
     if y.min() < 0 or y.max() >= spec.num_labels:
         raise ValueError("shard labels out of range for the model")
     rng = np.random.default_rng(rng_seed)
-
-    work = joint.values.copy()
+    work, grad = joint.values.copy(), np.empty_like(joint.values)
+    views, grad_views = _unpack(work, spec), _unpack(grad, spec)
     for _ in range(spec.local_epochs):
         order = rng.permutation(n)
+        epoch_rows, onehot = rows[order], np.eye(spec.num_labels).take(y[order], axis=0)
         for start in range(0, n, spec.batch_size):
-            batch = order[start: start + spec.batch_size]
-            work -= spec.learning_rate * _grad(work, spec, x[rows[batch]], y[batch])[0]
-    return work - joint.values
+            batch = slice(start, start + spec.batch_size)
+            _gradient(views, grad_views, x.take(epoch_rows[batch], axis=0), onehot[batch])
+            grad *= spec.learning_rate
+            work -= grad
+    work -= joint.values
+    return work

@@ -709,10 +709,11 @@ class TestCli:
     def test_bad_seed_or_grid_exits_2_before_training(self, tmp_path, monkeypatch, overrides, command, args):
         monkeypatch.setattr(harness, "local_train", lambda *a, **k: pytest.fail("a client trained"))
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cli_dict(**overrides))
-        result = CliRunner().invoke(cli.main, [command, "--config", str(cfg_path), *args,
-                                               "--out", str(tmp_path / "x")])
+        out_dir = tmp_path / "x"
+        result = CliRunner().invoke(cli.main, [command, "--config", str(cfg_path), *args, "--out", str(out_dir)])
         assert result.exit_code == 2, result.output
         assert "config error" in result.output
+        assert not out_dir.exists()
 
     @pytest.mark.skipif(not bundled_openblas(), reason="numpy's BLAS is not its bundled OpenBLAS")
     def test_run_outputs_do_not_depend_on_blas_threads(self, tmp_path):

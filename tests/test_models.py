@@ -136,23 +136,104 @@ def reference_train(joint, shard, spec, seed):
     return work.values - joint.values
 
 
+def reference_grad(params, spec, x, y):
+    """Mean cross-entropy gradient and true-label probabilities, written out of place.
+
+    The same float operations, on the same operands and in the same order, as
+    the in-place kernel behind loss_and_grad and local_train.
+    """
+    m, r, d = spec.output_fan_in, spec.num_labels, spec.input_dim
+    split = r * (m + 1)
+    blocks = params.values[:split].reshape(r, m + 1)
+    w, b = blocks[:, :m], blocks[:, m]
+    if spec.kind == "logistic":
+        pre = hidden = x
+    else:
+        w1, b1 = params.values[split: split + m * d].reshape(m, d), params.values[split + m * d:]
+        pre = x @ w1.T + b1
+        hidden = np.maximum(pre, 0.0)
+    logits = hidden @ w.T + b
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    dlogits = e / e.sum(axis=1, keepdims=True)
+    rows = np.arange(len(x))
+    p_true = dlogits[rows, y]
+    dlogits[rows, y] -= 1.0
+    dlogits /= len(x)
+    grad = np.zeros_like(params.values)
+    grad_blocks = grad[:split].reshape(r, m + 1)
+    grad_blocks[:, :m] = dlogits.T @ hidden
+    grad_blocks[:, m] = dlogits.sum(axis=0)
+    if spec.kind == "mlp":
+        dhidden = (dlogits @ w) * (pre > 0.0)
+        grad[split: split + m * d] = (dhidden.T @ x).ravel()
+        grad[split + m * d:] = dhidden.sum(axis=0)
+    return grad, p_true
+
+
 class TestTrainingMatchesReference:
-    # 23 samples at batch 5 leave a short last batch of 3 in every epoch
-    @pytest.mark.parametrize("spec", [
-        logistic_spec(num_labels=3, local_epochs=4, batch_size=5, learning_rate=0.3),
-        mlp_spec(num_labels=3, local_epochs=4, batch_size=5, learning_rate=0.3),
-    ], ids=["logistic", "mlp"])
-    def test_local_train_is_bitwise_the_reference_loop(self, spec):
+    # 23 samples at batch 5 leave a short last batch of 3 in every epoch; a
+    # batch of 64 is larger than the whole shard, and a one-row shard trains
+    # one single-sample step per epoch.
+    @pytest.mark.parametrize("spec, shard_rows", [
+        (logistic_spec(num_labels=3, local_epochs=4, batch_size=5, learning_rate=0.3), 23),
+        (mlp_spec(num_labels=3, local_epochs=4, batch_size=5, learning_rate=0.3), 23),
+        (logistic_spec(num_labels=3, local_epochs=3, batch_size=64, learning_rate=0.3), 23),
+        (mlp_spec(num_labels=3, local_epochs=3, batch_size=64, learning_rate=0.3), 23),
+        (logistic_spec(num_labels=3, local_epochs=3, batch_size=5, learning_rate=0.3), 1),
+        (mlp_spec(num_labels=3, local_epochs=3, batch_size=5, learning_rate=0.3), 1),
+    ], ids=["logistic", "mlp", "logistic-batch-above-shard", "mlp-batch-above-shard",
+            "logistic-one-row", "mlp-one-row"])
+    def test_local_train_is_bitwise_the_reference_loop(self, spec, shard_rows):
         rng = np.random.default_rng(41)
-        # 23 rows out of a 40-row pool, out of order: training must gather pool[rows[batch]]
-        shard = DataShard(rng.normal(size=(40, spec.input_dim)), rng.permutation(40)[:23],
-                          rng.integers(0, 3, size=23), owner=4)
+        # rows out of a 40-row pool, out of order: training must gather pool[rows[batch]]
+        shard = DataShard(rng.normal(size=(40, spec.input_dim)), rng.permutation(40)[:shard_rows],
+                          rng.integers(0, 3, size=shard_rows), owner=4)
         joint = ParamVector(rng.normal(scale=0.5, size=spec.layout().size), spec.layout())
         got = local_train(joint, shard, spec, np.random.SeedSequence([5, 3, 1, 4]))
         want = reference_train(joint, shard, spec, np.random.SeedSequence([5, 3, 1, 4]))
         assert np.array_equal(got, want)
         assert got.shape == (joint.layout.size,)
         assert not np.array_equal(want, np.zeros_like(want))
+
+    @pytest.mark.parametrize("spec", [logistic_spec(num_labels=3), mlp_spec(num_labels=3)],
+                             ids=["logistic", "mlp"])
+    @pytest.mark.parametrize("batch", [1, 5, 23])
+    def test_loss_and_grad_is_bitwise_the_out_of_place_formula(self, spec, batch):
+        rng = np.random.default_rng(43)
+        params = ParamVector(rng.normal(scale=2.0, size=spec.layout().size), spec.layout())
+        x, y = rng.normal(size=(batch, spec.input_dim)), rng.integers(0, 3, size=batch)
+        loss, grad = loss_and_grad(params, spec, x, y)
+        want_grad, p_true = reference_grad(params, spec, x, y)
+        assert grad.values.tobytes() == want_grad.tobytes()
+        assert loss == -np.mean(np.log(np.clip(p_true, 1e-300, None)))
+
+    @pytest.mark.parametrize("spec", [logistic_spec(num_labels=3, local_epochs=2, batch_size=5),
+                                      mlp_spec(num_labels=3, local_epochs=2, batch_size=5)],
+                             ids=["logistic", "mlp"])
+    def test_joint_is_left_unchanged_and_unshared(self, spec):
+        rng = np.random.default_rng(47)
+        shard = whole_pool_shard(rng.normal(size=(12, spec.input_dim)), rng.integers(0, 3, size=12), owner=5)
+        joint = ParamVector(rng.normal(size=spec.layout().size), spec.layout())
+        before = joint.values.copy()
+        delta = local_train(joint, shard, spec, 9)
+        assert joint.values.tobytes() == before.tobytes()
+        assert not np.shares_memory(delta, joint.values)
+        assert not np.array_equal(delta, np.zeros_like(delta))
+
+    # Values recorded with numpy 2.4.6 and its bundled OpenBLAS, where they
+    # match bitwise. Tiny matmuls may round differently in another CPU's BLAS
+    # kernel, so the pin allows 1e-12 relative.
+    @pytest.mark.parametrize("spec, want", [
+        (logistic_spec(input_dim=4, num_labels=3), 1.5032884170851415),
+        (mlp_spec(input_dim=4, num_labels=3), 1.0330014121660052),
+    ], ids=["logistic", "mlp"])
+    def test_loss_is_pinned(self, spec, want):
+        rng = np.random.default_rng(29)
+        params = ParamVector(rng.normal(scale=0.5, size=spec.layout().size), spec.layout())
+        x = rng.normal(size=(7, 4))
+        y = rng.integers(0, 3, size=7)
+        assert loss_and_grad(params, spec, x, y)[0] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def finite_difference_check(spec, params, x, y, tol):
