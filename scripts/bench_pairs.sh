@@ -11,9 +11,11 @@
 # .perfbench_out/pairs/WORKLOAD/{base,change}-seedSEED.json in the working tree.
 #
 # Prints every pair's end-to-end metrics as it finishes, then, per metric, each
-# side's median and interquartile range (inclusive quartiles) and the number
-# of pairs the working tree won; ties count for neither side. Stops at the
-# first run that fails.
+# side's median and interquartile range (inclusive quartiles), the relative
+# change of medians (change / base - 1, signed so that worse is positive) and
+# the number of pairs the working tree won; ties count for neither side. A
+# metric whose relative change exceeds its BENCHMARK.json bound is flagged
+# WORSE. Stops at the first run that fails.
 set -euo pipefail
 
 usage="usage: scripts/bench_pairs.sh BASE_REV WORKLOAD SEED..."
@@ -43,6 +45,7 @@ run() {
 report() {
     python3 - "$root/BENCHMARK.json" "$keep" "$@" <<'EOF'
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -62,16 +65,21 @@ if mode == "pair":
         print(f"  {m['name']:24s} {base[m['name']]!r:>24s} {change[m['name']]!r:>24s}")
     sys.exit(0)
 pairs = [(metrics("base", s), metrics("change", s)) for s in seeds]
-print(f"{f'{len(pairs)} pairs':22s} {'base median':>14s}{'iqr':>12s} {'change median':>14s}{'iqr':>12s}  won")
+print(f"{f'{len(pairs)} pairs':22s} {'base median':>14s}{'iqr':>12s} {'change median':>14s}{'iqr':>12s}"
+      f" {'worse by':>10s}  won")
 for m in declared:
     name, sign = m["name"], 1 if m["better"] == "lower" else -1
-    row = [f"{name:22s}"]
+    row, medians = [f"{name:22s}"], []
     for side in (0, 1):
         values = [p[side][name] for p in pairs]
         q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else [values[0]] * 3
-        row.append(f"{statistics.median(values):14.6g}{q[2] - q[0]:12.4g}")
+        medians.append(statistics.median(values))
+        row.append(f"{medians[-1]:14.6g}{q[2] - q[0]:12.4g}")
+    diff = sign * (medians[1] - medians[0])
+    worse = 0.0 if diff == 0 else diff / abs(medians[0]) if medians[0] else math.copysign(math.inf, diff)
     won = sum(sign * (change[name] - base[name]) < 0 for base, change in pairs)
-    print(" ".join(row) + f"  {won}/{len(pairs)}")
+    flag = f"  WORSE than bound {m['bound']:g}" if worse > m["bound"] else ""
+    print(" ".join(row) + f" {worse:+10.2%}  {won}/{len(pairs)}{flag}")
 EOF
 }
 

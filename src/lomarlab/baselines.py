@@ -74,6 +74,14 @@ def fedavg(joint: ParamVector, rnd: Round) -> AggregationResult:
     return weighted_aggregate(joint, rnd, np.ones(len(rnd.ids), dtype=bool))
 
 
+def krum_window(n: int, assumed_malicious: int) -> int:
+    """Krum's peer window over n clients, n - assumed_malicious - 2; a ValueError below 1."""
+    window = n - assumed_malicious - 2
+    if window < 1:
+        raise ValueError(f"krum needs n - assumed_malicious - 2 >= 1, got n={n}, assumed={assumed_malicious}")
+    return window
+
+
 def _krum_select(rnd: Round, assumed_malicious: int):
     """Multi-Krum survivors as row positions, best first, and every row's negated score.
 
@@ -85,9 +93,7 @@ def _krum_select(rnd: Round, assumed_malicious: int):
     n = len(rnd.ids)
     if assumed_malicious < 0:
         raise ValueError("assumed_malicious must be >= 0")
-    window = n - assumed_malicious - 2
-    if window < 1:
-        raise ValueError(f"krum needs n - assumed_malicious - 2 >= 1, got n={n}, assumed={assumed_malicious}")
+    window = krum_window(n, assumed_malicious)
     d = sq_dist_matrix(rnd.deltas)
     np.fill_diagonal(d, np.inf)
     totals = np.sum(np.sort(d, axis=1)[:, :window], axis=1)

@@ -24,7 +24,7 @@ import yaml
 
 from .attacks import AttackConfig, boost_update, build_malicious_shards
 from .baselines import (FG_KRUM_ORDERS, AggregationResult, coordinate_median, fedavg, fg_krum,
-                        foolsgold, krum, weighted_aggregate)
+                        foolsgold, krum, krum_window, weighted_aggregate)
 from .data import DataShard, PartitionPlan, check_synth, load_idx, partition, synth_gaussian
 from .lomar import KdeConfig, lomar_run
 from .metrics import RocPoint, RoundRecord, confusion_counts, eval_accuracy, roc_from_scores
@@ -79,27 +79,6 @@ class DatasetConfig:
             check_synth(self.num_labels, self.input_dim, self.per_label_count, self.spread)
             if not 0.0 < self.test_fraction < 1.0:
                 raise ConfigError("test_fraction must be in (0, 1)")
-
-
-@dataclass(frozen=True)
-class ModelSection:
-    kind: str = "logistic"
-    hidden_dim: int | None = None
-    learning_rate: float = 0.05
-    local_epochs: int = 5
-    batch_size: int = 20
-    input_dim: int | None = None
-    num_labels: int | None = None
-
-    def to_spec(self, input_dim: int, num_labels: int) -> ModelSpec:
-        if self.input_dim is not None and self.input_dim != input_dim:
-            raise ConfigError(f"model input_dim {self.input_dim} != dataset input dim {input_dim}")
-        if self.num_labels is not None and self.num_labels != num_labels:
-            raise ConfigError(f"model num_labels {self.num_labels} != dataset label count {num_labels}")
-        try:
-            return ModelSpec(**{**asdict(self), "input_dim": input_dim, "num_labels": num_labels})
-        except ValueError as exc:
-            raise ConfigError(f"section 'model': {exc}") from exc
 
 
 def _assumed_malicious(cfg: ExperimentConfig) -> int:
@@ -164,7 +143,7 @@ class EvalSection:
 class ExperimentConfig:
     num_clean: int
     dataset: DatasetConfig = DatasetConfig()
-    model: ModelSection = ModelSection()
+    model: ModelSpec = ModelSpec()
     partition: PartitionPlan = PartitionPlan()
     attack: AttackConfig = AttackConfig()
     defense: DefenseConfig = DefenseConfig()
@@ -185,17 +164,27 @@ class ExperimentConfig:
         assumed = _assumed_malicious(self)
         if assumed < 0:
             raise ConfigError("assumed_malicious must be >= 0")
-        # Krum scores each client over its n - assumed - 2 nearest peers;
-        # fg_first instead clamps assumed to the FoolsGold survivors.
+        # fg_first clamps assumed to the FoolsGold survivors instead.
         d = self.defense
         if d.kind == "krum" or (d.kind == "fg_krum" and d.fg_krum_order == "krum_first"):
-            clients = self.num_clean + self.attack.malicious_count
-            if clients - assumed - 2 < 1:
-                raise ConfigError(f"krum needs clients - assumed_malicious - 2 >= 1, "
-                                  f"got {clients} clients and assumed_malicious {assumed}")
+            krum_window(self.num_clean + self.attack.malicious_count, assumed)
         # An IDX dataset's dims are known only once its files are read.
         if self.dataset.kind == "synth":
-            self.model.to_spec(self.dataset.input_dim, self.dataset.num_labels)
+            self.fit(self.dataset.input_dim, self.dataset.num_labels)
+
+    def fit(self, input_dim: int, num_labels: int) -> ModelSpec:
+        """The model at the data's dims: a ConfigError if an eval or flip label
+        lies outside [0, num_labels) or the model sets a dim the data lacks."""
+        labels = [self.eval.target_label, self.eval.source_label]
+        if self.attack.kind != "none":
+            labels += [label for pair in self.attack.flip_pairs for label in pair]
+        outside = sorted({label for label in labels if label is not None and not 0 <= label < num_labels})
+        if outside:
+            raise ConfigError(f"labels {outside} outside the dataset's {num_labels} labels")
+        try:
+            return self.model.fit(input_dim, num_labels)
+        except ValueError as exc:
+            raise ConfigError(f"section 'model': {exc}") from exc
 
     def eval_labels(self) -> tuple[int | None, int | None]:
         """Evaluation labels: the attack's victim class and its impersonated class.
@@ -283,10 +272,9 @@ def load_config(path) -> ExperimentConfig:
 
 def resolved_config_dict(cfg: ExperimentConfig, model: ModelSpec) -> dict:
     """cfg as load_config reads it back: the model and eval labels resolved, no output_dir."""
-    resolved = asdict(cfg)
+    resolved = asdict(replace(cfg, model=model, eval=EvalSection(*cfg.eval_labels())))
     del resolved["output_dir"]
-    target, source = cfg.eval_labels()
-    return {**resolved, "model": asdict(model), "eval": {"target_label": target, "source_label": source}}
+    return resolved
 
 
 @dataclass
@@ -331,16 +319,7 @@ def initialize_state(cfg: ExperimentConfig, seed: int | None = None) -> Experime
                                         radius=ds.radius)
     else:
         (train_x, train_y), (test_x, test_y) = _load_mnist_dir(ds.dir)
-    input_dim = train_x.shape[1]
-    num_labels = int(max(train_y.max(), test_y.max())) + 1
-    model = cfg.model.to_spec(input_dim, num_labels)
-
-    labels = [cfg.eval.target_label, cfg.eval.source_label]
-    if cfg.attack.kind != "none":
-        labels += [label for pair in cfg.attack.flip_pairs for label in pair]
-    outside = sorted({label for label in labels if label is not None and not 0 <= label < num_labels})
-    if outside:
-        raise ConfigError(f"labels {outside} outside the dataset's {num_labels} labels")
+    model = cfg.fit(train_x.shape[1], int(max(train_y.max(), test_y.max())) + 1)
     shards = partition(train_x, train_y, cfg.num_clean, cfg.partition,
                        np.random.SeedSequence([cfg.seed, TAG_PARTITION]))
     shards += build_malicious_shards(cfg.attack, train_x, train_y,

@@ -9,7 +9,7 @@ weight delta produced by E local epochs from the incoming joint model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,8 +25,8 @@ class ModelSpec:
     """Architecture and local-training hyperparameters shared by all clients."""
 
     kind: str = "logistic"
-    input_dim: int = 784
-    num_labels: int = 10
+    input_dim: int | None = None  # None: taken from the data by fit
+    num_labels: int | None = None
     hidden_dim: int | None = None
     learning_rate: float = 0.05
     local_epochs: int = 5
@@ -35,7 +35,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.input_dim < 1 or self.num_labels < 2:
+        if self.input_dim is not None and self.input_dim < 1 or self.num_labels is not None and self.num_labels < 2:
             raise ValueError("need input_dim >= 1 and num_labels >= 2")
         if self.kind == "mlp" and (self.hidden_dim is None or self.hidden_dim < 1):
             raise ValueError("mlp needs hidden_dim >= 1")
@@ -45,6 +45,13 @@ class ModelSpec:
             raise ValueError("learning_rate must be >= 0")
         if self.local_epochs < 1 or self.batch_size < 1:
             raise ValueError("need local_epochs >= 1 and batch_size >= 1")
+
+    def fit(self, input_dim: int, num_labels: int) -> ModelSpec:
+        """This spec at the data's dims; a ValueError if a dim it already sets differs."""
+        for name, value in (("input_dim", input_dim), ("num_labels", num_labels)):
+            if getattr(self, name) not in (None, value):
+                raise ValueError(f"model {name} {getattr(self, name)} != the data's {value}")
+        return replace(self, input_dim=input_dim, num_labels=num_labels)
 
     @property
     def output_fan_in(self) -> int:
@@ -155,9 +162,17 @@ def _gradient(views, grad, x: np.ndarray, onehot: np.ndarray, p_true=None):
         np.add.reduce(dhidden, axis=0, out=gb1)
 
 
+def _check_labels(y: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """y as int64 labels, or a ValueError if one lies outside [0, num_labels)."""
+    y = np.asarray(y, dtype=np.int64)
+    if y.min() < 0 or y.max() >= spec.num_labels:
+        raise ValueError(f"labels out of range: the model takes [0, {spec.num_labels})")
+    return y
+
+
 def loss_and_grad(params: ParamVector, spec: ModelSpec, x: np.ndarray, y: np.ndarray):
     """Mean cross-entropy over the batch and its gradient as a ParamVector."""
-    x, onehot = np.asarray(x, dtype=np.float64), np.eye(spec.num_labels)[np.asarray(y, dtype=np.int64)]
+    x, onehot = np.asarray(x, dtype=np.float64), np.eye(spec.num_labels)[_check_labels(y, spec)]
     grad, p_true = np.empty_like(params.values), np.empty(len(x))
     _gradient(_unpack(params.values, spec), _unpack(grad, spec), x, onehot, p_true)
     return -np.mean(np.log(np.clip(p_true, 1e-300, None))), ParamVector(grad, params.layout)
@@ -174,14 +189,13 @@ def local_train(joint: ParamVector, shard, spec: ModelSpec, rng_seed) -> np.ndar
     multi-epoch call exactly, since the permutation stream is consumed in
     order.
     """
-    x, rows, y = shard.pool, shard.rows, shard.labels
+    x, rows = shard.pool, shard.rows
     n = len(rows)
     if n == 0:
         raise ValueError("empty shard")
     if x.shape[1] != spec.input_dim:
         raise ValueError(f"shard feature dim {x.shape[1]} != input_dim {spec.input_dim}")
-    if y.min() < 0 or y.max() >= spec.num_labels:
-        raise ValueError("shard labels out of range for the model")
+    y = _check_labels(shard.labels, spec)
     rng = np.random.default_rng(rng_seed)
     work, grad = joint.values.copy(), np.empty_like(joint.values)
     views, grad_views = _unpack(work, spec), _unpack(grad, spec)

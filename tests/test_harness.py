@@ -218,6 +218,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="assumed_malicious"):
             config_from_dict(base_dict(defense={"kind": "krum", "assumed_malicious": 9}))
 
+    def test_synth_labels_checked_before_the_pool_is_drawn(self, monkeypatch):
+        monkeypatch.setattr(harness, "synth_gaussian", lambda *a, **k: pytest.fail("pool drawn"))
+        raw = base_dict()
+        raw["attack"]["flip_pairs"] = [[0, 5]]
+        with pytest.raises(ConfigError, match=r"labels \[5\] outside the dataset's 2 labels"):
+            config_from_dict(raw)
+
     def test_fg_first_needs_only_nonnegative_assumed_malicious(self):
         # fg_first clamps the value to its FoolsGold survivors at run time
         defense = {"kind": "fg_krum", "fg_krum_order": "fg_first", "assumed_malicious": 10}
@@ -313,7 +320,8 @@ class TestInitializeState:
         with pytest.raises(ConfigError, match="outside"):
             initialize_state(config_from_dict(raw))
 
-    def test_mnist_model_checked_after_reading_files(self, tmp_path):
+    def test_mnist_model_checked_after_reading_files(self, tmp_path, monkeypatch):
+        # the hyperparameters are checked at load; the dims once the files are read
         images = np.zeros((6, 2, 2), dtype=np.uint8)
         labels = np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8)
         files = harness.MNIST_FILES
@@ -322,9 +330,14 @@ class TestInitializeState:
             (tmp_path / files[labels_key]).write_bytes(struct.pack(">II", 2049, 6) + labels.tobytes())
         raw = base_dict(dataset={"kind": "mnist", "dir": str(tmp_path)})
         raw["model"]["learning_rate"] = -1
-        cfg = config_from_dict(raw)  # the model's dims come from the files
-        with pytest.raises(ConfigError, match="learning_rate"):
-            initialize_state(cfg)
+        with monkeypatch.context() as patched:
+            patched.setattr(harness, "load_idx", lambda *a, **k: pytest.fail("a file was read"))
+            with pytest.raises(ConfigError, match="learning_rate"):
+                config_from_dict(raw)
+        for dim in ("input_dim", "num_labels"):
+            cfg = config_from_dict({**raw, "model": {"learning_rate": 0.1, dim: 3}})
+            with pytest.raises(ConfigError, match=f"{dim} 3 != the data's"):
+                initialize_state(cfg)  # 4 input dims and 2 labels are only in the files
 
     def test_model_dim_mismatch(self):
         raw = base_dict()

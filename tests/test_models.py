@@ -56,6 +56,30 @@ class TestLayoutCounting:
             ModelSpec(num_labels=1)
 
 
+class TestFitToData:
+    @pytest.mark.parametrize("dims", [{"input_dim": 0}, {"num_labels": 1}], ids=["input-dim-0", "num-labels-1"])
+    def test_a_set_dim_is_range_checked(self, dims):
+        with pytest.raises(ValueError, match="need input_dim >= 1 and num_labels >= 2"):
+            ModelSpec(**dims)
+
+    def test_unset_dims_come_from_the_data(self):
+        spec = ModelSpec(kind="mlp", hidden_dim=3, learning_rate=0.2)
+        assert spec.input_dim is None and spec.num_labels is None
+        assert spec.fit(5, 4) == ModelSpec(kind="mlp", input_dim=5, num_labels=4, hidden_dim=3, learning_rate=0.2)
+
+    def test_fit_keeps_a_dim_that_matches_the_data(self):
+        assert ModelSpec(input_dim=5).fit(5, 4) == ModelSpec(input_dim=5, num_labels=4)
+        assert ModelSpec(num_labels=4).fit(5, 4) == ModelSpec(input_dim=5, num_labels=4)
+
+    @pytest.mark.parametrize("spec, match", [
+        pytest.param(ModelSpec(input_dim=6), "input_dim 6 != the data's 5", id="input-dim"),
+        pytest.param(ModelSpec(num_labels=3), "num_labels 3 != the data's 4", id="num-labels"),
+    ])
+    def test_fit_rejects_a_dim_the_data_does_not_have(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            spec.fit(5, 4)
+
+
 class TestSingleStep:
     def test_exact_one_sample_delta(self):
         # From zero weights the probabilities are exactly [0.5, 0.5], so every
@@ -351,6 +375,15 @@ class TestValidation:
             local_train(spec.init_params(),
                         DataShard(np.zeros((2, 3)), np.empty(0, dtype=int), np.empty(0, dtype=int), owner=0),
                         spec, 1)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_labels_outside_the_model_rejected(self, bad):
+        spec = logistic_spec(num_labels=3)
+        x, y = np.zeros((2, 3)), np.array([0, bad])
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            loss_and_grad(spec.init_params(), spec, x, y)
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            local_train(spec.init_params(), whole_pool_shard(x, y, owner=0), spec, 1)
 
     def test_large_logits_stay_finite(self):
         spec = logistic_spec()
