@@ -74,10 +74,10 @@ def make_flipped_shard(pool_features: np.ndarray, pool_labels: np.ndarray, sampl
     source-label samples relabelled to the target plus uniform untouched
     draws for the remainder.
 
-    Draws are without replacement within this shard; raises when the source
-    pool cannot cover the flipped portion.
+    Draws are without replacement within this shard, and the rows stay in draw
+    order (flipped first); raises when the source pool cannot cover the flipped
+    portion.
     """
-    pool_features = np.asarray(pool_features, dtype=np.float64)
     pool_labels = np.asarray(pool_labels, dtype=np.int64)
     src, tgt = pair
     if not 0.0 < tau <= 1.0:
@@ -104,8 +104,7 @@ def make_flipped_shard(pool_features: np.ndarray, pool_labels: np.ndarray, sampl
 
     rows = np.concatenate([flip_idx, rand_idx])
     labels = np.concatenate([np.full(n_flip, tgt, dtype=np.int64), pool_labels[rand_idx]])
-    order = rng.permutation(samples)
-    return DataShard(pool_features, rows[order], labels[order], owner=owner, role=ROLE_MALICIOUS)
+    return DataShard(pool_features, rows, labels, owner=owner, role=ROLE_MALICIOUS)
 
 
 def boost_update(delta: np.ndarray, boost_factor: float) -> np.ndarray:

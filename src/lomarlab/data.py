@@ -7,7 +7,8 @@ major label: ceil(lambda*l) samples of that label plus uniform draws for the
 rest. Draws are disjoint across clients while supply lasts; when a plan
 oversubscribes the pool the remainder is drawn with replacement and the shard
 is flagged. A shard holds row indices into the one shared feature array, never
-a copy of its rows.
+a copy of its rows. The synthetic pool is float32 and IDX pixels are float64;
+training and evaluation widen what they read to float64.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class DataShard:
-    """One client's local training set: row indices into the shared feature array
-    `pool` (a reference, never a copy), plus labels, which a malicious shard rewrites."""
+    """One client's local training set: row indices into the shared float32 or float64
+    feature array `pool` (a reference, never a copy), plus labels, which a malicious
+    shard rewrites."""
 
     pool: np.ndarray
     rows: np.ndarray
@@ -45,7 +47,9 @@ class DataShard:
     used_replacement: bool = False
 
     def __post_init__(self):
-        self.pool = np.asarray(self.pool, dtype=np.float64)
+        self.pool = np.asarray(self.pool)
+        if self.pool.dtype not in (np.float32, np.float64):
+            raise ValueError(f"pool dtype {self.pool.dtype} is neither float32 nor float64")
         self.rows = np.asarray(self.rows, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.pool.ndim != 2 or self.rows.ndim != 1 or self.labels.ndim != 1:
@@ -134,20 +138,21 @@ def synth_gaussian(num_labels: int, input_dim: int, per_label_count: int, spread
                    radius: float = 3.0):
     """Isotropic Gaussian blobs, one per label, in shuffled order. Returns (features, labels).
 
-    Row i is the center of labels[i] plus spread times the i-th noise draw. The
-    noise is drawn before the label shuffle, scaled in place, and shifted only in
-    the dims the centers occupy, so the pool is the one array of its size.
+    Row i is the center of labels[i] plus spread times the i-th noise draw, all in
+    float32. The noise is drawn before the label shuffle, scaled in place, and
+    shifted only in the dims the centers occupy, so the pool is the one array of
+    its size.
     """
     check_synth(num_labels, input_dim, per_label_count, spread)
     rng = np.random.default_rng(seed)
     count = num_labels * per_label_count
     if spread > 0:
-        features = rng.standard_normal((count, input_dim))
-        features *= spread
+        features = rng.standard_normal((count, input_dim), dtype=np.float32)
+        features *= np.float32(spread)
     else:
-        features = np.zeros((count, input_dim))
+        features = np.zeros((count, input_dim), dtype=np.float32)
     labels = np.repeat(np.arange(num_labels, dtype=np.int64), per_label_count)[rng.permutation(count)]
-    centers = _class_means(num_labels, input_dim, radius)
+    centers = _class_means(num_labels, input_dim, radius).astype(np.float32)
     features[:, :centers.shape[1]] += centers[labels]
     return features, labels
 
@@ -178,12 +183,12 @@ def partition(features: np.ndarray, labels: np.ndarray, num_clients: int, plan: 
               seed) -> list[DataShard]:
     """Split (features, labels) into num_clients shards of row indices into features.
 
-    Major labels go round-robin over the labels present. Raises on any
+    Major labels go round-robin over the labels present; a shard's rows stay in
+    draw order, since local training shuffles every epoch. Raises on any
     shortfall while allow_replacement=False.
     """
     if num_clients < 1:
         raise ValueError("need num_clients >= 1")
-    features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     total = labels.shape[0]
     if total == 0:
@@ -222,6 +227,5 @@ def partition(features: np.ndarray, labels: np.ndarray, num_clients: int, plan: 
                 flagged = True
 
         idx = np.concatenate(picked)
-        idx = idx[rng.permutation(len(idx))]
         shards.append(DataShard(features, idx, labels[idx], owner=client, used_replacement=flagged))
     return shards

@@ -16,6 +16,7 @@ import numpy as np
 from .params import ParamLayout, ParamVector
 
 MODEL_KINDS = ("logistic", "mlp")
+EVAL_CHUNK_ROWS = 1024  # predict widens this many rows to float64 at a time
 ROLE_CLEAN = "clean"
 ROLE_MALICIOUS = "malicious"
 
@@ -56,6 +57,8 @@ class ModelSpec:
     @property
     def output_fan_in(self) -> int:
         """Inputs to each label's logit: the features, or the hidden units."""
+        if self.input_dim is None or self.num_labels is None:
+            raise ValueError("model dims are unset: call fit(input_dim, num_labels) first")
         return self.input_dim if self.kind == "logistic" else self.hidden_dim
 
     def layout(self) -> ParamLayout:
@@ -129,13 +132,18 @@ def predict(joint: ParamVector, features: np.ndarray, spec: ModelSpec) -> np.nda
     """Argmax label(s); ties resolve to the lowest label index.
 
     Accepts a single feature vector or a batch; returns an int64 scalar array
-    element or a 1-D label array to match.
+    element or a 1-D label array to match. The batch is evaluated in chunks of
+    EVAL_CHUNK_ROWS rows, each widened to float64, so a float32 test set is
+    never copied whole.
     """
     single = np.ndim(features) == 1
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    x = np.atleast_2d(features)
     if x.shape[1] != spec.input_dim:
         raise ValueError(f"feature dim {x.shape[1]} != input_dim {spec.input_dim}")
-    labels = np.argmax(_logits(_unpack(joint.values, spec), x)[1], axis=1)
+    views, labels = _unpack(joint.values, spec), np.empty(len(x), dtype=np.int64)
+    for start in range(0, len(x), EVAL_CHUNK_ROWS):
+        chunk = slice(start, start + EVAL_CHUNK_ROWS)
+        np.argmax(_logits(views, x[chunk].astype(np.float64, copy=False))[1], axis=1, out=labels[chunk])
     return labels[0] if single else labels
 
 
@@ -182,7 +190,8 @@ def local_train(joint: ParamVector, shard, spec: ModelSpec, rng_seed) -> np.ndar
     """Run E epochs of minibatch SGD from the joint model, return the delta array.
 
     shard is a data.DataShard. Each epoch gathers its shuffled pool row indices
-    and one-hot labels once; each batch gathers its feature rows from shard.pool.
+    and one-hot labels once; each batch gathers its feature rows from shard.pool
+    and widens them to float64.
 
     rng_seed may be an int, a numpy SeedSequence, or a Generator. Passing the
     same Generator object across successive single-epoch calls reproduces one
@@ -204,7 +213,8 @@ def local_train(joint: ParamVector, shard, spec: ModelSpec, rng_seed) -> np.ndar
         epoch_rows, onehot = rows[order], np.eye(spec.num_labels).take(y[order], axis=0)
         for start in range(0, n, spec.batch_size):
             batch = slice(start, start + spec.batch_size)
-            _gradient(views, grad_views, x.take(epoch_rows[batch], axis=0), onehot[batch])
+            _gradient(views, grad_views, x.take(epoch_rows[batch], axis=0).astype(np.float64, copy=False),
+                      onehot[batch])
             grad *= spec.learning_rate
             work -= grad
     work -= joint.values

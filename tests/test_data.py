@@ -104,20 +104,22 @@ class TestSynth:
 
 
 def synth_reference(num_labels, input_dim, per_label_count, spread, seed, radius=3.0):
-    """The out-of-place construction: each row is the full-width center of its
-    label plus spread times its own noise draw."""
+    """The out-of-place construction in float32: each row is the full-width center
+    of its label, rounded to float32, plus float32 spread times its own float32
+    noise draw."""
     rng = np.random.default_rng(seed)
     count = num_labels * per_label_count
-    noise = rng.standard_normal((count, input_dim)) if spread > 0 else np.zeros((count, input_dim))
+    noise = rng.standard_normal((count, input_dim), dtype=np.float32) if spread > 0 \
+        else np.zeros((count, input_dim), dtype=np.float32)
     labels = np.repeat(np.arange(num_labels, dtype=np.int64), per_label_count)[rng.permutation(count)]
-    centers = np.zeros((num_labels, input_dim))
+    centers = np.zeros((num_labels, input_dim), dtype=np.float32)
     if input_dim == 1:
         centers[:, 0] = radius * np.arange(num_labels)
     else:
         angles = 2.0 * np.pi * np.arange(num_labels) / num_labels
         centers[:, 0] = radius * np.cos(angles)
         centers[:, 1] = radius * np.sin(angles)
-    return centers[labels] + spread * noise, labels
+    return centers[labels] + np.float32(spread) * noise, labels
 
 
 class TestSynthInPlace:
@@ -127,12 +129,15 @@ class TestSynthInPlace:
         seed = np.random.SeedSequence([5, input_dim])
         x, y = synth_gaussian(3, input_dim, 17, spread, seed, radius=2.5)
         want_x, want_y = synth_reference(3, input_dim, 17, spread, seed, radius=2.5)
-        assert x.dtype == np.float64 and x.flags.c_contiguous
+        assert x.dtype == want_x.dtype == np.float32 and x.flags.c_contiguous
         assert np.array_equal(x, want_x)
         assert np.array_equal(y, want_y)
 
     def test_peak_is_the_pool(self):
-        # a full-width centers[labels] gather, or a second pool, would show here
+        # a full-width centers[labels] gather, a float64 add into the float32 pool,
+        # or a second pool, would show here; the warm-up call keeps first-use
+        # import allocations out of the window
+        synth_gaussian(10, 100, 200, 1.0, seed=2)
         tracemalloc.start()
         try:
             x, _ = synth_gaussian(10, 100, 200, 1.0, seed=2)
@@ -290,6 +295,14 @@ class TestPartition:
         with pytest.raises(ValueError, match="role"):
             DataShard(pool, [0], [0], owner=0, role="confused")
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.uint8, np.complex128])
+    def test_pool_dtype_is_float32_or_float64(self, dtype):
+        for ok in (np.float32, np.float64):
+            pool = np.zeros((3, 2), dtype=ok)
+            assert DataShard(pool, [0, 2], [0, 1], owner=0).pool is pool
+        with pytest.raises(ValueError, match=f"pool dtype {np.dtype(dtype).name} is neither"):
+            DataShard(np.zeros((3, 2), dtype=dtype), [0, 2], [0, 1], owner=0)
+
 
 def choice_partition(labels, num_clients, plan, seed):
     """partition's draws with the shortfall taken by rng.choice(..., replace=True).
@@ -317,7 +330,6 @@ def choice_partition(labels, num_clients, plan, seed):
                     picked.append(rng.choice(population, size=count - len(picked[-1]), replace=True))
                     flagged = True
         idx = np.concatenate(picked)
-        idx = idx[rng.permutation(len(idx))]
         out.append((idx, labels[idx], flagged))
     return out
 

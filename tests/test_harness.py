@@ -54,6 +54,14 @@ def base_dict(**overrides):
     return raw
 
 
+def write_mnist_dir(directory, images, labels):
+    """Write uint8 (n, rows, cols) images and their labels as the train and the test IDX pairs."""
+    files, (count, rows, cols) = harness.MNIST_FILES, images.shape
+    for images_key, labels_key in [("train_images", "train_labels"), ("test_images", "test_labels")]:
+        (directory / files[images_key]).write_bytes(struct.pack(">IIII", 2051, count, rows, cols) + images.tobytes())
+        (directory / files[labels_key]).write_bytes(struct.pack(">II", 2049, count) + labels.tobytes())
+
+
 OUTPUT_FILES = ("rounds.csv", "summary.json", "config_resolved.yaml", "scores.csv", "roc_points.csv")
 
 
@@ -295,6 +303,27 @@ class TestInitializeState:
             assert shard.rows.dtype == np.int64 and shard.rows.ndim == 1
             assert shard.labels.dtype == np.int64 and shard.labels.shape == shard.rows.shape
 
+    @pytest.mark.parametrize("kind, dtype", [("synth", np.float32), ("mnist", np.float64)])
+    def test_every_shard_shares_the_training_pool(self, tmp_path, monkeypatch, kind, dtype):
+        # a per-shard cast of the pool would copy it once per client
+        loaded = []
+        for name in ("synth_gaussian", "load_idx"):
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *a, real=real, **k: loaded.append(real(*a, **k)) or loaded[-1])
+        raw = base_dict()
+        if kind == "mnist":
+            rng = np.random.default_rng(4)
+            write_mnist_dir(tmp_path, rng.integers(0, 256, size=(120, 2, 2), dtype=np.uint8),
+                            np.tile(np.array([0, 1], dtype=np.uint8), 60))
+            raw["dataset"] = {"kind": "mnist", "dir": str(tmp_path)}
+        state = initialize_state(config_from_dict(raw))
+        train = loaded[0][0]
+        assert train.dtype == dtype and state.test_features.dtype == dtype
+        assert state.malicious.tolist() == [False] * 8 + [True] * 3
+        for shard in state.shards:
+            assert shard.pool.dtype == dtype and shard.pool.shape == train.shape
+            assert np.shares_memory(shard.pool, train)
+
     def test_model_spec_inferred_from_data(self):
         state = initialize_state(config_from_dict(base_dict()))
         assert state.model.input_dim == 4
@@ -322,12 +351,7 @@ class TestInitializeState:
 
     def test_mnist_model_checked_after_reading_files(self, tmp_path, monkeypatch):
         # the hyperparameters are checked at load; the dims once the files are read
-        images = np.zeros((6, 2, 2), dtype=np.uint8)
-        labels = np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8)
-        files = harness.MNIST_FILES
-        for images_key, labels_key in [("train_images", "train_labels"), ("test_images", "test_labels")]:
-            (tmp_path / files[images_key]).write_bytes(struct.pack(">IIII", 2051, 6, 2, 2) + images.tobytes())
-            (tmp_path / files[labels_key]).write_bytes(struct.pack(">II", 2049, 6) + labels.tobytes())
+        write_mnist_dir(tmp_path, np.zeros((6, 2, 2), dtype=np.uint8), np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8))
         raw = base_dict(dataset={"kind": "mnist", "dir": str(tmp_path)})
         raw["model"]["learning_rate"] = -1
         with monkeypatch.context() as patched:

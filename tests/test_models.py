@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lomarlab.data import DataShard
 from lomarlab.models import (
+    EVAL_CHUNK_ROWS,
     ModelSpec,
     Round,
     local_train,
@@ -78,6 +81,17 @@ class TestFitToData:
     def test_fit_rejects_a_dim_the_data_does_not_have(self, spec, match):
         with pytest.raises(ValueError, match=match):
             spec.fit(5, 4)
+
+
+    @pytest.mark.parametrize("spec", [ModelSpec(), ModelSpec(input_dim=5), ModelSpec(num_labels=3),
+                                      ModelSpec(kind="mlp", hidden_dim=3, num_labels=4)],
+                             ids=["no-dims", "no-labels", "no-input-dim", "mlp-no-input-dim"])
+    @pytest.mark.parametrize("use", [lambda spec: spec.layout(), lambda spec: spec.init_params(),
+                                     lambda spec: spec.output_fan_in],
+                             ids=["layout", "init_params", "output_fan_in"])
+    def test_an_unfitted_spec_says_to_fit(self, spec, use):
+        with pytest.raises(ValueError, match=r"call fit\(input_dim, num_labels\) first"):
+            use(spec)
 
 
 class TestSingleStep:
@@ -220,6 +234,21 @@ class TestTrainingMatchesReference:
         assert got.shape == (joint.layout.size,)
         assert not np.array_equal(want, np.zeros_like(want))
 
+    @pytest.mark.parametrize("spec", [logistic_spec(num_labels=3, local_epochs=3, batch_size=5, learning_rate=0.3),
+                                      mlp_spec(num_labels=3, local_epochs=3, batch_size=5, learning_rate=0.3)],
+                             ids=["logistic", "mlp"])
+    def test_a_float32_pool_trains_as_its_float64_widening(self, spec):
+        # each gathered batch is widened to float64, so the arithmetic is the float64 pool's
+        rng = np.random.default_rng(53)
+        pool = rng.normal(size=(40, spec.input_dim)).astype(np.float32)
+        rows, labels = rng.permutation(40)[:23], rng.integers(0, 3, size=23)
+        joint = ParamVector(rng.normal(scale=0.5, size=spec.layout().size), spec.layout())
+        got = local_train(joint, DataShard(pool, rows, labels, owner=4), spec, 11)
+        wide = DataShard(pool.astype(np.float64), rows, labels, owner=4)
+        assert np.array_equal(got, local_train(joint, wide, spec, 11))
+        assert np.array_equal(got, reference_train(joint, DataShard(pool, rows, labels, owner=4), spec, 11))
+        assert not np.array_equal(got, np.zeros_like(got))
+
     @pytest.mark.parametrize("spec", [logistic_spec(num_labels=3), mlp_spec(num_labels=3)],
                              ids=["logistic", "mlp"])
     @pytest.mark.parametrize("batch", [1, 5, 23])
@@ -315,7 +344,51 @@ class TestGradients:
         assert after < before
 
 
+def reference_predict(params, spec, x):
+    """Argmax of the logits of the whole batch at once, in float64."""
+    x = np.asarray(x, dtype=np.float64)
+    m, r, d = spec.output_fan_in, spec.num_labels, spec.input_dim
+    split = r * (m + 1)
+    blocks = params.values[:split].reshape(r, m + 1)
+    hidden = x
+    if spec.kind == "mlp":
+        w1, b1 = params.values[split: split + m * d].reshape(m, d), params.values[split + m * d:]
+        hidden = np.maximum(x @ w1.T + b1, 0.0)
+    return np.argmax(hidden @ blocks[:, :m].T + blocks[:, m], axis=1)
+
+
 class TestPredict:
+    @pytest.mark.parametrize("spec", [logistic_spec(input_dim=6, num_labels=5),
+                                      mlp_spec(input_dim=6, num_labels=5, hidden_dim=4)],
+                             ids=["logistic", "mlp"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunks_give_the_one_shot_labels(self, spec, dtype):
+        # three full chunks and a partial fourth
+        rng = np.random.default_rng(59)
+        x = rng.normal(size=(3 * EVAL_CHUNK_ROWS + 37, spec.input_dim)).astype(dtype)
+        params = ParamVector(rng.normal(size=spec.layout().size), spec.layout())
+        got, want = predict(params, x, spec), reference_predict(params, spec, x)
+        assert got.dtype == np.int64 and got.shape == (len(x),)
+        assert np.array_equal(got, want)
+        assert len(np.unique(got)) > 2  # not a constant or near-constant answer
+        single = predict(params, x[-1], spec)
+        assert single.shape == () and single == want[-1]
+
+    def test_a_float32_test_set_is_never_widened_whole(self):
+        spec = logistic_spec(input_dim=64, num_labels=3)
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=(4 * EVAL_CHUNK_ROWS, 64)).astype(np.float32)
+        params = ParamVector(rng.normal(size=spec.layout().size), spec.layout())
+        predict(params, x[:10], spec)
+        tracemalloc.start()
+        try:
+            predict(params, x, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 chunk is half of x; a whole float64 copy would be twice x
+        assert peak < 0.75 * x.nbytes
+
     def test_zero_params_tie_resolves_to_lowest_label(self):
         spec = logistic_spec(num_labels=4)
         x = np.random.default_rng(2).normal(size=(5, 3))
