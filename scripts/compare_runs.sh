@@ -8,7 +8,8 @@
 # configs/example.yaml, both perfbench workloads, and example.yaml with each of
 # the 14 overrides listed in `variants` (`noreplace` is the one config whose
 # partition draws without replacement; `minibatch` and `mlp_minibatch` train
-# several steps per epoch with a short last batch, 200 = 3 x 64 + 8 rows).
+# several steps per epoch with a short last batch, 200 = 3 x 64 + 8 rows;
+# `foolsgold` and `fg_first` train that way too, on iid shards).
 # Each tree also runs `lomarlab sweep --param epsilon --grid 0.8,1.0 --seed 7`
 # on example.yaml, then `lomarlab roc --from` on its epsilon_0.8 run, and
 # reruns the config_resolved.yaml that its own example.yaml run wrote (the
@@ -38,13 +39,17 @@ import yaml
 
 root, dest = Path(sys.argv[1]), Path(sys.argv[2])
 example = yaml.safe_load((root / "configs/example.yaml").read_text())
+# At example.yaml's own settings FoolsGold keeps no client, so its outputs would
+# not depend on the data or on training. With several steps per epoch on iid
+# shards it keeps some clean clients (from round 28 on at seed 7).
+FG_TRAINING = {"model": {"batch_size": 64, "local_epochs": 2}, "partition": {"lambda": 0.0}}
 variants = {
     "none": {"defense": {"kind": "none"}},
     "krum": {"defense": {"kind": "krum"}},
     "median": {"defense": {"kind": "median"}},
-    "foolsgold": {"defense": {"kind": "foolsgold"}},
+    "foolsgold": {"defense": {"kind": "foolsgold"}, **FG_TRAINING},
     "fg_krum": {"defense": {"kind": "fg_krum"}},
-    "fg_first": {"defense": {"kind": "fg_krum", "fg_krum_order": "fg_first"}},
+    "fg_first": {"defense": {"kind": "fg_krum", "fg_krum_order": "fg_first"}, **FG_TRAINING},
     "center_reference": {"defense": {"neighbor_density_mode": "center_reference"}},
     "gaussian_renormalize": {"defense": {"kernel": "gaussian"}, "renormalize_weights": True},
     "mlp": {"model": {"kind": "mlp", "hidden_dim": 5}},

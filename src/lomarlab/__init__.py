@@ -11,7 +11,6 @@ from .data import DataShard, IdxFormatError, PartitionPlan, load_idx, partition,
 from .harness import ConfigError, ExperimentConfig, load_config, run_experiment, run_round, run_sweep
 from .lomar import KdeConfig, LomarResult, ball_volume, false_alarm_bound, knn, lomar_run, sq_dist_matrix
 from .metrics import RocPoint, RoundRecord, confusion_counts, eval_accuracy, roc_from_scores
-from .models import ModelSpec, Round, local_train, loss_and_grad, predict
-from .params import LayoutError, ParamLayout, ParamVector
+from .models import ModelSpec, ParamLayout, ParamVector, Round, local_train, loss_and_grad, predict
 
 __version__ = "0.1.0"

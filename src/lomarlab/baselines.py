@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lomar import sq_dist_matrix
-from .models import Round
-from .params import ParamVector
+from .models import ParamVector, Round
 
 FG_KRUM_ORDERS = ("krum_first", "fg_first")
 
@@ -147,8 +146,17 @@ def foolsgold(joint: ParamVector, rnd: Round) -> AggregationResult:
 
     The new joint adds the credibility-weighted average of the deltas
     (weights normalized by their sum); an all-zero weight vector leaves the
-    joint unchanged.
+    joint unchanged. A row holding a NaN or inf gets weight 0, and the other
+    rows are weighted and summed as in the round without it.
     """
+    finite = np.isfinite(rnd.deltas).all(axis=1)
+    if not finite.all():
+        wv = np.zeros(len(finite))
+        if not finite.any():
+            return _apply_weights(joint, rnd, wv, scores=wv)
+        inner = foolsgold(joint, rnd.select(np.flatnonzero(finite)))
+        wv[finite] = inner.scores
+        return AggregationResult(inner.new_joint, wv > 0, wv)
     wv = _foolsgold_weights(rnd.deltas)
     total = float(wv.sum())
     return _apply_weights(joint, rnd, wv / total if total > 0 else wv, scores=wv)

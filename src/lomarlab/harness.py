@@ -28,8 +28,7 @@ from .baselines import (FG_KRUM_ORDERS, AggregationResult, coordinate_median, fe
 from .data import DataShard, PartitionPlan, check_synth, load_idx, partition, synth_gaussian
 from .lomar import KdeConfig, lomar_run
 from .metrics import RocPoint, RoundRecord, confusion_counts, eval_accuracy, roc_from_scores
-from .models import ROLE_CLEAN, ROLE_MALICIOUS, ModelSpec, Round, local_train
-from .params import ParamVector
+from .models import ROLE_CLEAN, ROLE_MALICIOUS, ModelSpec, ParamVector, Round, local_train
 
 # SeedSequence purpose tags; client order never feeds a stream.
 TAG_DATA = 0

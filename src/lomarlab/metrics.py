@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, predict
-from .params import ParamVector
+from .models import ModelSpec, ParamVector, predict
 
 
 @dataclass(frozen=True)

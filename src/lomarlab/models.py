@@ -13,12 +13,53 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import ParamLayout, ParamVector
-
 MODEL_KINDS = ("logistic", "mlp")
 EVAL_CHUNK_ROWS = 1024  # predict widens this many rows to float64 at a time
 ROLE_CLEAN = "clean"
 ROLE_MALICIOUS = "malicious"
+
+
+@dataclass(frozen=True)
+class ParamLayout:
+    """Per-label blocks of a flat parameter vector, the slices the density-ratio defense keys on.
+
+    Label r's block holds label_sizes[r] entries, in label order from index 0;
+    the shared_size label-independent entries come last.
+    """
+
+    label_sizes: tuple[int, ...]
+    shared_size: int = 0
+
+    def __post_init__(self):
+        if not self.label_sizes or min(self.label_sizes) < 1 or self.shared_size < 0:
+            raise ValueError(f"need label sizes >= 1 and shared_size >= 0, got {self.label_sizes}, {self.shared_size}")
+
+    @property
+    def num_labels(self) -> int:
+        return len(self.label_sizes)
+
+    @property
+    def size(self) -> int:
+        return sum(self.label_sizes) + self.shared_size
+
+    def label_slice(self, label: int) -> slice:
+        if not 0 <= label < self.num_labels:
+            raise ValueError(f"label {label} out of range for {self.num_labels} labels")
+        start = sum(self.label_sizes[:label])
+        return slice(start, start + self.label_sizes[label])
+
+
+@dataclass
+class ParamVector:
+    """A flat float64 parameter vector bound to a layout."""
+
+    values: np.ndarray
+    layout: ParamLayout
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.shape != (self.layout.size,):
+            raise ValueError(f"values of shape {self.values.shape} for layout size {self.layout.size}")
 
 
 @dataclass(frozen=True)
@@ -64,13 +105,12 @@ class ModelSpec:
     def layout(self) -> ParamLayout:
         block = self.output_fan_in + 1
         shared = 0 if self.kind == "logistic" else self.hidden_dim * (self.input_dim + 1)
-        ranges = tuple((r * block, (r + 1) * block) for r in range(self.num_labels))
-        total = self.num_labels * block
-        return ParamLayout(ranges, (total, total + shared))
+        return ParamLayout((block,) * self.num_labels, shared)
 
     def init_params(self) -> ParamVector:
         """Round-zero joint model: all zeros."""
-        return ParamVector.zeros(self.layout())
+        layout = self.layout()
+        return ParamVector(np.zeros(layout.size), layout)
 
 
 @dataclass(eq=False)

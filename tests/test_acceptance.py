@@ -25,8 +25,7 @@ from lomarlab.harness import (
 )
 from lomarlab.lomar import KdeConfig, ball_volume, false_alarm_bound, lomar_run
 from lomarlab.metrics import confusion_counts, roc_from_scores
-from lomarlab.models import ModelSpec, Round, loss_and_grad
-from lomarlab.params import ParamLayout, ParamVector
+from lomarlab.models import ModelSpec, ParamLayout, ParamVector, Round, loss_and_grad
 
 
 def report(criterion, failures):
@@ -51,9 +50,7 @@ def random_label_layout(rng, max_labels=3, max_dim=6):
     for _ in range(int(rng.integers(0, max_dim - num_labels + 1))):
         dims[int(rng.integers(num_labels))] += 1
     edges = np.concatenate([[0], np.cumsum(dims)])
-    ranges = tuple((int(a), int(b)) for a, b in zip(edges, edges[1:]))
-    total = int(edges[-1])
-    return ParamLayout(ranges, (total, total)), [(int(a), int(b)) for a, b in ranges]
+    return ParamLayout(tuple(dims.tolist())), [(int(a), int(b)) for a, b in zip(edges, edges[1:])]
 
 
 def test_criterion_1_oracle_equivalence():
@@ -246,7 +243,7 @@ def test_criterion_5_epsilon_sweep_shape(tmp_path):
     report(5, failures)
 
 
-LAYOUT_2x2 = ParamLayout(((0, 2), (2, 4)), (4, 4))
+LAYOUT_2x2 = ParamLayout((2, 2))
 
 
 def test_criterion_6_invariant_suite():
@@ -280,7 +277,7 @@ def test_criterion_6_invariant_suite():
           np.array_equal(permuted.log_factors, base.log_factors[perm]))
 
     # median boundedness: each joint coordinate stays inside the update range
-    joint = ParamVector.zeros(LAYOUT_2x2)
+    joint = ParamVector(np.zeros(LAYOUT_2x2.size), LAYOUT_2x2)
     med = coordinate_median(joint, rnd)
     delta = med.new_joint.values - joint.values
     check("median boundedness",

@@ -14,11 +14,10 @@ from lomarlab.baselines import (
     weighted_aggregate,
 )
 from lomarlab.lomar import KdeConfig, lomar_run
-from lomarlab.models import Round
-from lomarlab.params import ParamLayout, ParamVector
+from lomarlab.models import ParamLayout, ParamVector, Round
 
-LAYOUT_1 = ParamLayout(label_ranges=((0, 1),), shared_range=(1, 1))
-LAYOUT_2 = ParamLayout(label_ranges=((0, 1), (1, 2)), shared_range=(2, 2))
+LAYOUT_1 = ParamLayout((1,))
+LAYOUT_2 = ParamLayout((1, 1))
 
 
 def round_from(rows, layout=LAYOUT_2, samples=None, ids=None):
@@ -30,7 +29,7 @@ def round_from(rows, layout=LAYOUT_2, samples=None, ids=None):
 
 
 def zero_joint(layout=LAYOUT_2):
-    return ParamVector.zeros(layout)
+    return ParamVector(np.zeros(layout.size), layout)
 
 
 def foolsgold_weights_loop(vectors):
@@ -254,6 +253,30 @@ class TestFoolsGold:
         assert np.array_equal(res.new_joint.values, np.zeros(2))
         assert np.all(res.scores == 0.0)
 
+    @pytest.mark.parametrize("position", range(8))
+    def test_nan_row_is_ignored(self, position):
+        # eight 6-dim rows, at least three of whose weights lie strictly
+        # inside (0, 1), so the normalizing sum has real terms to reorder
+        layout = ParamLayout((3, 3))
+        rows = np.random.default_rng(2).normal(size=(8, 6)) + 0.3
+        rows[position, 4] = np.nan
+        joint = ParamVector(np.linspace(-1.0, 1.0, 6), layout)
+        res = foolsgold(joint, round_from(rows, layout))
+        others = np.delete(np.arange(8), position)
+        alone = foolsgold(joint, round_from(rows[others], layout, ids=others))
+        assert np.sum((alone.scores > 0.0) & (alone.scores < 1.0)) >= 3
+        assert not res.kept[position] and res.scores[position] == 0.0
+        assert np.array_equal(res.scores[others], alone.scores)
+        assert np.array_equal(res.kept[others], alone.kept)
+        assert np.array_equal(res.new_joint.values, alone.new_joint.values)
+
+    def test_all_nan_round_keeps_no_one(self):
+        joint = ParamVector([0.5, -0.25], LAYOUT_2)
+        res = foolsgold(joint, round_from(np.full((8, 2), np.nan)))
+        assert not res.kept.any()
+        assert np.all(res.scores == 0.0)
+        assert np.array_equal(res.new_joint.values, joint.values)
+
 
 class TestFgKrum:
     def spread_updates(self):
@@ -351,7 +374,7 @@ SHARED_STACKER_RULES = {
 }
 JOINT_RULES = {name: rule for name, rule in SHARED_STACKER_RULES.items() if name != "lomar_run"}
 # Same size as LAYOUT_2 but one label block, so only the layout check can tell them apart.
-LAYOUT_2_ONE_LABEL = ParamLayout(label_ranges=((0, 2),), shared_range=(2, 2))
+LAYOUT_2_ONE_LABEL = ParamLayout((2,))
 
 
 @pytest.mark.parametrize("rule", SHARED_STACKER_RULES.values(), ids=SHARED_STACKER_RULES.keys())
@@ -413,7 +436,7 @@ class TestSummationOrder:
     matrix product) would change the last bits.
     """
 
-    layout = ParamLayout(label_ranges=((0, 3), (3, 6)), shared_range=(6, 6))
+    layout = ParamLayout((3, 3))
 
     @pytest.fixture
     def rnd(self):
@@ -423,7 +446,7 @@ class TestSummationOrder:
         return round_from(rows, layout=self.layout, samples=rng.integers(1, 50, size=12).tolist())
 
     def zero(self):
-        return ParamVector.zeros(self.layout)
+        return zero_joint(self.layout)
 
     def test_fedavg_and_weighted_aggregate(self, rnd):
         joint = ParamVector(np.linspace(-0.7, 0.3, 6), self.layout)

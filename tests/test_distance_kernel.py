@@ -16,13 +16,11 @@ from hypothesis.extra.numpy import arrays
 from lomarlab import baselines, lomar
 from lomarlab.baselines import fg_krum, krum
 from lomarlab.lomar import KdeConfig, lomar_run, sq_dist_matrix
-from lomarlab.models import Round
-from lomarlab.params import ParamLayout, ParamVector
+from lomarlab.models import ParamLayout, ParamVector, Round
 
 # Ten 78-parameter label blocks plus a 5-parameter shared block: 785
 # parameters, a tenth of the 7,850 of a paper-scale logistic update.
-PAPER_LAYOUT = ParamLayout(label_ranges=tuple((78 * r, 78 * (r + 1)) for r in range(10)),
-                           shared_range=(780, 785))
+PAPER_LAYOUT = ParamLayout((78,) * 10, 5)
 
 
 def sq_dist_rows(matrix: np.ndarray) -> np.ndarray:
@@ -88,7 +86,7 @@ class TestAgainstRowReference:
 
     def test_krum_selection_matches(self, monkeypatch):
         rnd = round_from(paper_shaped_matrix(3))
-        joint = ParamVector.zeros(PAPER_LAYOUT)
+        joint = ParamVector(np.zeros(PAPER_LAYOUT.size), PAPER_LAYOUT)
         runs = {}
         for kernel in ("gram", "rows"):
             with monkeypatch.context() as m:

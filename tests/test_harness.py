@@ -30,8 +30,7 @@ from lomarlab.harness import (
     run_sweep,
     sweep_values,
 )
-from lomarlab.models import Round
-from lomarlab.params import ParamLayout, ParamVector
+from lomarlab.models import ParamLayout, ParamVector, Round
 
 
 def base_dict(**overrides):
@@ -588,11 +587,11 @@ class TestLomarLogDomain:
         # 100 labels of 3 parameters, 60 standard-normal clean rows and 20
         # colluders on the clean mean, at a tight bandwidth: every clean F(i)
         # is past the float64 range, so only its log can be the score
-        layout = ParamLayout(tuple((3 * r, 3 * r + 3) for r in range(100)), (300, 300))
+        layout = ParamLayout((3,) * 100)
         clean = np.random.default_rng(0).normal(size=(60, 300))
         rnd = Round(np.arange(80), np.ones(80), np.vstack([clean, np.tile(clean.mean(axis=0), (20, 1))]), layout)
         cfg = config_from_dict(base_dict(defense={"kind": "lomar", "bandwidth": 0.05}))
-        state = SimpleNamespace(cfg=cfg, joint=ParamVector.zeros(layout), floor_hits_total=0)
+        state = SimpleNamespace(cfg=cfg, joint=ParamVector(np.zeros(layout.size), layout), floor_hits_total=0)
         agg = harness.DEFENSES["lomar"](state, rnd)
         assert np.all(np.isfinite(agg.scores))
         assert agg.scores[:60].min() > math.log(np.finfo(np.float64).max)

@@ -20,12 +20,11 @@ from lomarlab.lomar import (
     median_bandwidth,
     sq_dist_matrix,
 )
-from lomarlab.models import Round
-from lomarlab.params import ParamLayout
+from lomarlab.models import ParamLayout, Round
 
-LAYOUT_2x2 = ParamLayout(label_ranges=((0, 2), (2, 4)), shared_range=(4, 4))
-LAYOUT_3x2 = ParamLayout(label_ranges=((0, 2), (2, 4), (4, 6)), shared_range=(6, 6))
-LAYOUT_1x1 = ParamLayout(label_ranges=((0, 1),), shared_range=(1, 1))
+LAYOUT_2x2 = ParamLayout((2, 2))
+LAYOUT_3x2 = ParamLayout((2, 2, 2))
+LAYOUT_1x1 = ParamLayout((1,))
 
 INV_SQRT_2PI = 0.3989422804014327
 
@@ -151,7 +150,7 @@ class TestFactors:
         # the overall factor is the product of per-label factors: its log is
         # each client's own row sum, bit for bit (ten labels, so numpy's
         # pairwise summation order applies)
-        layout = ParamLayout(label_ranges=tuple((r, r + 1) for r in range(10)), shared_range=(10, 10))
+        layout = ParamLayout((1,) * 10)
         rng = np.random.default_rng(16)
         res = lomar_run(round_from(rng.normal(size=(30, 10)), layout), KdeConfig(k=5))
         assert res.per_label_log_factors.shape == (30, 10)
@@ -180,10 +179,7 @@ class TestMedianBandwidth:
 def identical_rounds(draw):
     """n copies of one row over uneven label blocks, plus the pipeline's knobs."""
     widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
-    bounds = np.cumsum([0] + widths).tolist()
-    shared = draw(st.integers(0, 3))
-    layout = ParamLayout(label_ranges=tuple(zip(bounds[:-1], bounds[1:])),
-                         shared_range=(bounds[-1], bounds[-1] + shared))
+    layout = ParamLayout(tuple(widths), draw(st.integers(0, 3)))
     row = draw(arrays(np.float64, layout.size, elements=st.floats(-1.0, 1.0)))
     n = draw(st.integers(2, 12))
     matrix = np.tile(row * draw(st.sampled_from([0.0, 1e-8, 1.0, 1e6])), (n, 1))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lomarlab.metrics import RocPoint, confusion_counts, eval_accuracy, roc_from_scores
-from lomarlab.models import ModelSpec
-from lomarlab.params import ParamVector
+from lomarlab.models import ModelSpec, ParamVector
 
 
 def sign_model():

@@ -7,12 +7,12 @@ from lomarlab.data import DataShard
 from lomarlab.models import (
     EVAL_CHUNK_ROWS,
     ModelSpec,
+    ParamVector,
     Round,
     local_train,
     loss_and_grad,
     predict,
 )
-from lomarlab.params import ParamVector
 
 
 def logistic_spec(**kw):
@@ -37,15 +37,17 @@ def whole_pool_shard(x, y, owner, **kw):
 class TestLayoutCounting:
     def test_logistic_blocks(self):
         lay = logistic_spec().layout()
-        assert lay.label_ranges == ((0, 4), (4, 8))
-        assert lay.shared_range == (8, 8)
+        assert lay.label_sizes == (4, 4)
+        assert lay.shared_size == 0
+        assert [lay.label_slice(r) for r in range(2)] == [slice(0, 4), slice(4, 8)]
         assert lay.size == 8
 
     def test_mlp_blocks(self):
         # per-label block is hidden_dim+1; shared holds W1 (3x4) and b1 (3)
         lay = mlp_spec().layout()
-        assert lay.label_ranges == ((0, 4), (4, 8))
-        assert lay.shared_range == (8, 23)
+        assert lay.label_sizes == (4, 4)
+        assert lay.shared_size == 15
+        assert [lay.label_slice(r) for r in range(2)] == [slice(0, 4), slice(4, 8)]
         assert lay.size == 23
 
     def test_spec_validation(self):
