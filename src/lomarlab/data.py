@@ -28,6 +28,9 @@ IDX_LABEL_MAGIC = 2049
 # an extra sample into the major block.
 _COUNT_EPS = 1e-9
 
+# Box-Muller pairs transformed per pass: the one temporary is a 32 KB float32 chunk.
+_BOX_MULLER_CHUNK = 8192
+
 
 class IdxFormatError(ValueError):
     pass
@@ -134,6 +137,30 @@ def check_synth(num_labels: int, input_dim: int, per_label_count: int, spread: f
         raise ValueError("spread must be >= 0")
 
 
+def _standard_normal_f32(rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` float32 standard normal draws by the Box-Muller transform, as a view.
+
+    Of size + size % 2 float32 uniforms, the first half are radii sqrt(-2 log(1 - u))
+    and the second angles 2 pi u; in place, _BOX_MULLER_CHUNK pairs a pass, they
+    become r cos(theta) and r sin(theta).
+    """
+    pairs = rng.random((2, (size + 1) // 2), dtype=np.float32)
+    cos = np.empty(min(pairs.shape[1], _BOX_MULLER_CHUNK), dtype=np.float32)
+    for start in range(0, pairs.shape[1], _BOX_MULLER_CHUNK):
+        radius, angle = pairs[:, start:start + _BOX_MULLER_CHUNK]
+        c = cos[:radius.shape[0]]
+        np.subtract(np.float32(1), radius, out=radius)
+        np.log(radius, out=radius)
+        radius *= np.float32(-2)
+        np.sqrt(radius, out=radius)
+        angle *= np.float32(2 * np.pi)
+        np.cos(angle, out=c)
+        np.sin(angle, out=angle)
+        angle *= radius
+        radius *= c
+    return pairs.reshape(-1)[:size]
+
+
 def synth_gaussian(num_labels: int, input_dim: int, per_label_count: int, spread: float, seed,
                    radius: float = 3.0):
     """Isotropic Gaussian blobs, one per label, in shuffled order. Returns (features, labels).
@@ -147,7 +174,7 @@ def synth_gaussian(num_labels: int, input_dim: int, per_label_count: int, spread
     rng = np.random.default_rng(seed)
     count = num_labels * per_label_count
     if spread > 0:
-        features = rng.standard_normal((count, input_dim), dtype=np.float32)
+        features = _standard_normal_f32(rng, count * input_dim).reshape(count, input_dim)
         features *= np.float32(spread)
     else:
         features = np.zeros((count, input_dim), dtype=np.float32)

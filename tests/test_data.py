@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lomarlab.data import (
+    _BOX_MULLER_CHUNK,
     DataShard,
     IdxFormatError,
     PartitionPlan,
@@ -103,13 +105,24 @@ class TestSynth:
             synth_gaussian(2, 3, 10, -1.0, seed=0)
 
 
+def box_muller_reference(rng, size):
+    """Whole-array, out-of-place Box-Muller in float32: size + size % 2 uniforms, the
+    first half radii sqrt(-2 log(1 - u)), the second angles 2 pi u, then r cos(theta)
+    followed by r sin(theta), cut to `size`."""
+    u = rng.random(size + size % 2, dtype=np.float32)
+    half = u.shape[0] // 2
+    r = np.sqrt(np.float32(-2) * np.log(np.float32(1) - u[:half]))
+    theta = np.float32(2 * np.pi) * u[half:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:size]
+
+
 def synth_reference(num_labels, input_dim, per_label_count, spread, seed, radius=3.0):
     """The out-of-place construction in float32: each row is the full-width center
     of its label, rounded to float32, plus float32 spread times its own float32
     noise draw."""
     rng = np.random.default_rng(seed)
     count = num_labels * per_label_count
-    noise = rng.standard_normal((count, input_dim), dtype=np.float32) if spread > 0 \
+    noise = box_muller_reference(rng, count * input_dim).reshape(count, input_dim) if spread > 0 \
         else np.zeros((count, input_dim), dtype=np.float32)
     labels = np.repeat(np.arange(num_labels, dtype=np.int64), per_label_count)[rng.permutation(count)]
     centers = np.zeros((num_labels, input_dim), dtype=np.float32)
@@ -133,6 +146,17 @@ class TestSynthInPlace:
         assert np.array_equal(x, want_x)
         assert np.array_equal(y, want_y)
 
+    @pytest.mark.parametrize("per_label_count, input_dim", [(100, 130), (101, 131)])
+    def test_bitwise_across_chunk_borders(self, per_label_count, input_dim):
+        # two full chunks and a partial one, the second of an odd count
+        seed = np.random.SeedSequence([6, input_dim])
+        x, y = synth_gaussian(3, input_dim, per_label_count, 1.5, seed)
+        assert x.size > 4 * _BOX_MULLER_CHUNK
+        want_x, want_y = synth_reference(3, input_dim, per_label_count, 1.5, seed)
+        assert x.shape == (3 * per_label_count, input_dim) and x.flags.c_contiguous
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(y, want_y)
+
     def test_peak_is_the_pool(self):
         # a full-width centers[labels] gather, a float64 add into the float32 pool,
         # or a second pool, would show here; the warm-up call keeps first-use
@@ -145,6 +169,45 @@ class TestSynthInPlace:
         finally:
             tracemalloc.stop()
         assert peak < 1.125 * x.nbytes
+
+
+class TestSynthNoise:
+    """At spread 1 and radius 0 the pool is the noise itself, 10**6 float32 draws."""
+
+    N = 10**6
+
+    @pytest.fixture(scope="class")
+    def noise(self):
+        x, _ = synth_gaussian(2, 5000, 100, 1.0, seed=31, radius=0.0)
+        assert x.size == self.N
+        return x.ravel().astype(np.float64)
+
+    def test_mean_and_variance(self, noise):
+        # standard errors of the sample mean and variance of N standard normals:
+        # 1/sqrt(N) and sqrt(2/N)
+        assert abs(noise.mean()) < 5 / np.sqrt(self.N)
+        assert abs(noise.var() - 1.0) < 5 * np.sqrt(2 / self.N)
+
+    def test_tail_share_beyond_three(self, noise):
+        share = np.count_nonzero(np.abs(noise) > 3) / self.N
+        p = 1 - math.erf(3 / math.sqrt(2))  # 0.0027
+        assert abs(share - p) < 5 * math.sqrt(p * (1 - p) / self.N)
+
+    def test_kolmogorov_smirnov_distance(self, noise):
+        # sup |F_N - Phi| over the sorted draws; 1.95 / sqrt(N) is the KS test's
+        # critical value at the 0.001 level
+        z = np.sort(noise)
+        cdf = 0.5 * (1 + np.frompyfunc(math.erf, 1, 1)(z / math.sqrt(2)).astype(np.float64))
+        steps = np.arange(1, self.N + 1) / self.N
+        distance = max(np.max(steps - cdf), np.max(cdf - (steps - 1 / self.N)))
+        assert distance < 1.95 / np.sqrt(self.N)
+
+    def test_seeds_differ_and_repeat(self):
+        a, _ = synth_gaussian(2, 1000, 50, 1.0, seed=40)
+        b, _ = synth_gaussian(2, 1000, 50, 1.0, seed=40)
+        c, _ = synth_gaussian(2, 1000, 50, 1.0, seed=41)
+        assert a.tobytes() == b.tobytes()
+        assert np.count_nonzero(a != c) > 0.99 * a.size
 
 
 class LoopPool:
