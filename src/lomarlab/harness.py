@@ -171,9 +171,12 @@ class ExperimentConfig:
         if self.dataset.kind == "synth":
             self.fit(self.dataset.input_dim, self.dataset.num_labels)
 
-    def fit(self, input_dim: int, num_labels: int) -> ModelSpec:
-        """The model at the data's dims: a ConfigError if an eval or flip label
-        lies outside [0, num_labels) or the model sets a dim the data lacks."""
+    def fit(self, input_dim: int, num_labels: int) -> ExperimentConfig:
+        """The run's config at the data's dims: the model fitted and, unless
+        eval.target_label is set, an active attack's first flip pair as the eval
+        labels (the flip suppresses its source label's accuracy). A ConfigError
+        if an eval or flip label lies outside [0, num_labels) or the model sets
+        a dim the data lacks."""
         labels = [self.eval.target_label, self.eval.source_label]
         if self.attack.kind != "none":
             labels += [label for pair in self.attack.flip_pairs for label in pair]
@@ -181,23 +184,15 @@ class ExperimentConfig:
         if outside:
             raise ConfigError(f"labels {outside} outside the dataset's {num_labels} labels")
         try:
-            return self.model.fit(input_dim, num_labels)
+            model = self.model.fit(input_dim, num_labels)
         except ValueError as exc:
             raise ConfigError(f"section 'model': {exc}") from exc
-
-    def eval_labels(self) -> tuple[int | None, int | None]:
-        """Evaluation labels: the attack's victim class and its impersonated class.
-
-        The flip rewrites source-label samples to the target label, so the
-        class whose accuracy the attack suppresses is the flip source; we
-        report that as target-label accuracy unless overridden.
-        """
-        if self.eval.target_label is not None:
-            return self.eval.target_label, self.eval.source_label
-        if self.attack.kind != "none" and self.attack.flip_pairs:
-            src, tgt = self.attack.flip_pairs[0]
-            return src, tgt
-        return None, None
+        flipped = self.eval.target_label is None and self.attack.kind != "none"
+        evaluation = EvalSection(*self.attack.flip_pairs[0]) if flipped else self.eval
+        # A fitted config fits to itself, which ends __post_init__'s call to fit.
+        if (model, evaluation) == (self.model, self.eval):
+            return self
+        return replace(self, model=model, eval=evaluation)
 
 
 def _typed(hint, value, what: str):
@@ -269,17 +264,9 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw or {})
 
 
-def resolved_config_dict(cfg: ExperimentConfig, model: ModelSpec) -> dict:
-    """cfg as load_config reads it back: the model and eval labels resolved, no output_dir."""
-    resolved = asdict(replace(cfg, model=model, eval=EvalSection(*cfg.eval_labels())))
-    del resolved["output_dir"]
-    return resolved
-
-
 @dataclass
 class ExperimentState:
-    cfg: ExperimentConfig
-    model: ModelSpec
+    cfg: ExperimentConfig  # fitted to the data
     shards: list[DataShard]
     malicious: np.ndarray  # (n,) bool in shard order
     test_features: np.ndarray
@@ -291,6 +278,11 @@ class ExperimentState:
     last_scores: np.ndarray | None = None
     last_kept: np.ndarray | None = None
     floor_hits_total: int = 0
+
+    @property
+    def model(self) -> ModelSpec:
+        # perfbench/run.py reads state.model outside its try, so the name stays.
+        return self.cfg.model
 
 
 def _load_mnist_dir(directory: str):
@@ -318,7 +310,7 @@ def initialize_state(cfg: ExperimentConfig, seed: int | None = None) -> Experime
                                         radius=ds.radius)
     else:
         (train_x, train_y), (test_x, test_y) = _load_mnist_dir(ds.dir)
-    model = cfg.fit(train_x.shape[1], int(max(train_y.max(), test_y.max())) + 1)
+    cfg = cfg.fit(train_x.shape[1], int(max(train_y.max(), test_y.max())) + 1)
     shards = partition(train_x, train_y, cfg.num_clean, cfg.partition,
                        np.random.SeedSequence([cfg.seed, TAG_PARTITION]))
     shards += build_malicious_shards(cfg.attack, train_x, train_y,
@@ -328,12 +320,11 @@ def initialize_state(cfg: ExperimentConfig, seed: int | None = None) -> Experime
 
     return ExperimentState(
         cfg=cfg,
-        model=model,
         shards=shards,
         malicious=np.array([s.role == ROLE_MALICIOUS for s in shards]),
         test_features=test_x,
         test_labels=test_y,
-        joint=model.init_params(),
+        joint=cfg.model.init_params(),
     )
 
 
@@ -348,7 +339,7 @@ def run_round(state: ExperimentState) -> RoundRecord:
     deltas = np.empty((len(state.shards), state.joint.values.size))
     for row, shard in zip(deltas, state.shards):
         seed = np.random.SeedSequence([cfg.seed, TAG_TRAIN, t, shard.owner])
-        row[:] = local_train(state.joint, shard, state.model, seed)
+        row[:] = local_train(state.joint, shard, cfg.model, seed)
         if cfg.attack.kind == "model_poison" and shard.role == ROLE_MALICIOUS:
             row[:] = boost_update(row, cfg.attack.boost_factor)
     rnd = Round([s.owner for s in state.shards], [len(s) for s in state.shards], deltas, state.joint.layout)
@@ -367,7 +358,7 @@ def run_round(state: ExperimentState) -> RoundRecord:
         state.last_scores[finite] = agg.scores
 
     overall, target, other = eval_accuracy(state.joint, state.test_features, state.test_labels,
-                                           state.model, *cfg.eval_labels())
+                                           cfg.model, cfg.eval.target_label, cfg.eval.source_label)
     n_t, n_f, m_t, m_f = confusion_counts(state.last_kept, state.malicious)
     return RoundRecord(
         round=t,
@@ -461,7 +452,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None)
             json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
             fh.write("\n")
         with open(out / "config_resolved.yaml", "w", encoding="utf-8", newline="") as fh:
-            yaml.safe_dump(resolved_config_dict(cfg, state.model), fh, sort_keys=True)
+            yaml.safe_dump({k: v for k, v in asdict(cfg).items() if k != "output_dir"}, fh, sort_keys=True)
         if state.last_scores is not None:
             _write_csv(out / "scores.csv", ["client_id", "role", "score", "kept"],
                        ([s.owner, s.role, score, int(kept)] for s, score, kept

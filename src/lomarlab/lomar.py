@@ -276,19 +276,21 @@ def ball_volume(radius: float, dim: int) -> float:
 def false_alarm_bound(eps_m: float, k: int, volume: float, h_bar: float) -> float:
     """Diagnostic upper bound on the clean false-alarm probability at eps_m.
 
-    Equals 1 at eps_m = 1 and decreases strictly as the threshold moves away.
+    Equals 1 at eps_m = 1 and decreases strictly as the threshold moves away,
+    down to float64's smallest normal number.
     Never used for filtering: the phase II rule keeps high factors while this
     bound treats them as the alarm event, and that tension is deliberately
     left visible.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if volume <= 0 or h_bar <= 0:
-        raise ValueError("need volume > 0 and h_bar > 0")
-    num = 4.0 * math.pi * (eps_m - 1.0) ** 2 * (k + 1) ** 2 * h_bar
-    den = k * (2.0 * k + eps_m + 1.0) ** 2 * volume ** 2
-    with np.errstate(over="ignore"):
-        exponent = num / den
-    if math.isinf(exponent):
-        return np.finfo(np.float64).tiny
-    return max(math.exp(-exponent), np.finfo(np.float64).tiny)
+    if eps_m <= 0 or volume <= 0 or h_bar <= 0:
+        raise ValueError("need eps_m > 0, volume > 0 and h_bar > 0")
+    if eps_m == 1.0:
+        return 1.0
+    # 4 pi (eps_m - 1)^2 (k + 1)^2 h_bar / (k (2k + eps_m + 1)^2 V^2) in logs, so that no
+    # factor under- or overflows; past e^7 > 745 the bound is the floor anyway.
+    log_exponent = (math.log(4.0 * math.pi) + math.log(h_bar) - math.log(k)
+                    + 2.0 * (math.log(abs(eps_m - 1.0)) + math.log(k + 1.0)
+                             - math.log(2.0 * k + eps_m + 1.0) - math.log(volume)))
+    return max(math.exp(-math.exp(min(log_exponent, 7.0))), np.finfo(np.float64).tiny)

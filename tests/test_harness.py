@@ -9,7 +9,7 @@ import re
 import struct
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,6 +21,7 @@ from click.testing import CliRunner
 from lomarlab import cli, harness
 from lomarlab.harness import (
     ConfigError,
+    EvalSection,
     apply_sweep_value,
     config_from_dict,
     initialize_state,
@@ -263,15 +264,15 @@ class TestConfigParsing:
         raw["attack"]["flip_pairs"] = [[1, 0]]
         cfg = config_from_dict(raw)
         # the flip suppresses the source label, so that is the victim
-        assert cfg.eval_labels() == (1, 0)
+        assert cfg.fit(4, 2).eval == EvalSection(target_label=1, source_label=0)
 
     def test_eval_labels_override(self):
         cfg = config_from_dict(base_dict(eval={"target_label": 0, "source_label": 1}))
-        assert cfg.eval_labels() == (0, 1)
+        assert cfg.fit(4, 2).eval == EvalSection(target_label=0, source_label=1)
 
     def test_eval_labels_without_attack(self):
         cfg = config_from_dict({"num_clean": 4})
-        assert cfg.eval_labels() == (None, None)
+        assert cfg.fit(8, 2).eval == EvalSection(target_label=None, source_label=None)
 
     def test_eval_source_label_needs_target_label(self):
         for raw in (base_dict(eval={"source_label": 0}), {"num_clean": 4, "eval": {"source_label": 1}}):
@@ -532,6 +533,22 @@ class TestRunExperiment:
         for name in OUTPUT_FILES:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
+    @pytest.mark.parametrize("kind", ["synth", "mnist"])
+    def test_resolved_config_is_the_fitted_config(self, tmp_path, kind):
+        raw = base_dict(output_dir=str(tmp_path / "default"))
+        dims = (4, 2)
+        if kind == "mnist":
+            rng = np.random.default_rng(4)
+            write_mnist_dir(tmp_path, rng.integers(0, 256, size=(120, 2, 3), dtype=np.uint8),
+                            np.tile(np.array([0, 1, 2], dtype=np.uint8), 40))
+            raw["dataset"] = {"kind": "mnist", "dir": str(tmp_path)}
+            dims = (6, 3)
+        cfg = run_experiment(config_from_dict(raw), out_dir=tmp_path / "run", seed=11).state.cfg
+        assert (cfg.seed, cfg.model.input_dim, cfg.model.num_labels) == (11, *dims)
+        assert cfg.eval == EvalSection(target_label=0, source_label=1)
+        assert load_config(tmp_path / "run" / "config_resolved.yaml") == replace(cfg, output_dir=None)
+        assert cfg.fit(*dims) is cfg
+
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = config_from_dict(base_dict())
         run_experiment(cfg, out_dir=tmp_path / "a")
@@ -580,6 +597,27 @@ class TestRunExperiment:
         renorm = run_experiment(config_from_dict(dict(raw, renormalize_weights=True)))
         assert 1 <= plain.records[0].num_kept < 11
         assert not np.allclose(plain.state.joint.values, renorm.state.joint.values)
+
+
+class TestModelPoison:
+    def test_malicious_rows_are_boosted_deltas(self, monkeypatch):
+        raw = base_dict(rounds=1, defense={"kind": "krum"})
+        raw["attack"] = {**raw["attack"], "kind": "model_poison", "boost_factor": 3.7}
+        state = initialize_state(config_from_dict(raw))
+        submitted = []
+        rule = harness.DEFENSES["krum"]
+        monkeypatch.setitem(harness.DEFENSES, "krum",
+                            lambda state, rnd: rule(state, submitted.append(rnd.deltas.copy()) or rnd))
+        joint = state.joint
+        harness.run_round(state)
+        (deltas,) = submitted
+        assert state.malicious.tolist() == [False] * 8 + [True] * 3
+        for row, shard, malicious in zip(deltas, state.shards, state.malicious):
+            seed = np.random.SeedSequence([state.cfg.seed, harness.TAG_TRAIN, 1, shard.owner])
+            trained = harness.local_train(joint, shard, state.cfg.model, seed)
+            assert np.any(trained != 0), shard.owner
+            want = trained * 3.7 if malicious else trained
+            assert row.tobytes() == want.tobytes(), shard.owner
 
 
 class TestLomarLogDomain:

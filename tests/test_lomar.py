@@ -332,6 +332,10 @@ class TestBallVolume:
         with pytest.raises(ValueError):
             ball_volume(1.0, 0)
 
+    def test_overflow_is_inf(self):
+        # one paper-scale label slice: 784 weights and a bias
+        assert ball_volume(20.0, 785) == math.inf
+
 
 class TestFalseAlarmBound:
     def test_equals_one_at_unit_threshold(self):
@@ -351,3 +355,16 @@ class TestFalseAlarmBound:
         want = math.exp(-4.0 * math.pi * (eps_m - 1.0) ** 2 * (k + 1) ** 2 * h_bar
                         / (k * (2 * k + eps_m + 1) ** 2 * vol ** 2))
         assert false_alarm_bound(eps_m, k, vol, h_bar) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("eps_m, volume", [
+        pytest.param(2.0, 1e-200, id="volume-squared-underflows"),
+        pytest.param(1e200, 1e-100, id="numerator-overflows"),
+    ])
+    def test_extreme_inputs_give_the_floor(self, eps_m, volume):
+        assert false_alarm_bound(eps_m, 1, volume, 1.0) == np.finfo(np.float64).tiny
+        assert false_alarm_bound(1.0, 1, volume, 1.0) == 1.0
+
+    def test_validation(self):
+        for args in ((1.0, 0, 1.0, 1.0), (0.0, 1, 1.0, 1.0), (1.5, 1, 0.0, 1.0), (1.5, 1, 1.0, -1.0)):
+            with pytest.raises(ValueError):
+                false_alarm_bound(*args)
