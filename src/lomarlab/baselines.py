@@ -150,15 +150,10 @@ def foolsgold(joint: ParamVector, rnd: Round) -> AggregationResult:
     rows are weighted and summed as in the round without it.
     """
     finite = np.isfinite(rnd.deltas).all(axis=1)
-    if not finite.all():
-        wv = np.zeros(len(finite))
-        if not finite.any():
-            return _apply_weights(joint, rnd, wv, scores=wv)
-        inner = foolsgold(joint, rnd.select(np.flatnonzero(finite)))
-        wv[finite] = inner.scores
-        return AggregationResult(inner.new_joint, wv > 0, wv)
-    wv = _foolsgold_weights(rnd.deltas)
-    total = float(wv.sum())
+    wv = np.zeros(len(finite))
+    if finite.any():
+        wv[finite] = _foolsgold_weights(rnd.deltas if finite.all() else rnd.deltas[finite])
+    total = float(wv[finite].sum())
     return _apply_weights(joint, rnd, wv / total if total > 0 else wv, scores=wv)
 
 

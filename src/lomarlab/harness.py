@@ -164,9 +164,11 @@ class ExperimentConfig:
         if assumed < 0:
             raise ConfigError("assumed_malicious must be >= 0")
         # fg_first clamps assumed to the FoolsGold survivors instead.
-        d = self.defense
+        d, population = self.defense, self.num_clean + self.attack.malicious_count
         if d.kind == "krum" or (d.kind == "fg_krum" and d.fg_krum_order == "krum_first"):
-            krum_window(self.num_clean + self.attack.malicious_count, assumed)
+            krum_window(population, assumed)
+        if d.kind == "lomar" and d.k is not None and d.k > population - 1:
+            raise ConfigError(f"lomar needs k <= population - 1, got k={d.k}, population={population}")
         # An IDX dataset's dims are known only once its files are read.
         if self.dataset.kind == "synth":
             self.fit(self.dataset.input_dim, self.dataset.num_labels)

@@ -99,24 +99,23 @@ def default_k(population: int) -> int:
 _GRAM_CANCELLATION_RTOL = 1e-6
 
 
-def _row_key(row: np.ndarray) -> int:
-    """Bucket key of a row for duplicate detection; equal bytes give equal keys."""
-    return hash(row.tobytes())
-
-
 def _first_owners(matrix: np.ndarray) -> np.ndarray:
-    """Position of the first row byte-identical to each row.
+    """Position of the first row byte-identical to each row of a C-contiguous `matrix`.
 
-    Rows meet in buckets by `_row_key` and join an earlier row only when their
-    bytes compare equal, so at most two rows' bytes are alive at once.
+    A stable sort over the rows, each read as one string of bytes, puts equal
+    rows next to each other in input order; one pass then gives every row the
+    first position of its run. At most two rows' bytes are alive at once.
     """
-    buckets: dict[int, list[int]] = {}
-    owner = np.arange(matrix.shape[0])
-    for i, row in enumerate(matrix):
-        bucket = buckets.setdefault(_row_key(row), [])
-        owner[i] = next((j for j in bucket if matrix[j].tobytes() == row.tobytes()), i)
-        if owner[i] == i:
-            bucket.append(i)
+    owner = np.zeros(matrix.shape[0], dtype=np.intp)
+    if matrix.shape[1] == 0:  # empty rows are all equal
+        return owner
+    rows = matrix.view(np.dtype((np.void, matrix.itemsize * matrix.shape[1]))).ravel()
+    first, previous = 0, None
+    for i in np.argsort(rows, kind="stable"):
+        row = matrix[i].tobytes()
+        if row != previous:
+            first, previous = i, row
+        owner[i] = first
     return owner
 
 

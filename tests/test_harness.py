@@ -724,6 +724,7 @@ class TestCli:
         pytest.param({"kind": "krum", "assumed_malicious": -1}, id="krum-assumed-negative"),
         pytest.param({"kind": "krum", "assumed_malicious": 30}, id="krum-assumed-no-window"),
         pytest.param({"kind": "lomar", "k": 0}, id="lomar-k-0"),
+        pytest.param({"kind": "lomar", "k": 28}, id="lomar-k-past-population"),
         pytest.param({"kind": "lomar", "density_floor": 0}, id="lomar-density-floor-0"),
     ])
     def test_run_bad_defense_on_example_exits_2(self, tmp_path, defense):
@@ -949,6 +950,15 @@ class TestNonFiniteGuard:
         result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert result.exit_code == 3, result.output
         assert "krum needs n - assumed_malicious - 2 >= 1, got n=2, assumed=0" in result.output
+
+    def test_lomar_with_no_more_finite_rows_than_k_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "local_train", non_finite_local_train(math.nan, owners=range(5, 28)))
+        raw = yaml.safe_load(EXAMPLE_CONFIG.read_text())
+        raw["defense"] = {"kind": "lomar", "k": 5}
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", raw)
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 3, result.output
+        assert "k=5 must be in [1, 4]" in result.output
 
     def test_all_finite_round_is_passed_without_a_copy(self, monkeypatch):
         built, seen = [], []
