@@ -7,8 +7,9 @@ major label: ceil(lambda*l) samples of that label plus uniform draws for the
 rest. Draws are disjoint across clients while supply lasts; when a plan
 oversubscribes the pool the remainder is drawn with replacement and the shard
 is flagged. A shard holds row indices into the one shared feature array, never
-a copy of its rows. The synthetic pool is float32 and IDX pixels are float64;
-training and evaluation widen what they read to float64.
+a copy of its rows. Every pool is float32, synthetic draws and IDX pixels
+alike; local training runs in float32 on it, and evaluation widens what it
+reads to float64.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class DataShard:
-    """One client's local training set: row indices into the shared float32 or float64
-    feature array `pool` (a reference, never a copy), plus labels, which a malicious
-    shard rewrites."""
+    """One client's local training set: row indices into the shared float32 feature
+    array `pool` (a reference, never a copy), plus labels, which a malicious shard
+    rewrites."""
 
     pool: np.ndarray
     rows: np.ndarray
@@ -51,8 +52,8 @@ class DataShard:
 
     def __post_init__(self):
         self.pool = np.asarray(self.pool)
-        if self.pool.dtype not in (np.float32, np.float64):
-            raise ValueError(f"pool dtype {self.pool.dtype} is neither float32 nor float64")
+        if self.pool.dtype != np.float32:
+            raise ValueError(f"pool dtype {self.pool.dtype} is not float32")
         self.rows = np.asarray(self.rows, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.pool.ndim != 2 or self.rows.ndim != 1 or self.labels.ndim != 1:
@@ -107,12 +108,12 @@ def _read_idx(path, magic: int, dims: int) -> tuple[list[int], bytes]:
 def load_idx(images_path, labels_path):
     """Read an IDX image/label file pair.
 
-    Returns (features, labels): features are float64 pixels scaled by 1/255
-    and flattened to (n, rows*cols); labels are int64.
+    Returns (features, labels): features are float32 pixels k/255, rounded
+    once from float32 k, flattened to (n, rows*cols); labels are int64.
     """
     (count, rows, cols), raw = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
-    features = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols)
-    features /= 255.0
+    features = np.frombuffer(raw, dtype=np.uint8).astype(np.float32).reshape(count, rows * cols)
+    features /= np.float32(255)
     (label_count,), raw = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
     if count != label_count:

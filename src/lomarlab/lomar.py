@@ -261,19 +261,15 @@ def lomar_run(rnd: Round, cfg: KdeConfig = KdeConfig()) -> LomarResult:
     )
 
 
-def ball_volume(radius: float, dim: int) -> float:
-    """Volume of the Euclidean ball, used to turn a neighbor distance into V."""
+def log_ball_volume(radius: float, dim: int) -> float:
+    """Log volume of the Euclidean ball, finite where the volume itself under- or overflows (dim 785)."""
     if radius <= 0 or dim < 1:
         raise ValueError("need radius > 0 and dim >= 1")
-    log_v = (dim / 2.0) * math.log(math.pi) + dim * math.log(radius) - math.lgamma(dim / 2.0 + 1.0)
-    try:
-        return math.exp(log_v)
-    except OverflowError:
-        return math.inf
+    return (dim / 2.0) * math.log(math.pi) + dim * math.log(radius) - math.lgamma(dim / 2.0 + 1.0)
 
 
-def false_alarm_bound(eps_m: float, k: int, volume: float, h_bar: float) -> float:
-    """Diagnostic upper bound on the clean false-alarm probability at eps_m.
+def false_alarm_bound(eps_m: float, k: int, log_volume: float, h_bar: float) -> float:
+    """Diagnostic upper bound on the clean false-alarm probability at eps_m, from a ball's log volume.
 
     Equals 1 at eps_m = 1 and decreases strictly as the threshold moves away,
     down to float64's smallest normal number.
@@ -283,13 +279,13 @@ def false_alarm_bound(eps_m: float, k: int, volume: float, h_bar: float) -> floa
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if eps_m <= 0 or volume <= 0 or h_bar <= 0:
-        raise ValueError("need eps_m > 0, volume > 0 and h_bar > 0")
+    if eps_m <= 0 or h_bar <= 0 or not math.isfinite(log_volume):
+        raise ValueError("need eps_m > 0, h_bar > 0 and a finite log_volume")
     if eps_m == 1.0:
         return 1.0
     # 4 pi (eps_m - 1)^2 (k + 1)^2 h_bar / (k (2k + eps_m + 1)^2 V^2) in logs, so that no
     # factor under- or overflows; past e^7 > 745 the bound is the floor anyway.
     log_exponent = (math.log(4.0 * math.pi) + math.log(h_bar) - math.log(k)
                     + 2.0 * (math.log(abs(eps_m - 1.0)) + math.log(k + 1.0)
-                             - math.log(2.0 * k + eps_m + 1.0) - math.log(volume)))
+                             - math.log(2.0 * k + eps_m + 1.0) - log_volume))
     return max(math.exp(-math.exp(min(log_exponent, 7.0))), np.finfo(np.float64).tiny)

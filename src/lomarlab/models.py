@@ -3,8 +3,8 @@
 Two model families share the flat parameter layout: multinomial logistic
 regression (the default) and a one-hidden-layer ReLU MLP. Per label r the block
 is [w_r, b_r]; the MLP appends the hidden layer (W1 then b1) as the shared
-block. Training is plain minibatch SGD on cross-entropy; a client update is the
-weight delta produced by E local epochs from the incoming joint model.
+block. Training is plain minibatch SGD on cross-entropy, run in float32; a client
+update is the float64 weight delta produced by E local epochs from the joint model.
 """
 
 from __future__ import annotations
@@ -191,6 +191,7 @@ def _gradient(views, grad, x: np.ndarray, onehot: np.ndarray, p_true=None):
     """Write the mean cross-entropy gradient of batch x at `views` into all of `grad` (both _unpack's views).
 
     onehot holds the batch's labels as one-hot rows; p_true, if given, receives each true-label probability.
+    Every operand shares one dtype, and the arithmetic runs in it.
     """
     hidden, p = _logits(views, x)
     p -= np.maximum.reduce(p, axis=1, keepdims=True)
@@ -227,11 +228,13 @@ def loss_and_grad(params: ParamVector, spec: ModelSpec, x: np.ndarray, y: np.nda
 
 
 def local_train(joint: ParamVector, shard, spec: ModelSpec, rng_seed) -> np.ndarray:
-    """Run E epochs of minibatch SGD from the joint model, return the delta array.
+    """Run E epochs of minibatch SGD from the joint model, return the float64 delta array.
 
-    shard is a data.DataShard. Each epoch gathers its shuffled pool row indices
-    and one-hot labels once; each batch gathers its feature rows from shard.pool
-    and widens them to float64.
+    shard is a data.DataShard. Every step runs in float32: the working vector
+    starts at float32(joint), each epoch gathers its shuffled pool row indices
+    and float32 one-hot labels once, and each batch gathers its feature rows
+    from the float32 shard.pool. The delta is taken in float32 against
+    float32(joint) and widened on return.
 
     rng_seed may be an int, a numpy SeedSequence, or a Generator. Passing the
     same Generator object across successive single-epoch calls reproduces one
@@ -246,16 +249,17 @@ def local_train(joint: ParamVector, shard, spec: ModelSpec, rng_seed) -> np.ndar
         raise ValueError(f"shard feature dim {x.shape[1]} != input_dim {spec.input_dim}")
     y = _check_labels(shard.labels, spec)
     rng = np.random.default_rng(rng_seed)
-    work, grad = joint.values.copy(), np.empty_like(joint.values)
+    start_values = joint.values.astype(np.float32)
+    work, grad = start_values.copy(), np.empty_like(start_values)
     views, grad_views = _unpack(work, spec), _unpack(grad, spec)
+    eye = np.eye(spec.num_labels, dtype=np.float32)
     for _ in range(spec.local_epochs):
         order = rng.permutation(n)
-        epoch_rows, onehot = rows[order], np.eye(spec.num_labels).take(y[order], axis=0)
+        epoch_rows, onehot = rows[order], eye.take(y[order], axis=0)
         for start in range(0, n, spec.batch_size):
             batch = slice(start, start + spec.batch_size)
-            _gradient(views, grad_views, x.take(epoch_rows[batch], axis=0).astype(np.float64, copy=False),
-                      onehot[batch])
+            _gradient(views, grad_views, x.take(epoch_rows[batch], axis=0), onehot[batch])
             grad *= spec.learning_rate
             work -= grad
-    work -= joint.values
-    return work
+    work -= start_values
+    return work.astype(np.float64)

@@ -23,7 +23,7 @@ from lomarlab.harness import (
     run_experiment,
     run_sweep,
 )
-from lomarlab.lomar import KdeConfig, ball_volume, false_alarm_bound, lomar_run
+from lomarlab.lomar import KdeConfig, false_alarm_bound, log_ball_volume, lomar_run
 from lomarlab.metrics import confusion_counts, roc_from_scores
 from lomarlab.models import ModelSpec, ParamLayout, ParamVector, Round, loss_and_grad
 
@@ -348,9 +348,9 @@ def test_criterion_6_invariant_suite():
 
 def test_criterion_7_false_alarm_bound():
     failures = []
-    volume = ball_volume(0.8, 4)
+    log_volume = log_ball_volume(0.8, 4)
     grid = np.linspace(1.0, 3.0, 9)
-    values = [false_alarm_bound(e, k=10, volume=volume, h_bar=0.5) for e in grid]
+    values = [false_alarm_bound(e, k=10, log_volume=log_volume, h_bar=0.5) for e in grid]
 
     if not all(0.0 < v <= 1.0 for v in values):
         failures.append(f"bound left (0, 1]: {values}")
@@ -363,7 +363,7 @@ def test_criterion_7_false_alarm_bound():
                                  (2.5, 22, 0.7, 0.05)):
         direct = math.exp(-(4.0 * math.pi * (eps_m - 1.0) ** 2 * (k + 1) ** 2 * h_bar)
                           / (k * (2.0 * k + eps_m + 1.0) ** 2 * vol ** 2))
-        got = false_alarm_bound(eps_m, k=k, volume=vol, h_bar=h_bar)
+        got = false_alarm_bound(eps_m, k=k, log_volume=math.log(vol), h_bar=h_bar)
         if got != pytest.approx(direct, rel=1e-12):
             failures.append(f"spot point ({eps_m}, {k}): {got} vs {direct}")
     report(7, failures)

@@ -40,11 +40,21 @@ class TestIdx:
         ip, lp = write_idx_pair(tmp_path, images, labels)
         x, y = load_idx(ip, lp)
         assert x.shape == (5, 12)
-        assert x.dtype == np.float64
+        assert x.dtype == np.float32
         assert np.array_equal(y, labels.astype(np.int64))
-        assert np.allclose(x, images.reshape(5, 12) / 255.0)
-        assert np.array_equal(x, images.reshape(5, 12).astype(np.float64) / 255.0)
+        assert np.allclose(x, images.reshape(5, 12) / 255.0, rtol=1e-7, atol=0)
+        assert np.array_equal(x, images.reshape(5, 12).astype(np.float32) / np.float32(255))
         assert x.max() <= 1.0 and x.min() >= 0.0
+
+    def test_every_pixel_is_float32_k_over_255(self, tmp_path):
+        # float32 division rounds k/255 once, so pixel k is the float32 nearest k/255
+        images = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        x, _ = load_idx(*write_idx_pair(tmp_path, images, [0, 1, 2, 3]))
+        k = np.arange(256)
+        assert x.dtype == np.float32
+        assert np.array_equal(x.ravel(), k.astype(np.float32) / np.float32(255))
+        assert np.array_equal(x.ravel(), np.array([np.float32(i / 255) for i in k]))
+        assert x[0, 0] == 0.0 and x[-1, -1] == 1.0
 
     def test_bad_image_magic(self, tmp_path):
         ip, lp = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
@@ -324,7 +334,7 @@ class TestPartition:
         labels = np.array([0] * 3 + [1] * 17)
         plan = PartitionPlan(samples_per_client=4, lam=0.5, allow_replacement=False)
         with pytest.raises(ValueError, match="label 0 pool exhausted"):
-            partition(np.zeros((20, 2)), labels, 4, plan, seed=0)
+            partition(np.zeros((20, 2), dtype=np.float32), labels, 4, plan, seed=0)
 
     def test_seed_reproducibility(self):
         x, y = self.make_pool()
@@ -343,7 +353,7 @@ class TestPartition:
             PartitionPlan(samples_per_client=5, lam=1.0)
 
     def test_shard_validation(self):
-        pool = np.zeros((3, 2))
+        pool = np.zeros((3, 2), dtype=np.float32)
         DataShard(pool, [2, 0, 2], np.zeros(3, dtype=int), owner=0)
         DataShard(pool, np.empty(0, dtype=int), np.empty(0, dtype=int), owner=0)
         with pytest.raises(ValueError, match="length"):
@@ -351,19 +361,18 @@ class TestPartition:
         with pytest.raises(ValueError, match="1-D"):
             DataShard(pool, np.zeros((3, 1), dtype=int), np.zeros(3, dtype=int), owner=0)
         with pytest.raises(ValueError, match="2-D"):
-            DataShard(np.zeros(3), [0, 1, 2], np.zeros(3, dtype=int), owner=0)
+            DataShard(np.zeros(3, dtype=np.float32), [0, 1, 2], np.zeros(3, dtype=int), owner=0)
         for rows in ([0, 1, 3], [-1, 0, 1]):
             with pytest.raises(ValueError, match="outside"):
                 DataShard(pool, rows, np.zeros(3, dtype=int), owner=0)
         with pytest.raises(ValueError, match="role"):
             DataShard(pool, [0], [0], owner=0, role="confused")
 
-    @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.uint8, np.complex128])
-    def test_pool_dtype_is_float32_or_float64(self, dtype):
-        for ok in (np.float32, np.float64):
-            pool = np.zeros((3, 2), dtype=ok)
-            assert DataShard(pool, [0, 2], [0, 1], owner=0).pool is pool
-        with pytest.raises(ValueError, match=f"pool dtype {np.dtype(dtype).name} is neither"):
+    @pytest.mark.parametrize("dtype", [np.float16, np.float64, np.int64, np.uint8, np.complex128])
+    def test_pool_dtype_is_float32(self, dtype):
+        pool = np.zeros((3, 2), dtype=np.float32)
+        assert DataShard(pool, [0, 2], [0, 1], owner=0).pool is pool
+        with pytest.raises(ValueError, match=f"pool dtype {np.dtype(dtype).name} is not float32"):
             DataShard(np.zeros((3, 2), dtype=dtype), [0, 2], [0, 1], owner=0)
 
 

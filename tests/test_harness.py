@@ -303,7 +303,7 @@ class TestInitializeState:
             assert shard.rows.dtype == np.int64 and shard.rows.ndim == 1
             assert shard.labels.dtype == np.int64 and shard.labels.shape == shard.rows.shape
 
-    @pytest.mark.parametrize("kind, dtype", [("synth", np.float32), ("mnist", np.float64)])
+    @pytest.mark.parametrize("kind, dtype", [("synth", np.float32), ("mnist", np.float32)])
     def test_every_shard_shares_the_training_pool(self, tmp_path, monkeypatch, kind, dtype):
         # a per-shard cast of the pool would copy it once per client
         loaded = []

@@ -11,11 +11,11 @@ from lomarlab.lomar import (
     KERNELS,
     NEIGHBOR_DENSITY_MODES,
     KdeConfig,
-    ball_volume,
     default_k,
     false_alarm_bound,
     knn,
     label_log_factor,
+    log_ball_volume,
     lomar_run,
     median_bandwidth,
     sq_dist_matrix,
@@ -322,49 +322,69 @@ class TestKdeConfigValidation:
 
 class TestBallVolume:
     def test_low_dimensions(self):
-        assert ball_volume(2.0, 1) == pytest.approx(4.0, rel=1e-12)
-        assert ball_volume(1.5, 2) == pytest.approx(math.pi * 2.25, rel=1e-12)
-        assert ball_volume(1.0, 3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
+        assert math.exp(log_ball_volume(2.0, 1)) == pytest.approx(4.0, rel=1e-12)
+        assert math.exp(log_ball_volume(1.5, 2)) == pytest.approx(math.pi * 2.25, rel=1e-12)
+        assert math.exp(log_ball_volume(1.0, 3)) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ball_volume(0.0, 2)
+            log_ball_volume(0.0, 2)
         with pytest.raises(ValueError):
-            ball_volume(1.0, 0)
+            log_ball_volume(1.0, 0)
 
-    def test_overflow_is_inf(self):
-        # one paper-scale label slice: 784 weights and a bias
-        assert ball_volume(20.0, 785) == math.inf
+    def test_paper_scale_is_finite(self):
+        # one paper-scale label slice, 784 weights and a bias: the volume itself is
+        # below the smallest subnormal at radius 2.6 and past float64's range at 16.9
+        low, high = log_ball_volume(2.6, 785), log_ball_volume(16.9, 785)
+        assert math.isfinite(low) and low < math.log(5e-324)
+        assert math.isfinite(high) and high > math.log(np.finfo(np.float64).max)
+        # log V = (d/2) log pi + d log r - lgamma(d/2 + 1) is linear in log r
+        assert log_ball_volume(2 * 16.9, 785) - high == pytest.approx(785 * math.log(2.0), rel=1e-12)
 
 
 class TestFalseAlarmBound:
     def test_equals_one_at_unit_threshold(self):
-        assert false_alarm_bound(1.0, 10, 2.0, 0.5) == 1.0
+        assert false_alarm_bound(1.0, 10, math.log(2.0), 0.5) == 1.0
 
     def test_in_unit_interval(self):
         for eps_m in (1.0, 1.5, 2.0, 4.0):
-            b = false_alarm_bound(eps_m, 8, 1.3, 0.9)
+            b = false_alarm_bound(eps_m, 8, math.log(1.3), 0.9)
             assert 0.0 < b <= 1.0
 
     def test_strictly_decreasing_in_threshold(self):
-        values = [false_alarm_bound(e, 12, 1.0, 1.0) for e in (1.0, 1.2, 1.5, 2.0, 3.0)]
+        values = [false_alarm_bound(e, 12, 0.0, 1.0) for e in (1.0, 1.2, 1.5, 2.0, 3.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_spot_value(self):
         eps_m, k, vol, h_bar = 2.0, 10, 1.0, 1.0
         want = math.exp(-4.0 * math.pi * (eps_m - 1.0) ** 2 * (k + 1) ** 2 * h_bar
                         / (k * (2 * k + eps_m + 1) ** 2 * vol ** 2))
-        assert false_alarm_bound(eps_m, k, vol, h_bar) == pytest.approx(want, rel=1e-12)
+        assert false_alarm_bound(eps_m, k, math.log(vol), h_bar) == pytest.approx(want, rel=1e-12)
+
+    def test_paper_scale_volume_gives_a_finite_bound(self):
+        # dim 785: the linear volume was 0.0 at radius 2.6 (the bound raised) and inf
+        # at 16.9; between, near V = 1, the bound is informative and matches the
+        # linear formula
+        eps_m, k, h_bar = 0.8, 10, 1.0
+        low, mid, high = (false_alarm_bound(eps_m, k, log_ball_volume(r, 785), h_bar) for r in (2.6, 6.8, 16.9))
+        assert low == np.finfo(np.float64).tiny
+        assert high == 1.0
+        vol = math.exp(log_ball_volume(6.8, 785))
+        want = math.exp(-4.0 * math.pi * (eps_m - 1.0) ** 2 * (k + 1) ** 2 * h_bar
+                        / (k * (2 * k + eps_m + 1) ** 2 * vol ** 2))
+        assert 0.5 < mid < 0.9
+        assert mid == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("eps_m, volume", [
         pytest.param(2.0, 1e-200, id="volume-squared-underflows"),
         pytest.param(1e200, 1e-100, id="numerator-overflows"),
     ])
     def test_extreme_inputs_give_the_floor(self, eps_m, volume):
-        assert false_alarm_bound(eps_m, 1, volume, 1.0) == np.finfo(np.float64).tiny
-        assert false_alarm_bound(1.0, 1, volume, 1.0) == 1.0
+        assert false_alarm_bound(eps_m, 1, math.log(volume), 1.0) == np.finfo(np.float64).tiny
+        assert false_alarm_bound(1.0, 1, math.log(volume), 1.0) == 1.0
 
     def test_validation(self):
-        for args in ((1.0, 0, 1.0, 1.0), (0.0, 1, 1.0, 1.0), (1.5, 1, 0.0, 1.0), (1.5, 1, 1.0, -1.0)):
+        for args in ((1.0, 0, 0.0, 1.0), (0.0, 1, 0.0, 1.0), (1.5, 1, -math.inf, 1.0), (1.5, 1, math.nan, 1.0),
+                     (1.5, 1, 0.0, -1.0)):
             with pytest.raises(ValueError):
                 false_alarm_bound(*args)

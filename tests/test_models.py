@@ -30,8 +30,8 @@ def mlp_spec(**kw):
 
 
 def whole_pool_shard(x, y, owner, **kw):
-    """A shard over every row of x, in order."""
-    return DataShard(x, np.arange(len(y)), y, owner=owner, **kw)
+    """A shard over every row of x rounded to a float32 pool, in order."""
+    return DataShard(np.asarray(x, dtype=np.float32), np.arange(len(y)), y, owner=owner, **kw)
 
 
 class TestLayoutCounting:
@@ -161,35 +161,40 @@ class TestTrainingDeterminism:
         assert np.array_equal(a, b)
 
 
-def reference_train(joint, shard, spec, seed):
-    """Minibatch SGD written over the public loss_and_grad, one ParamVector per step; returns the delta."""
+def reference_train(joint, shard, spec, seed, dtype=np.float32):
+    """Minibatch SGD in `dtype`, out of place over reference_grad: a new vector per step.
+
+    Starts from the joint rounded to `dtype` on the pool's rows widened to it;
+    the delta is taken against that start in `dtype` and widened to float64.
+    """
     rng = np.random.default_rng(seed)
-    x, y = shard.pool[shard.rows], shard.labels
+    x, y = shard.pool[shard.rows].astype(dtype), shard.labels
     n = x.shape[0]
-    work = ParamVector(joint.values.copy(), joint.layout)
+    start = work = joint.values.astype(dtype)
     for _ in range(spec.local_epochs):
         order = rng.permutation(n)
-        for start in range(0, n, spec.batch_size):
-            batch = order[start: start + spec.batch_size]
-            _, grad = loss_and_grad(work, spec, x[batch], y[batch])
-            work.values -= spec.learning_rate * grad.values
-    return work.values - joint.values
+        for begin in range(0, n, spec.batch_size):
+            batch = order[begin: begin + spec.batch_size]
+            grad, _ = reference_grad(work, spec, x[batch], y[batch])
+            work = work - spec.learning_rate * grad
+    return (work - start).astype(np.float64)
 
 
-def reference_grad(params, spec, x, y):
-    """Mean cross-entropy gradient and true-label probabilities, written out of place.
+def reference_grad(values, spec, x, y):
+    """Mean cross-entropy gradient at the flat vector `values` and the true-label probabilities,
+    written out of place in the dtype of `values` and x.
 
     The same float operations, on the same operands and in the same order, as
     the in-place kernel behind loss_and_grad and local_train.
     """
     m, r, d = spec.output_fan_in, spec.num_labels, spec.input_dim
     split = r * (m + 1)
-    blocks = params.values[:split].reshape(r, m + 1)
+    blocks = values[:split].reshape(r, m + 1)
     w, b = blocks[:, :m], blocks[:, m]
     if spec.kind == "logistic":
         pre = hidden = x
     else:
-        w1, b1 = params.values[split: split + m * d].reshape(m, d), params.values[split + m * d:]
+        w1, b1 = values[split: split + m * d].reshape(m, d), values[split + m * d:]
         pre = x @ w1.T + b1
         hidden = np.maximum(pre, 0.0)
     logits = hidden @ w.T + b
@@ -200,7 +205,7 @@ def reference_grad(params, spec, x, y):
     p_true = dlogits[rows, y]
     dlogits[rows, y] -= 1.0
     dlogits /= len(x)
-    grad = np.zeros_like(params.values)
+    grad = np.zeros_like(values)
     grad_blocks = grad[:split].reshape(r, m + 1)
     grad_blocks[:, :m] = dlogits.T @ hidden
     grad_blocks[:, m] = dlogits.sum(axis=0)
@@ -227,28 +232,36 @@ class TestTrainingMatchesReference:
     def test_local_train_is_bitwise_the_reference_loop(self, spec, shard_rows):
         rng = np.random.default_rng(41)
         # rows out of a 40-row pool, out of order: training must gather pool[rows[batch]]
-        shard = DataShard(rng.normal(size=(40, spec.input_dim)), rng.permutation(40)[:shard_rows],
-                          rng.integers(0, 3, size=shard_rows), owner=4)
+        shard = DataShard(rng.normal(size=(40, spec.input_dim)).astype(np.float32),
+                          rng.permutation(40)[:shard_rows], rng.integers(0, 3, size=shard_rows), owner=4)
         joint = ParamVector(rng.normal(scale=0.5, size=spec.layout().size), spec.layout())
         got = local_train(joint, shard, spec, np.random.SeedSequence([5, 3, 1, 4]))
         want = reference_train(joint, shard, spec, np.random.SeedSequence([5, 3, 1, 4]))
         assert np.array_equal(got, want)
         assert got.shape == (joint.layout.size,)
         assert not np.array_equal(want, np.zeros_like(want))
+        # against the float64 loop: at most one float32 rounding at the weights' scale per step, plus the start
+        wide = reference_train(joint, shard, spec, np.random.SeedSequence([5, 3, 1, 4]), dtype=np.float64)
+        steps = spec.local_epochs * -(-shard_rows // spec.batch_size)
+        assert np.abs(got - wide).max() <= (steps + 1) * np.finfo(np.float32).eps * np.abs(joint.values).max()
 
     @pytest.mark.parametrize("spec", [logistic_spec(num_labels=3, local_epochs=3, batch_size=5, learning_rate=0.3),
                                       mlp_spec(num_labels=3, local_epochs=3, batch_size=5, learning_rate=0.3)],
                              ids=["logistic", "mlp"])
-    def test_a_float32_pool_trains_as_its_float64_widening(self, spec):
-        # each gathered batch is widened to float64, so the arithmetic is the float64 pool's
+    def test_byte_identical_shards_train_alike(self, spec):
+        # colluders on copies of one shard: the same rows, held at other places of
+        # another pool, train through the same float32 operations on the same bytes
         rng = np.random.default_rng(53)
         pool = rng.normal(size=(40, spec.input_dim)).astype(np.float32)
         rows, labels = rng.permutation(40)[:23], rng.integers(0, 3, size=23)
+        moved = rng.permutation(60)[:23]
+        other = rng.normal(size=(60, spec.input_dim)).astype(np.float32)
+        other[moved] = pool[rows]
         joint = ParamVector(rng.normal(scale=0.5, size=spec.layout().size), spec.layout())
         got = local_train(joint, DataShard(pool, rows, labels, owner=4), spec, 11)
-        wide = DataShard(pool.astype(np.float64), rows, labels, owner=4)
-        assert np.array_equal(got, local_train(joint, wide, spec, 11))
-        assert np.array_equal(got, reference_train(joint, DataShard(pool, rows, labels, owner=4), spec, 11))
+        twin = local_train(joint, DataShard(other, moved, labels, owner=5), spec, 11)
+        assert got.dtype == twin.dtype == np.float64
+        assert got.tobytes() == twin.tobytes()
         assert not np.array_equal(got, np.zeros_like(got))
 
     @pytest.mark.parametrize("spec", [logistic_spec(num_labels=3), mlp_spec(num_labels=3)],
@@ -259,7 +272,7 @@ class TestTrainingMatchesReference:
         params = ParamVector(rng.normal(scale=2.0, size=spec.layout().size), spec.layout())
         x, y = rng.normal(size=(batch, spec.input_dim)), rng.integers(0, 3, size=batch)
         loss, grad = loss_and_grad(params, spec, x, y)
-        want_grad, p_true = reference_grad(params, spec, x, y)
+        want_grad, p_true = reference_grad(params.values, spec, x, y)
         assert grad.values.tobytes() == want_grad.tobytes()
         assert loss == -np.mean(np.log(np.clip(p_true, 1e-300, None)))
 
@@ -448,7 +461,8 @@ class TestValidation:
                         whole_pool_shard(np.zeros((2, 3)), np.array([0, 9]), owner=0), spec, 1)
         with pytest.raises(ValueError, match="empty"):
             local_train(spec.init_params(),
-                        DataShard(np.zeros((2, 3)), np.empty(0, dtype=int), np.empty(0, dtype=int), owner=0),
+                        DataShard(np.zeros((2, 3), dtype=np.float32), np.empty(0, dtype=int), np.empty(0, dtype=int),
+                                  owner=0),
                         spec, 1)
 
     @pytest.mark.parametrize("bad", [-1, 3])
