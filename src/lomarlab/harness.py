@@ -409,20 +409,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None)
     cfg = state.cfg
     records = [run_round(state) for _ in range(cfg.rounds)]
 
-    num_clean = cfg.num_clean
-    num_malicious = cfg.attack.malicious_count
-    mean = lambda xs: float(np.mean(xs)) if xs else None
+    num_clean, num_malicious = cfg.num_clean, cfg.attack.malicious_count
+    clean_slots, malicious_slots = cfg.rounds * num_clean, cfg.rounds * num_malicious
     rates = {
-        "clean_kept_rate": mean([r.n_t / num_clean for r in records]),
-        "clean_dropped_rate": mean([r.m_f / num_clean for r in records]),
-        "malicious_kept_rate": mean([r.n_f / num_malicious for r in records]) if num_malicious else None,
-        "malicious_dropped_rate": mean([r.m_t / num_malicious for r in records]) if num_malicious else None,
+        "clean_kept_rate": sum(r.n_t for r in records) / clean_slots,
+        "clean_dropped_rate": sum(r.m_f for r in records) / clean_slots,
+        "malicious_kept_rate": sum(r.n_f for r in records) / malicious_slots if num_malicious else None,
+        "malicious_dropped_rate": sum(r.m_t for r in records) / malicious_slots if num_malicious else None,
     }
 
-    auc = None
-    points = None
-    if state.last_scores is not None and num_malicious > 0:
-        points, auc = roc_from_scores(state.last_scores, state.malicious)
+    scored = state.last_scores is not None and num_malicious > 0
+    points, auc = roc_from_scores(state.last_scores, state.malicious) if scored else (None, None)
 
     final = records[-1]
     summary = {
@@ -455,6 +452,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None)
             fh.write("\n")
         with open(out / "config_resolved.yaml", "w", encoding="utf-8", newline="") as fh:
             yaml.safe_dump({k: v for k, v in asdict(cfg).items() if k != "output_dir"}, fh, sort_keys=True)
+        for name in ("scores.csv", "roc_points.csv"):  # an earlier run's, if this run writes none
+            (out / name).unlink(missing_ok=True)
         if state.last_scores is not None:
             _write_csv(out / "scores.csv", ["client_id", "role", "score", "kept"],
                        ([s.owner, s.role, score, int(kept)] for s, score, kept

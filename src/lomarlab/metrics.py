@@ -89,8 +89,9 @@ def roc_from_scores(scores, malicious):
     scores and malicious are aligned arrays, one entry per client. Scores
     follow the keep direction (higher = cleaner). The sweep starts above the
     maximum (nothing kept) and ends at the minimum (everything kept), so the
-    curve always spans (0,0) to (1,1); AUC is the trapezoidal area. Both
-    roles must be present. NaN scores are rejected; ±inf scores sort as the
+    curve always spans (0,0) to (1,1). AUC is the share of clean-malicious
+    pairs whose clean score is higher, a tie counting one half. Both roles
+    must be present. NaN scores are rejected; ±inf scores sort as the
     extremes they are.
     """
     values, malicious = np.asarray(scores, dtype=np.float64), np.asarray(malicious, dtype=bool)
@@ -106,14 +107,13 @@ def roc_from_scores(scores, malicious):
     # Distinct scores ascending; a client is kept at every threshold <= its score,
     # so counts accumulated from the top give the kept totals per threshold.
     thetas, level = np.unique(values, return_inverse=True)
-    clean_kept = np.cumsum(np.bincount(level[~malicious], minlength=thetas.size)[::-1])
-    malicious_kept = np.cumsum(np.bincount(level[malicious], minlength=thetas.size)[::-1])
+    clean_at = np.bincount(level[~malicious], minlength=thetas.size)[::-1]
+    malicious_at = np.bincount(level[malicious], minlength=thetas.size)[::-1]
+    clean_kept, malicious_kept = np.cumsum(clean_at), np.cumsum(malicious_at)
     points = [RocPoint(float("inf"), 0.0, 0.0)]
     points += [RocPoint(theta, int(nc) / num_clean, int(nm) / num_malicious)
                for theta, nc, nm in zip(thetas[::-1].tolist(), clean_kept, malicious_kept)]
 
-    xs = np.array([p.one_minus_specificity for p in points])
-    ys = np.array([p.sensitivity for p in points])
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    auc = float(trapezoid(ys, xs))
-    return points, auc
+    # Twice the pair count: 2 per clean client above a malicious one, 1 per tie.
+    twice_pairs = int(np.dot(malicious_at, 2 * clean_kept - clean_at))
+    return points, twice_pairs / (2 * num_clean * num_malicious)

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 from dataclasses import asdict, replace
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -458,6 +459,16 @@ class TestRunExperiment:
         assert rates["clean_kept_rate"] + rates["clean_dropped_rate"] == pytest.approx(1.0)
         assert rates["malicious_kept_rate"] + rates["malicious_dropped_rate"] == pytest.approx(1.0)
 
+    def test_mean_rates_are_exact_count_ratios(self):
+        out = run_experiment(load_config(EXAMPLE_CONFIG), seed=7)
+        summary = out.summary
+        clean, malicious = summary["num_clean"], summary["num_malicious"]
+        for key, count, population in (("clean_kept_rate", "n_t", clean), ("clean_dropped_rate", "m_f", clean),
+                                       ("malicious_kept_rate", "n_f", malicious),
+                                       ("malicious_dropped_rate", "m_t", malicious)):
+            total = sum(getattr(r, count) for r in out.records)
+            assert summary["mean_rates"][key] == float(Fraction(total, summary["rounds"] * population)), key
+
     def test_no_attack_rates_are_none(self):
         raw = base_dict()
         raw["attack"] = {"kind": "none"}
@@ -498,6 +509,22 @@ class TestRunExperiment:
             resolved = yaml.safe_load(fh)
         assert resolved["num_clean"] == 8
         assert resolved["seed"] == 7
+
+    def test_rerun_without_scores_leaves_no_stale_score_files(self, tmp_path):
+        out_dir = tmp_path / "run"
+        run_experiment(config_from_dict(base_dict()), out_dir=out_dir)
+        assert (out_dir / "scores.csv").exists() and (out_dir / "roc_points.csv").exists()
+        median = base_dict(defense={"kind": "median"})
+        assert run_experiment(config_from_dict(median), out_dir=out_dir).summary["auc"] is None
+        assert not (out_dir / "scores.csv").exists()
+        assert not (out_dir / "roc_points.csv").exists()
+
+        run_experiment(config_from_dict(base_dict()), out_dir=out_dir)
+        # LoMar still scores every client without an attack, but there is no ROC
+        no_attack = run_experiment(config_from_dict(base_dict(attack={"kind": "none"})), out_dir=out_dir)
+        assert not (out_dir / "roc_points.csv").exists()
+        scores, malicious = read_scores_csv(out_dir / "scores.csv")
+        assert np.array_equal(scores, no_attack.state.last_scores) and not malicious.any()
 
     def test_nan_becomes_null_in_summary_json(self, tmp_path):
         # no attack and no eval override: target accuracy is NaN

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lomarlab.metrics import RocPoint, confusion_counts, eval_accuracy, roc_from_scores
 from lomarlab.models import ModelSpec, ParamVector
@@ -88,10 +91,24 @@ def roc_points_by_sets(scores, malicious):
     return points
 
 
+def mann_whitney_auc(scores, malicious):
+    """Exact share of clean-malicious pairs ranked clean first, a tie counting one half."""
+    clean = [s for s, m in zip(scores, malicious) if not m]
+    bad = [s for s, m in zip(scores, malicious) if m]
+    wins = sum(Fraction(int(c > b) * 2 + int(c == b), 2) for c in clean for b in bad)
+    return wins / (len(clean) * len(bad))
+
+
+# A few levels, so ties are common, plus both infinities.
+roc_score = st.sampled_from([-math.inf, -1.5, 0.0, 0.25, 2.0, math.inf]) | st.floats(-3, 3)
+roc_scores = st.lists(st.tuples(roc_score, st.booleans()), min_size=2, max_size=40).filter(
+    lambda rows: 0 < sum(m for _, m in rows) < len(rows))
+
+
 class TestRoc:
     def test_hand_case(self):
         points, auc = roc_from_scores([4.0, 2.0, 3.0, 1.0], [False, False, True, True])
-        assert auc == pytest.approx(0.75, rel=1e-12)
+        assert auc == 0.75
         assert points[0] == RocPoint(float("inf"), 0.0, 0.0)
         assert points[-1].sensitivity == 1.0
         assert points[-1].one_minus_specificity == 1.0
@@ -110,26 +127,28 @@ class TestRoc:
 
     def test_all_tied_scores_give_half(self):
         _, auc = roc_from_scores([2.0, 2.0], [False, True])
-        assert auc == pytest.approx(0.5, rel=1e-12)
+        assert auc == 0.5
 
-    def test_auc_equals_pairwise_probability(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            n_c, n_m = int(rng.integers(2, 8)), int(rng.integers(2, 8))
-            clean = [float(rng.normal()) for _ in range(n_c)]
-            malicious = [float(rng.normal()) for _ in range(n_m)]
-            _, auc = roc_from_scores(clean + malicious, [False] * n_c + [True] * n_m)
-            wins = sum(c > m for c in clean for m in malicious)
-            ties = sum(c == m for c in clean for m in malicious)
-            want = (wins + 0.5 * ties) / (n_c * n_m)
-            assert auc == pytest.approx(want, rel=1e-9)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(roc_scores)
+    def test_auc_equals_pairwise_probability(self, rows):
+        scores, malicious = zip(*rows)
+        _, auc = roc_from_scores(scores, malicious)
+        assert auc == float(mann_whitney_auc(scores, malicious))
+
+    def test_paper_scale_perfect_separation_is_exactly_one(self):
+        # 60 malicious clients: summing 60 float areas of width 1/60 gives 0.9999999999999999
+        rng = np.random.default_rng(12)
+        scores = np.concatenate([rng.uniform(1.0, 2.0, 150), rng.uniform(-2.0, -1.0, 60)])
+        _, auc = roc_from_scores(scores, np.arange(210) >= 150)
+        assert auc == 1.0
 
     def test_tied_scores_one_point_per_distinct_value(self):
         points, auc = roc_from_scores([1.0, 1.0, 0.0, 1.0, 0.0], [False, True, True, False, False])
         assert points == [RocPoint(float("inf"), 0.0, 0.0), RocPoint(1.0, 2 / 3, 0.5),
                           RocPoint(0.0, 1.0, 1.0)]
         # clean beats malicious in 2 of 6 pairs and ties in 3
-        assert auc == pytest.approx(3.5 / 6, rel=1e-12)
+        assert auc == 3.5 / 6
 
     def test_infinite_scores_accepted(self):
         inf = float("inf")
@@ -138,7 +157,7 @@ class TestRoc:
         points, auc = roc_from_scores(scores, malicious)
         assert points == roc_points_by_sets(scores, malicious)
         assert [p.threshold for p in points] == [inf, inf, 0.5, -inf]
-        assert auc == pytest.approx(3.0 / 6, rel=1e-12)
+        assert auc == 3.0 / 6
 
     def test_matches_set_sweep_with_ties(self):
         rng = np.random.default_rng(10)
@@ -156,8 +175,8 @@ class TestRoc:
         _, base = roc_from_scores(scores, malicious)
         _, scaled = roc_from_scores(3.0 * scores + 11.0, malicious)
         _, warped = roc_from_scores(np.exp(scores), malicious)
-        assert scaled == pytest.approx(base, rel=1e-12)
-        assert warped == pytest.approx(base, rel=1e-12)
+        assert scaled == base
+        assert warped == base
 
     def test_coverage_and_role_checks(self):
         with pytest.raises(ValueError):
