@@ -16,8 +16,9 @@
 # `resolved` entry).
 # Both trees run the working tree's config files. The output directories are
 # compared with `diff -r` and the stdout with `diff`, minus the "wrote <dir>"
-# line. Prints one line per variant (and one each for the sweep and the
-# resolved rerun) and exits 1 if any differs.
+# line; both diffs always run. Prints one line per variant (and one each for
+# the sweep and the resolved rerun), then the head of each non-empty diff of a
+# variant that differs, and exits 1 if any differs.
 # Both sides run one OpenBLAS thread, the count the CLI pins itself to, so a
 # base revision without that pin runs under the same contract as the head.
 set -euo pipefail
@@ -77,16 +78,23 @@ lomarlab() {
     shift
     PYTHONPATH="$src" python3 -m lomarlab "$@" | grep -v '^wrote '
 }
-# compare NAME: diff the output directory and the stdout of both sides.
+# compare NAME: diff the output directories and the stdout of both sides, both
+# every time, and print the head of each diff that is not empty.
 compare() {
-    local name=$1
-    if diff -r "$tmp/out/base/$name" "$tmp/out/head/$name" > "$tmp/out/$name.diff" \
-        && diff "$tmp/out/base-$name.stdout" "$tmp/out/head-$name.stdout" >> "$tmp/out/$name.diff"; then
-        echo "same     $name"
-    else
+    local name=$1 differs=0 part
+    diff -r "$tmp/out/base/$name" "$tmp/out/head/$name" > "$tmp/out/$name.files.diff" || differs=1
+    diff "$tmp/out/base-$name.stdout" "$tmp/out/head-$name.stdout" > "$tmp/out/$name.stdout.diff" || differs=1
+    if (( differs )); then
         echo "DIFFERS  $name"
-        head -n 20 "$tmp/out/$name.diff"
+        for part in files stdout; do
+            if [[ -s $tmp/out/$name.$part.diff ]]; then
+                echo "  $part:"
+                head -n 20 "$tmp/out/$name.$part.diff"
+            fi
+        done
         status=1
+    else
+        echo "same     $name"
     fi
 }
 

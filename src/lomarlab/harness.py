@@ -338,10 +338,9 @@ def run_round(state: ExperimentState) -> RoundRecord:
     """
     cfg = state.cfg
     t = state.round_index + 1
-    deltas = np.empty((len(state.shards), state.joint.values.size))
+    seeds = [np.random.SeedSequence([cfg.seed, TAG_TRAIN, t, shard.owner]) for shard in state.shards]
+    deltas = local_train(state.joint, state.shards, cfg.model, seeds)
     for row, shard in zip(deltas, state.shards):
-        seed = np.random.SeedSequence([cfg.seed, TAG_TRAIN, t, shard.owner])
-        row[:] = local_train(state.joint, shard, cfg.model, seed)
         if cfg.attack.kind == "model_poison" and shard.role == ROLE_MALICIOUS:
             row[:] = boost_update(row, cfg.attack.boost_factor)
     rnd = Round([s.owner for s in state.shards], [len(s) for s in state.shards], deltas, state.joint.layout)

@@ -15,6 +15,7 @@ import numpy as np
 
 MODEL_KINDS = ("logistic", "mlp")
 EVAL_CHUNK_ROWS = 1024  # predict widens this many rows to float64 at a time
+TRAIN_GROUP_BYTES = 512 * 1024  # cap on the float32 batch rows one lockstep training group gathers
 ROLE_CLEAN = "clean"
 ROLE_MALICIOUS = "malicious"
 
@@ -148,23 +149,23 @@ class Round:
 
 
 def _unpack(values: np.ndarray, spec: ModelSpec):
-    """Views (w, b, w1, b1) into a flat vector; w1 and b1 are None for the logistic model."""
-    m, r, d = spec.output_fan_in, spec.num_labels, spec.input_dim
-    out, shared = values[: r * (m + 1)].reshape(r, m + 1), values[r * (m + 1):]
-    w1, b1 = (None, None) if spec.kind == "logistic" else (shared[: m * d].reshape(m, d), shared[m * d:])
-    return out[:, :m], out[:, m], w1, b1
+    """Views (w, b, w1, b1) into a flat vector or a stack of them; w1 and b1 are None for the logistic model."""
+    m, r, d, lead = spec.output_fan_in, spec.num_labels, spec.input_dim, values.shape[:-1]
+    out, shared = values[..., : r * (m + 1)].reshape(*lead, r, m + 1), values[..., r * (m + 1):]
+    w1, b1 = (None, None) if spec.kind == "logistic" else (shared[..., : m * d].reshape(*lead, m, d), shared[..., m * d:])
+    return out[..., :m], out[..., m], w1, b1
 
 
 def _logits(views, x: np.ndarray):
-    """(hidden, logits) of batch x at _unpack's views; the logistic model's hidden layer is x itself."""
+    """(hidden, logits) of batch x at _unpack's views, stacked as they are; the logistic hidden layer is x itself."""
     w, b, w1, b1 = views
     hidden = x
     if w1 is not None:
-        hidden = x @ w1.T
-        hidden += b1
+        hidden = x @ np.swapaxes(w1, -1, -2)
+        hidden += b1[..., None, :]
         np.maximum(hidden, 0.0, out=hidden)
-    logits = hidden @ w.T
-    logits += b
+    logits = hidden @ np.swapaxes(w, -1, -2)
+    logits += b[..., None, :]
     return hidden, logits
 
 
@@ -191,24 +192,25 @@ def _gradient(views, grad, x: np.ndarray, onehot: np.ndarray, p_true=None):
     """Write the mean cross-entropy gradient of batch x at `views` into all of `grad` (both _unpack's views).
 
     onehot holds the batch's labels as one-hot rows; p_true, if given, receives each true-label probability.
-    Every operand shares one dtype, and the arithmetic runs in it.
+    Every operand shares one dtype, and the arithmetic runs in it. All may carry one leading group axis: each
+    member then takes a lone batch's operations on its own slices.
     """
     hidden, p = _logits(views, x)
-    p -= np.maximum.reduce(p, axis=1, keepdims=True)
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= np.add.reduce(p, axis=1, keepdims=True)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     if p_true is not None:
         p_true[:] = p[onehot == 1.0]
     p -= onehot
-    p /= x.shape[0]
+    p /= x.shape[-2]
     gw, gb, gw1, gb1 = grad
-    np.matmul(p.T, hidden, out=gw)
-    np.add.reduce(p, axis=0, out=gb)
+    np.matmul(np.swapaxes(p, -1, -2), hidden, out=gw)
+    np.add.reduce(p, axis=-2, out=gb)
     if gw1 is not None:
         dhidden = p @ views[0]
         dhidden *= hidden > 0.0
-        np.matmul(dhidden.T, x, out=gw1)
-        np.add.reduce(dhidden, axis=0, out=gb1)
+        np.matmul(np.swapaxes(dhidden, -1, -2), x, out=gw1)
+        np.add.reduce(dhidden, axis=-2, out=gb1)
 
 
 def _check_labels(y: np.ndarray, spec: ModelSpec) -> np.ndarray:
@@ -227,39 +229,47 @@ def loss_and_grad(params: ParamVector, spec: ModelSpec, x: np.ndarray, y: np.nda
     return -np.mean(np.log(np.clip(p_true, 1e-300, None))), ParamVector(grad, params.layout)
 
 
-def local_train(joint: ParamVector, shard, spec: ModelSpec, rng_seed) -> np.ndarray:
-    """Run E epochs of minibatch SGD from the joint model, return the float64 delta array.
+def local_train(joint: ParamVector, shards, spec: ModelSpec, seeds) -> np.ndarray:
+    """E epochs of minibatch SGD per shard from the joint model; row i of the float64 result is shards[i]'s delta.
 
-    shard is a data.DataShard. Every step runs in float32: the working vector
-    starts at float32(joint), each epoch gathers its shuffled pool row indices
-    and float32 one-hot labels once, and each batch gathers its feature rows
-    from the float32 shard.pool. The delta is taken in float32 against
-    float32(joint) and widened on return.
-
-    rng_seed may be an int, a numpy SeedSequence, or a Generator. Passing the
-    same Generator object across successive single-epoch calls reproduces one
-    multi-epoch call exactly, since the permutation stream is consumed in
-    order.
+    shards are data.DataShards; seeds[i] (an int, a numpy SeedSequence or a
+    Generator) draws shards[i]'s epoch permutations, so one Generator passed to
+    successive single-epoch calls reproduces one multi-epoch call exactly.
+    Every step runs in float32: a client's working row starts at float32(joint),
+    each epoch gathers its shuffled pool row indices and float32 one-hot labels
+    once, and each batch gathers its features from the float32 pool. The delta
+    is taken against float32(joint) and widened on return. Consecutive shards of
+    one length on one pool step in lockstep, as many as keep a batch gather
+    within TRAIN_GROUP_BYTES. Each keeps its own generator and working row, and
+    the stacked kernel gives it a lone client's float32 operations on the same
+    operands, so its delta is bitwise the one its shard trains alone.
     """
-    x, rows = shard.pool, shard.rows
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty shard")
-    if x.shape[1] != spec.input_dim:
-        raise ValueError(f"shard feature dim {x.shape[1]} != input_dim {spec.input_dim}")
-    y = _check_labels(shard.labels, spec)
-    rng = np.random.default_rng(rng_seed)
-    start_values = joint.values.astype(np.float32)
-    work, grad = start_values.copy(), np.empty_like(start_values)
-    views, grad_views = _unpack(work, spec), _unpack(grad, spec)
-    eye = np.eye(spec.num_labels, dtype=np.float32)
-    for _ in range(spec.local_epochs):
-        order = rng.permutation(n)
-        epoch_rows, onehot = rows[order], eye.take(y[order], axis=0)
-        for start in range(0, n, spec.batch_size):
-            batch = slice(start, start + spec.batch_size)
-            _gradient(views, grad_views, x.take(epoch_rows[batch], axis=0), onehot[batch])
-            grad *= spec.learning_rate
-            work -= grad
-    work -= start_values
-    return work.astype(np.float64)
+    if len(shards) != len(seeds):
+        raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
+    for shard in shards:
+        if len(shard) == 0:
+            raise ValueError("empty shard")
+        if shard.pool.shape[1] != spec.input_dim:
+            raise ValueError(f"shard feature dim {shard.pool.shape[1]} != input_dim {spec.input_dim}")
+    labels = [_check_labels(shard.labels, spec) for shard in shards]
+    start_values, eye = joint.values.astype(np.float32), np.eye(spec.num_labels, dtype=np.float32)
+    deltas, begin = np.empty((len(shards), start_values.size)), 0
+    while begin < len(shards):
+        n, x = len(shards[begin]), shards[begin].pool
+        end = min(len(shards), begin + max(1, TRAIN_GROUP_BYTES // (min(spec.batch_size, n) * spec.input_dim * 4)))
+        end = next((i for i in range(begin + 1, end) if len(shards[i]) != n or shards[i].pool is not x), end)
+        rngs = [np.random.default_rng(seed) for seed in seeds[begin:end]]
+        work, grad = np.tile(start_values, (end - begin, 1)), np.empty((end - begin, start_values.size), np.float32)
+        views, grad_views = _unpack(work, spec), _unpack(grad, spec)
+        for _ in range(spec.local_epochs):
+            orders = [rng.permutation(n) for rng in rngs]
+            epoch_rows = np.stack([shard.rows[order] for shard, order in zip(shards[begin:end], orders)])
+            onehot = eye.take(np.stack([y[order] for y, order in zip(labels[begin:end], orders)]), axis=0)
+            for step in range(0, n, spec.batch_size):
+                batch = slice(step, step + spec.batch_size)
+                _gradient(views, grad_views, x.take(epoch_rows[:, batch], axis=0), onehot[:, batch])
+                grad *= spec.learning_rate
+                work -= grad
+        deltas[begin:end] = work - start_values
+        begin = end
+    return deltas

@@ -641,7 +641,7 @@ class TestModelPoison:
         assert state.malicious.tolist() == [False] * 8 + [True] * 3
         for row, shard, malicious in zip(deltas, state.shards, state.malicious):
             seed = np.random.SeedSequence([state.cfg.seed, harness.TAG_TRAIN, 1, shard.owner])
-            trained = harness.local_train(joint, shard, state.cfg.model, seed)
+            trained = harness.local_train(joint, [shard], state.cfg.model, [seed])[0]
             assert np.any(trained != 0), shard.owner
             want = trained * 3.7 if malicious else trained
             assert row.tobytes() == want.tobytes(), shard.owner
@@ -903,11 +903,12 @@ def non_finite_local_train(value, owners=NON_FINITE_CLIENTS):
     """harness.local_train, except that the given owners' deltas get one `value` entry."""
     train = harness.local_train
 
-    def patched(joint, shard, spec, seed):
-        delta = train(joint, shard, spec, seed)
-        if shard.owner in owners:
-            delta[0] = value
-        return delta
+    def patched(joint, shards, spec, seeds):
+        deltas = train(joint, shards, spec, seeds)
+        for delta, shard in zip(deltas, shards):
+            if shard.owner in owners:
+                delta[0] = value
+        return deltas
     return patched
 
 
