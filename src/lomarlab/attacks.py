@@ -68,11 +68,11 @@ class AttackConfig:
         return self.flip_pairs[malicious_index % len(self.flip_pairs)]
 
 
-def make_flipped_shard(pool_features: np.ndarray, pool_labels: np.ndarray, samples: int,
-                       pair: tuple[int, int], tau: float, seed, owner: int = -1) -> DataShard:
-    """Build one malicious shard over pool_features' rows: ceil(tau*l)
-    source-label samples relabelled to the target plus uniform untouched
-    draws for the remainder.
+def make_flipped_shard(pool_labels: np.ndarray, samples: int, pair: tuple[int, int], tau: float, seed,
+                       owner: int = -1) -> DataShard:
+    """Build one malicious shard over the rows of a pool with these labels:
+    ceil(tau*l) source-label samples relabelled to the target plus uniform
+    untouched draws for the remainder.
 
     Draws are without replacement within this shard, and the rows stay in draw
     order (flipped first); raises when the source pool cannot cover the flipped
@@ -104,7 +104,7 @@ def make_flipped_shard(pool_features: np.ndarray, pool_labels: np.ndarray, sampl
 
     rows = np.concatenate([flip_idx, rand_idx])
     labels = np.concatenate([np.full(n_flip, tgt, dtype=np.int64), pool_labels[rand_idx]])
-    return DataShard(pool_features, rows, labels, owner=owner, role=ROLE_MALICIOUS)
+    return DataShard(rows, labels, owner=owner, role=ROLE_MALICIOUS)
 
 
 def boost_update(delta: np.ndarray, boost_factor: float) -> np.ndarray:
@@ -114,8 +114,8 @@ def boost_update(delta: np.ndarray, boost_factor: float) -> np.ndarray:
     return delta * float(boost_factor)
 
 
-def build_malicious_shards(attack: AttackConfig, pool_features: np.ndarray, pool_labels: np.ndarray,
-                           samples: int, seed_seq, first_owner: int) -> list[DataShard]:
+def build_malicious_shards(attack: AttackConfig, pool_labels: np.ndarray, samples: int, seed_seq,
+                           first_owner: int) -> list[DataShard]:
     """One flipped shard per malicious client, pairs assigned round-robin.
 
     seed_seq is a numpy SeedSequence; each shard gets an independent child
@@ -127,8 +127,6 @@ def build_malicious_shards(attack: AttackConfig, pool_features: np.ndarray, pool
     shards = []
     for m in range(attack.malicious_count):
         child = np.random.SeedSequence(entropy=seed_seq.entropy, spawn_key=(*seed_seq.spawn_key, m))
-        shards.append(
-            make_flipped_shard(pool_features, pool_labels, samples, attack.pair_for(m),
-                               attack.tau, child, owner=first_owner + m)
-        )
+        shards.append(make_flipped_shard(pool_labels, samples, attack.pair_for(m), attack.tau, child,
+                                         owner=first_owner + m))
     return shards

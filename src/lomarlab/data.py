@@ -6,10 +6,10 @@ partitioner hands each client a shard with a lambda-controlled bias toward one
 major label: ceil(lambda*l) samples of that label plus uniform draws for the
 rest. Draws are disjoint across clients while supply lasts; when a plan
 oversubscribes the pool the remainder is drawn with replacement and the shard
-is flagged. A shard holds row indices into the one shared feature array, never
-a copy of its rows. Every pool is float32, synthetic draws and IDX pixels
-alike; local training runs in float32 on it, and evaluation widens what it
-reads to float64.
+is flagged. A shard holds row indices into the run's one feature array and
+never the array itself: local training takes that pool once for every shard.
+Every pool is float32, synthetic draws and IDX pixels alike; local training
+runs in float32 on it, and evaluation widens what it reads to float64.
 """
 
 from __future__ import annotations
@@ -39,11 +39,9 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class DataShard:
-    """One client's local training set: row indices into the shared float32 feature
-    array `pool` (a reference, never a copy), plus labels, which a malicious shard
-    rewrites."""
+    """One client's local training set: row indices into the run's float32 training
+    pool, plus labels, which a malicious shard rewrites."""
 
-    pool: np.ndarray
     rows: np.ndarray
     labels: np.ndarray
     owner: int
@@ -51,17 +49,14 @@ class DataShard:
     used_replacement: bool = False
 
     def __post_init__(self):
-        self.pool = np.asarray(self.pool)
-        if self.pool.dtype != np.float32:
-            raise ValueError(f"pool dtype {self.pool.dtype} is not float32")
         self.rows = np.asarray(self.rows, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.pool.ndim != 2 or self.rows.ndim != 1 or self.labels.ndim != 1:
-            raise ValueError("pool must be 2-D, rows and labels 1-D")
+        if self.rows.ndim != 1 or self.labels.ndim != 1:
+            raise ValueError("rows and labels must be 1-D")
         if self.rows.shape[0] != self.labels.shape[0]:
             raise ValueError("rows/labels length mismatch")
-        if len(self.rows) and (self.rows.min() < 0 or self.rows.max() >= len(self.pool)):
-            raise ValueError(f"rows outside the pool's {len(self.pool)} rows")
+        if len(self.rows) and self.rows.min() < 0:
+            raise ValueError("negative row index")
         if self.role not in (ROLE_CLEAN, ROLE_MALICIOUS):
             raise ValueError(f"unknown role {self.role!r}")
 
@@ -207,9 +202,8 @@ class _Pool:
         return out
 
 
-def partition(features: np.ndarray, labels: np.ndarray, num_clients: int, plan: PartitionPlan,
-              seed) -> list[DataShard]:
-    """Split (features, labels) into num_clients shards of row indices into features.
+def partition(labels: np.ndarray, num_clients: int, plan: PartitionPlan, seed) -> list[DataShard]:
+    """Split a pool with these labels into num_clients shards of its row indices.
 
     Major labels go round-robin over the labels present; a shard's rows stay in
     draw order, since local training shuffles every epoch. Raises on any
@@ -255,5 +249,5 @@ def partition(features: np.ndarray, labels: np.ndarray, num_clients: int, plan: 
                 flagged = True
 
         idx = np.concatenate(picked)
-        shards.append(DataShard(features, idx, labels[idx], owner=client, used_replacement=flagged))
+        shards.append(DataShard(idx, labels[idx], owner=client, used_replacement=flagged))
     return shards

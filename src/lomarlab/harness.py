@@ -256,11 +256,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """The config in a YAML file; a ConfigError if it is missing, unreadable, undecodable or malformed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:  # PyYAML's reader then reports undecodable bytes as a YAMLError
             raw = yaml.safe_load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"unreadable config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"unparseable config {path}: {exc}") from exc
     return config_from_dict(raw or {})
@@ -269,6 +272,7 @@ def load_config(path) -> ExperimentConfig:
 @dataclass
 class ExperimentState:
     cfg: ExperimentConfig  # fitted to the data
+    train_features: np.ndarray  # the float32 pool every shard's rows index
     shards: list[DataShard]
     malicious: np.ndarray  # (n,) bool in shard order
     test_features: np.ndarray
@@ -313,15 +317,13 @@ def initialize_state(cfg: ExperimentConfig, seed: int | None = None) -> Experime
     else:
         (train_x, train_y), (test_x, test_y) = _load_mnist_dir(ds.dir)
     cfg = cfg.fit(train_x.shape[1], int(max(train_y.max(), test_y.max())) + 1)
-    shards = partition(train_x, train_y, cfg.num_clean, cfg.partition,
-                       np.random.SeedSequence([cfg.seed, TAG_PARTITION]))
-    shards += build_malicious_shards(cfg.attack, train_x, train_y,
-                                     cfg.partition.samples_per_client,
-                                     np.random.SeedSequence([cfg.seed, TAG_ATTACK]),
-                                     first_owner=cfg.num_clean)
+    shards = partition(train_y, cfg.num_clean, cfg.partition, np.random.SeedSequence([cfg.seed, TAG_PARTITION]))
+    shards += build_malicious_shards(cfg.attack, train_y, cfg.partition.samples_per_client,
+                                     np.random.SeedSequence([cfg.seed, TAG_ATTACK]), first_owner=cfg.num_clean)
 
     return ExperimentState(
         cfg=cfg,
+        train_features=train_x,
         shards=shards,
         malicious=np.array([s.role == ROLE_MALICIOUS for s in shards]),
         test_features=test_x,
@@ -339,7 +341,7 @@ def run_round(state: ExperimentState) -> RoundRecord:
     cfg = state.cfg
     t = state.round_index + 1
     seeds = [np.random.SeedSequence([cfg.seed, TAG_TRAIN, t, shard.owner]) for shard in state.shards]
-    deltas = local_train(state.joint, state.shards, cfg.model, seeds)
+    deltas = local_train(state.joint, state.train_features, state.shards, cfg.model, seeds)
     for row, shard in zip(deltas, state.shards):
         if cfg.attack.kind == "model_poison" and shard.role == ROLE_MALICIOUS:
             row[:] = boost_update(row, cfg.attack.boost_factor)
@@ -495,6 +497,8 @@ def sweep_values(grid: str) -> list[float]:
         raise ConfigError("empty sweep grid")
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"bad grid {grid!r}: values must be finite")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"bad grid {grid!r}: a value repeats, and each value has one output directory")
     return values
 
 

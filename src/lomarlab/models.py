@@ -229,45 +229,47 @@ def loss_and_grad(params: ParamVector, spec: ModelSpec, x: np.ndarray, y: np.nda
     return -np.mean(np.log(np.clip(p_true, 1e-300, None))), ParamVector(grad, params.layout)
 
 
-def local_train(joint: ParamVector, shards, spec: ModelSpec, seeds) -> np.ndarray:
+def local_train(joint: ParamVector, pool: np.ndarray, shards, spec: ModelSpec, seeds) -> np.ndarray:
     """E epochs of minibatch SGD per shard from the joint model; row i of the float64 result is shards[i]'s delta.
 
-    shards are data.DataShards; seeds[i] (an int, a numpy SeedSequence or a
-    Generator) draws shards[i]'s epoch permutations, so one Generator passed to
-    successive single-epoch calls reproduces one multi-epoch call exactly.
-    Every step runs in float32: a client's working row starts at float32(joint),
-    each epoch gathers its shuffled pool row indices and float32 one-hot labels
-    once, and each batch gathers its features from the float32 pool. The delta
-    is taken against float32(joint) and widened on return. Consecutive shards of
-    one length on one pool step in lockstep, as many as keep a batch gather
-    within TRAIN_GROUP_BYTES. Each keeps its own generator and working row, and
-    the stacked kernel gives it a lone client's float32 operations on the same
+    pool is the run's 2-D float32 training array with input_dim columns, and
+    shards are data.DataShards of row indices into it; seeds[i] (an int, a numpy
+    SeedSequence or a Generator) draws shards[i]'s epoch permutations, so one
+    Generator passed to successive single-epoch calls reproduces one multi-epoch
+    call exactly. Every step runs in float32: a client's working row starts at
+    float32(joint), each epoch gathers its shuffled row indices and float32
+    one-hot labels once, and each batch gathers its features from the pool. The
+    delta is taken against float32(joint) and widened on return. Consecutive
+    shards of one length step in lockstep, as many as keep a batch gather within
+    TRAIN_GROUP_BYTES. Each keeps its own generator and working row, and the
+    stacked kernel gives it a lone client's float32 operations on the same
     operands, so its delta is bitwise the one its shard trains alone.
     """
     if len(shards) != len(seeds):
         raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
-    for shard in shards:
-        if len(shard) == 0:
-            raise ValueError("empty shard")
-        if shard.pool.shape[1] != spec.input_dim:
-            raise ValueError(f"shard feature dim {shard.pool.shape[1]} != input_dim {spec.input_dim}")
+    if pool.dtype != np.float32 or pool.ndim != 2 or pool.shape[1] != spec.input_dim:
+        raise ValueError(f"pool of {pool.dtype} {pool.shape} is not 2-D float32 with {spec.input_dim} columns")
+    if any(len(shard) == 0 for shard in shards):
+        raise ValueError("empty shard")
     labels = [_check_labels(shard.labels, spec) for shard in shards]
     start_values, eye = joint.values.astype(np.float32), np.eye(spec.num_labels, dtype=np.float32)
     deltas, begin = np.empty((len(shards), start_values.size)), 0
     while begin < len(shards):
-        n, x = len(shards[begin]), shards[begin].pool
+        n = len(shards[begin])
         end = min(len(shards), begin + max(1, TRAIN_GROUP_BYTES // (min(spec.batch_size, n) * spec.input_dim * 4)))
-        end = next((i for i in range(begin + 1, end) if len(shards[i]) != n or shards[i].pool is not x), end)
+        end = next((i for i in range(begin + 1, end) if len(shards[i]) != n), end)
         rngs = [np.random.default_rng(seed) for seed in seeds[begin:end]]
         work, grad = np.tile(start_values, (end - begin, 1)), np.empty((end - begin, start_values.size), np.float32)
         views, grad_views = _unpack(work, spec), _unpack(grad, spec)
-        for _ in range(spec.local_epochs):
+        for epoch in range(spec.local_epochs):
             orders = [rng.permutation(n) for rng in rngs]
             epoch_rows = np.stack([shard.rows[order] for shard, order in zip(shards[begin:end], orders)])
+            if epoch == 0 and epoch_rows.max() >= len(pool):
+                raise ValueError(f"shard rows past the pool's {len(pool)} rows")
             onehot = eye.take(np.stack([y[order] for y, order in zip(labels[begin:end], orders)]), axis=0)
             for step in range(0, n, spec.batch_size):
                 batch = slice(step, step + spec.batch_size)
-                _gradient(views, grad_views, x.take(epoch_rows[:, batch], axis=0), onehot[:, batch])
+                _gradient(views, grad_views, pool.take(epoch_rows[:, batch], axis=0), onehot[:, batch])
                 grad *= spec.learning_rate
                 work -= grad
         deltas[begin:end] = work - start_values

@@ -46,8 +46,8 @@ class TestAttackConfig:
 
 class TestFlippedShard:
     def test_full_flip_composition(self):
-        x, y = pool()
-        shard = make_flipped_shard(x, y, samples=20, pair=(0, 2), tau=1.0, seed=5, owner=9)
+        _, y = pool()
+        shard = make_flipped_shard(y, samples=20, pair=(0, 2), tau=1.0, seed=5, owner=9)
         assert len(shard) == 20
         assert shard.owner == 9
         assert shard.role == ROLE_MALICIOUS
@@ -55,14 +55,14 @@ class TestFlippedShard:
 
     def test_flipped_samples_come_from_source_pool(self):
         x, y = pool()
-        shard = make_flipped_shard(x, y, samples=15, pair=(1, 0), tau=1.0, seed=6)
+        shard = make_flipped_shard(y, samples=15, pair=(1, 0), tau=1.0, seed=6)
         source_rows = {tuple(row) for row in x[y == 1]}
-        for row in shard.pool[shard.rows]:
+        for row in x[shard.rows]:
             assert tuple(row) in source_rows
 
     def test_partial_tau_counts(self):
-        x, y = pool()
-        shard = make_flipped_shard(x, y, samples=20, pair=(0, 1), tau=0.6, seed=7)
+        _, y = pool()
+        shard = make_flipped_shard(y, samples=20, pair=(0, 1), tau=0.6, seed=7)
         # ceil(0.6*20)=12 flipped-to-1 samples at minimum; the remaining 8 are
         # uniform draws so label 1 may gain a few more
         assert np.sum(shard.labels == 1) >= 12
@@ -70,19 +70,19 @@ class TestFlippedShard:
 
     def test_no_within_shard_duplicates(self):
         x, y = pool()
-        shard = make_flipped_shard(x, y, samples=30, pair=(0, 1), tau=0.5, seed=8)
-        assert np.unique(shard.pool[shard.rows], axis=0).shape[0] == 30
+        shard = make_flipped_shard(y, samples=30, pair=(0, 1), tau=0.5, seed=8)
+        assert np.unique(x[shard.rows], axis=0).shape[0] == 30
 
     def test_insufficient_source_pool_raises(self):
-        x, y = pool(per_label=10)
+        _, y = pool(per_label=10)
         with pytest.raises(ValueError):
-            make_flipped_shard(x, y, samples=20, pair=(0, 1), tau=1.0, seed=9)
+            make_flipped_shard(y, samples=20, pair=(0, 1), tau=1.0, seed=9)
 
     def test_seed_reproducibility(self):
         x, y = pool()
-        a = make_flipped_shard(x, y, samples=12, pair=(2, 0), tau=0.8, seed=10)
-        b = make_flipped_shard(x, y, samples=12, pair=(2, 0), tau=0.8, seed=10)
-        assert np.array_equal(a.pool[a.rows], b.pool[b.rows])
+        a = make_flipped_shard(y, samples=12, pair=(2, 0), tau=0.8, seed=10)
+        b = make_flipped_shard(y, samples=12, pair=(2, 0), tau=0.8, seed=10)
+        assert np.array_equal(x[a.rows], x[b.rows])
         assert np.array_equal(a.labels, b.labels)
 
 
@@ -104,13 +104,13 @@ class TestFlippedShardReference:
     @pytest.mark.parametrize("seed", [0, 1, 17, 2024])
     @pytest.mark.parametrize("samples, tau", [(20, 1.0), (20, 0.6), (45, 0.3), (7, 0.01)])
     def test_rows_and_labels_equal_the_setdiff_draw(self, seed, samples, tau):
-        x, y = pool(per_label=60, labels=4, seed=seed)
-        shard = make_flipped_shard(x, y, samples, (2, 3), tau, seed=seed, owner=5)
+        _, y = pool(per_label=60, labels=4, seed=seed)
+        shard = make_flipped_shard(y, samples, (2, 3), tau, seed=seed, owner=5)
         rows, labels = flipped_reference(y, samples, (2, 3), tau, seed)
         assert shard.rows.dtype == np.int64
         assert np.array_equal(shard.rows, rows)
         assert np.array_equal(shard.labels, labels)
-        assert shard.pool is x
+        assert not hasattr(shard, "pool")
 
 
 class TestBoost:
@@ -128,10 +128,10 @@ class TestBoost:
 
 class TestCohort:
     def test_one_shard_per_malicious_client(self):
-        x, y = pool()
+        _, y = pool()
         atk = AttackConfig(kind="label_flip", malicious_count=4,
                            flip_pairs=((0, 1), (1, 2)), tau=1.0)
-        shards = build_malicious_shards(atk, x, y, samples=10,
+        shards = build_malicious_shards(atk, y, samples=10,
                                         seed_seq=np.random.SeedSequence(3), first_owner=50)
         assert [s.owner for s in shards] == [50, 51, 52, 53]
         assert all(s.role == ROLE_MALICIOUS for s in shards)
@@ -144,14 +144,14 @@ class TestCohort:
         atk = AttackConfig(kind="label_flip", malicious_count=3,
                            flip_pairs=((0, 1),), tau=1.0)
         ss = np.random.SeedSequence([42, 2])
-        a = build_malicious_shards(atk, x, y, samples=10, seed_seq=ss, first_owner=0)
-        b = build_malicious_shards(atk, x, y, samples=10, seed_seq=ss, first_owner=0)
+        a = build_malicious_shards(atk, y, samples=10, seed_seq=ss, first_owner=0)
+        b = build_malicious_shards(atk, y, samples=10, seed_seq=ss, first_owner=0)
         for sa, sb in zip(a, b):
-            assert np.array_equal(sa.pool[sa.rows], sb.pool[sb.rows])
+            assert np.array_equal(x[sa.rows], x[sb.rows])
 
     def test_none_attack_builds_nothing(self):
-        x, y = pool()
-        shards = build_malicious_shards(AttackConfig(), x, y, samples=10,
+        _, y = pool()
+        shards = build_malicious_shards(AttackConfig(), y, samples=10,
                                         seed_seq=np.random.SeedSequence(1), first_owner=0)
         assert shards == []
 
@@ -161,8 +161,8 @@ class TestCohort:
         x, y = pool(per_label=25)
         atk = AttackConfig(kind="label_flip", malicious_count=3,
                            flip_pairs=((0, 1),), tau=1.0)
-        shards = build_malicious_shards(atk, x, y, samples=25,
+        shards = build_malicious_shards(atk, y, samples=25,
                                         seed_seq=np.random.SeedSequence(9), first_owner=0)
-        sets = [np.sort(s.pool[s.rows].view([('', s.pool.dtype)] * 4), axis=0) for s in shards]
+        sets = [np.sort(x[s.rows].view([('', x.dtype)] * 4), axis=0) for s in shards]
         assert np.array_equal(sets[0], sets[1])
         assert np.array_equal(sets[0], sets[2])

@@ -18,6 +18,7 @@ from lomarlab.data import (
     partition,
     synth_gaussian,
 )
+from lomarlab.models import ModelSpec, local_train
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -288,8 +289,8 @@ class TestPartition:
         return synth_gaussian(labels, 4, per_label, 1.0, seed=seed)
 
     def test_counts_and_owners(self):
-        x, y = self.make_pool()
-        shards = partition(x, y, 10, PartitionPlan(samples_per_client=12, lam=0.0), seed=1)
+        _, y = self.make_pool()
+        shards = partition(y, 10, PartitionPlan(samples_per_client=12, lam=0.0), seed=1)
         assert len(shards) == 10
         assert [s.owner for s in shards] == list(range(10))
         assert all(len(s) == 12 for s in shards)
@@ -297,83 +298,84 @@ class TestPartition:
     def test_disjoint_when_pool_is_large_enough(self):
         x, y = self.make_pool(per_label=100)
         plan = PartitionPlan(samples_per_client=12, lam=0.0, allow_replacement=False)
-        shards = partition(x, y, 10, plan, seed=2)
-        seen = np.concatenate([s.pool[s.rows] for s in shards])
+        shards = partition(y, 10, plan, seed=2)
+        seen = np.concatenate([x[s.rows] for s in shards])
         # all drawn rows distinct -> no sample was handed to two clients
         assert np.unique(seen, axis=0).shape[0] == seen.shape[0]
         assert not any(s.used_replacement for s in shards)
 
     def test_major_label_fraction(self):
-        x, y = self.make_pool(per_label=200)
-        shards = partition(x, y, 6, PartitionPlan(samples_per_client=40, lam=0.8), seed=3)
+        _, y = self.make_pool(per_label=200)
+        shards = partition(y, 6, PartitionPlan(samples_per_client=40, lam=0.8), seed=3)
         for shard in shards:
             major = np.bincount(shard.labels, minlength=3).max()
             assert major >= 32  # ceil(0.8 * 40)
 
     def test_round_robin_major_assignment(self):
-        x, y = self.make_pool(per_label=200)
-        shards = partition(x, y, 6, PartitionPlan(samples_per_client=20, lam=0.9), seed=4)
+        _, y = self.make_pool(per_label=200)
+        shards = partition(y, 6, PartitionPlan(samples_per_client=20, lam=0.9), seed=4)
         for i, shard in enumerate(shards):
             counts = np.bincount(shard.labels, minlength=3)
             assert counts.argmax() == i % 3
 
     def test_replacement_flagged_on_shortfall(self):
-        x, y = self.make_pool(per_label=10)
-        shards = partition(x, y, 8, PartitionPlan(samples_per_client=10, lam=0.9), seed=6)
+        _, y = self.make_pool(per_label=10)
+        shards = partition(y, 8, PartitionPlan(samples_per_client=10, lam=0.9), seed=6)
         assert all(len(s) == 10 for s in shards)
         assert any(s.used_replacement for s in shards)
 
     def test_no_replacement_raises_on_shortfall(self):
-        x, y = self.make_pool(per_label=10)
+        _, y = self.make_pool(per_label=10)
         plan = PartitionPlan(samples_per_client=10, lam=0.9, allow_replacement=False)
         with pytest.raises(ValueError):
-            partition(x, y, 8, plan, seed=7)
+            partition(y, 8, plan, seed=7)
 
     def test_no_replacement_names_the_exhausted_label(self):
         # 16 of 20 rows are demanded, but label 0's 3 rows cannot fill two major blocks of 2
         labels = np.array([0] * 3 + [1] * 17)
         plan = PartitionPlan(samples_per_client=4, lam=0.5, allow_replacement=False)
         with pytest.raises(ValueError, match="label 0 pool exhausted"):
-            partition(np.zeros((20, 2), dtype=np.float32), labels, 4, plan, seed=0)
+            partition(labels, 4, plan, seed=0)
 
     def test_seed_reproducibility(self):
-        x, y = self.make_pool()
+        _, y = self.make_pool()
         plan = PartitionPlan(samples_per_client=9, lam=0.4)
-        a = partition(x, y, 5, plan, seed=11)
-        b = partition(x, y, 5, plan, seed=11)
+        a = partition(y, 5, plan, seed=11)
+        b = partition(y, 5, plan, seed=11)
         for sa, sb in zip(a, b):
-            assert np.array_equal(sa.pool[sa.rows], sb.pool[sb.rows])
+            assert np.array_equal(sa.rows, sb.rows)
             assert np.array_equal(sa.labels, sb.labels)
 
     def test_plan_validation(self):
-        x, y = self.make_pool()
+        _, y = self.make_pool()
         with pytest.raises(ValueError, match="num_clients"):
-            partition(x, y, 0, PartitionPlan(samples_per_client=5), seed=8)
+            partition(y, 0, PartitionPlan(samples_per_client=5), seed=8)
         with pytest.raises(ValueError):
             PartitionPlan(samples_per_client=5, lam=1.0)
 
     def test_shard_validation(self):
-        pool = np.zeros((3, 2), dtype=np.float32)
-        DataShard(pool, [2, 0, 2], np.zeros(3, dtype=int), owner=0)
-        DataShard(pool, np.empty(0, dtype=int), np.empty(0, dtype=int), owner=0)
+        DataShard([2, 0, 2], np.zeros(3, dtype=int), owner=0)
+        DataShard(np.empty(0, dtype=int), np.empty(0, dtype=int), owner=0)
         with pytest.raises(ValueError, match="length"):
-            DataShard(pool, [0, 1, 2], np.zeros(2, dtype=int), owner=0)
+            DataShard([0, 1, 2], np.zeros(2, dtype=int), owner=0)
         with pytest.raises(ValueError, match="1-D"):
-            DataShard(pool, np.zeros((3, 1), dtype=int), np.zeros(3, dtype=int), owner=0)
-        with pytest.raises(ValueError, match="2-D"):
-            DataShard(np.zeros(3, dtype=np.float32), [0, 1, 2], np.zeros(3, dtype=int), owner=0)
-        for rows in ([0, 1, 3], [-1, 0, 1]):
-            with pytest.raises(ValueError, match="outside"):
-                DataShard(pool, rows, np.zeros(3, dtype=int), owner=0)
+            DataShard(np.zeros((3, 1), dtype=int), np.zeros(3, dtype=int), owner=0)
+        with pytest.raises(ValueError, match="1-D"):
+            DataShard([0, 1, 2], np.zeros((3, 1), dtype=int), owner=0)
+        with pytest.raises(ValueError, match="negative"):
+            DataShard([-1, 0, 1], np.zeros(3, dtype=int), owner=0)
         with pytest.raises(ValueError, match="role"):
-            DataShard(pool, [0], [0], owner=0, role="confused")
+            DataShard([0], [0], owner=0, role="confused")
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float64, np.int64, np.uint8, np.complex128])
     def test_pool_dtype_is_float32(self, dtype):
-        pool = np.zeros((3, 2), dtype=np.float32)
-        assert DataShard(pool, [0, 2], [0, 1], owner=0).pool is pool
-        with pytest.raises(ValueError, match=f"pool dtype {np.dtype(dtype).name} is not float32"):
-            DataShard(np.zeros((3, 2), dtype=dtype), [0, 2], [0, 1], owner=0)
+        # a shard holds no pool: the one pool its rows index is checked where it trains
+        x, y = self.make_pool()
+        shards = partition(y, 3, PartitionPlan(samples_per_client=4), seed=0)
+        spec = ModelSpec(input_dim=4, num_labels=3, local_epochs=1, batch_size=4)
+        assert local_train(spec.init_params(), x, shards, spec, [0, 1, 2]).shape == (3, spec.layout().size)
+        with pytest.raises(ValueError, match=f"pool of {np.dtype(dtype).name} .* is not 2-D float32"):
+            local_train(spec.init_params(), x.astype(dtype), shards, spec, [0, 1, 2])
 
 
 def choice_partition(labels, num_clients, plan, seed):
@@ -414,9 +416,9 @@ class TestReplacementDraws:
     @pytest.mark.parametrize("seed", [0, 1, 17, 2**31 + 5])
     def test_partition_equals_the_choice_draws(self, shape, lam, seed):
         num_labels, per_label, clients, samples = shape
-        x, y = synth_gaussian(num_labels, 3, per_label, 1.0, seed=seed + 1)
+        _, y = synth_gaussian(num_labels, 3, per_label, 1.0, seed=seed + 1)
         plan = PartitionPlan(samples_per_client=samples, lam=lam)
-        shards = partition(x, y, clients, plan, seed=seed)
+        shards = partition(y, clients, plan, seed=seed)
         want = choice_partition(y, clients, plan, seed)
         assert any(flagged for _, _, flagged in want)
         for shard, (rows, labels, flagged) in zip(shards, want, strict=True):

@@ -290,18 +290,22 @@ class TestInitializeState:
         assert state.malicious.tolist() == [False] * 8 + [True] * 3
         assert all(isinstance(s.used_replacement, bool) for s in state.shards)
 
-    def test_every_shard_indexes_one_shared_pool(self):
+    def test_every_shard_indexes_one_shared_pool(self, monkeypatch):
+        drawn, real = [], harness.synth_gaussian
+        monkeypatch.setattr(harness, "synth_gaussian", lambda *a, **k: drawn.append(real(*a, **k)) or drawn[-1])
         cfg = load_config(EXAMPLE_CONFIG)
         state = initialize_state(cfg)
-        pool = state.shards[0].pool
+        pool = state.train_features
         ds = cfg.dataset
         assert pool.shape == (ds.num_labels * ds.per_label_count, ds.input_dim)
+        assert np.shares_memory(pool, drawn[0][0])
         assert pool is not state.test_features
         assert {s.role for s in state.shards} == {"clean", "malicious"}
         for shard in state.shards:
-            assert shard.pool is pool
-            assert set(vars(shard)) == {"pool", "rows", "labels", "owner", "role", "used_replacement"}
+            assert not hasattr(shard, "pool")
+            assert set(vars(shard)) == {"rows", "labels", "owner", "role", "used_replacement"}
             assert shard.rows.dtype == np.int64 and shard.rows.ndim == 1
+            assert shard.rows.min() >= 0 and shard.rows.max() < len(pool)
             assert shard.labels.dtype == np.int64 and shard.labels.shape == shard.rows.shape
 
     @pytest.mark.parametrize("kind, dtype", [("synth", np.float32), ("mnist", np.float32)])
@@ -320,10 +324,11 @@ class TestInitializeState:
         state = initialize_state(config_from_dict(raw))
         train = loaded[0][0]
         assert train.dtype == dtype and state.test_features.dtype == dtype
+        assert state.train_features.dtype == dtype and state.train_features.shape == train.shape
+        assert np.shares_memory(state.train_features, train)
         assert state.malicious.tolist() == [False] * 8 + [True] * 3
         for shard in state.shards:
-            assert shard.pool.dtype == dtype and shard.pool.shape == train.shape
-            assert np.shares_memory(shard.pool, train)
+            assert not hasattr(shard, "pool")
 
     def test_model_spec_inferred_from_data(self):
         state = initialize_state(config_from_dict(base_dict()))
@@ -641,7 +646,7 @@ class TestModelPoison:
         assert state.malicious.tolist() == [False] * 8 + [True] * 3
         for row, shard, malicious in zip(deltas, state.shards, state.malicious):
             seed = np.random.SeedSequence([state.cfg.seed, harness.TAG_TRAIN, 1, shard.owner])
-            trained = harness.local_train(joint, [shard], state.cfg.model, [seed])[0]
+            trained = harness.local_train(joint, state.train_features, [shard], state.cfg.model, [seed])[0]
             assert np.any(trained != 0), shard.owner
             want = trained * 3.7 if malicious else trained
             assert row.tobytes() == want.tobytes(), shard.owner
@@ -671,6 +676,9 @@ class TestSweep:
             sweep_values("0.5,zap")
         with pytest.raises(ConfigError):
             sweep_values(" , ")
+        for grid in ("0.8,0.80", "1,2,1.0", "0.5,-0.0,0"):
+            with pytest.raises(ConfigError, match="repeats"):
+                sweep_values(grid)
 
     def test_apply_sweep_value(self):
         cfg = config_from_dict(base_dict())
@@ -807,6 +815,7 @@ class TestCli:
         pytest.param({}, "sweep", ["--seed", "-1", "--param", "epsilon", "--grid", "1.0"],
                      id="sweep-seed-negative"),
         pytest.param({}, "sweep", ["--param", "epsilon", "--grid", "nan,inf"], id="sweep-grid-non-finite"),
+        pytest.param({}, "sweep", ["--param", "epsilon", "--grid", "0.8,0.80"], id="sweep-grid-repeated"),
     ])
     def test_bad_seed_or_grid_exits_2_before_training(self, tmp_path, monkeypatch, overrides, command, args):
         monkeypatch.setattr(harness, "local_train", lambda *a, **k: pytest.fail("a client trained"))
@@ -841,6 +850,18 @@ class TestCli:
         proc = run_cli("run", "--config", str(tmp_path / "absent.yaml"),
                        "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda path: path.mkdir(), "unreadable config"),
+        (lambda path: path.write_bytes(b"num_clean: 20\nseed: \xff\xfe\n"), "unparseable config"),
+    ], ids=["directory", "non-utf8"])
+    def test_run_unreadable_config_exits_2(self, tmp_path, make, match):
+        make(tmp_path / "cfg.yaml")
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(tmp_path / "cfg.yaml"),
+                                               "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {match}" in result.output
+        assert not (tmp_path / "x").exists()
 
     def test_run_without_out_dir_exits_2(self, tmp_path):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cli_dict())
@@ -903,8 +924,8 @@ def non_finite_local_train(value, owners=NON_FINITE_CLIENTS):
     """harness.local_train, except that the given owners' deltas get one `value` entry."""
     train = harness.local_train
 
-    def patched(joint, shards, spec, seeds):
-        deltas = train(joint, shards, spec, seeds)
+    def patched(joint, pool, shards, spec, seeds):
+        deltas = train(joint, pool, shards, spec, seeds)
         for delta, shard in zip(deltas, shards):
             if shard.owner in owners:
                 delta[0] = value

@@ -32,8 +32,8 @@ def mlp_spec(**kw):
 
 
 def whole_pool_shard(x, y, owner, **kw):
-    """A shard over every row of x rounded to a float32 pool, in order."""
-    return DataShard(np.asarray(x, dtype=np.float32), np.arange(len(y)), y, owner=owner, **kw)
+    """(pool, shard): x rounded to a float32 pool and a shard over every row of it, in order."""
+    return np.asarray(x, dtype=np.float32), DataShard(np.arange(len(y)), y, owner=owner, **kw)
 
 
 class TestLayoutCounting:
@@ -103,22 +103,22 @@ class TestSingleStep:
         # From zero weights the probabilities are exactly [0.5, 0.5], so every
         # entry of the delta is a dyadic rational and matches bit for bit.
         spec = logistic_spec()
-        shard = whole_pool_shard(np.array([[1.0, -2.0, 0.5]]), np.array([1]), owner=0)
-        delta = local_train(spec.init_params(), [shard], spec, [7])[0]
+        pool, shard = whole_pool_shard(np.array([[1.0, -2.0, 0.5]]), np.array([1]), owner=0)
+        delta = local_train(spec.init_params(), pool, [shard], spec, [7])[0]
         want = np.array([-0.25, 0.5, -0.125, -0.25, 0.25, -0.5, 0.125, 0.25])
         assert np.array_equal(delta, want)
 
     def test_zero_learning_rate_gives_zero_delta(self):
         spec = logistic_spec(learning_rate=0.0, local_epochs=4, batch_size=2)
         rng = np.random.default_rng(3)
-        shard = whole_pool_shard(rng.normal(size=(6, 3)), rng.integers(0, 2, size=6), owner=1)
-        delta = local_train(spec.init_params(), [shard], spec, [5])[0]
+        pool, shard = whole_pool_shard(rng.normal(size=(6, 3)), rng.integers(0, 2, size=6), owner=1)
+        delta = local_train(spec.init_params(), pool, [shard], spec, [5])[0]
         assert np.array_equal(delta, np.zeros(8))
 
     def test_label_slice_views_update(self):
         spec = logistic_spec()
-        shard = whole_pool_shard(np.array([[1.0, -2.0, 0.5]]), np.array([1]), owner=0)
-        delta = ParamVector(local_train(spec.init_params(), [shard], spec, [7])[0], spec.layout())
+        pool, shard = whole_pool_shard(np.array([[1.0, -2.0, 0.5]]), np.array([1]), owner=0)
+        delta = ParamVector(local_train(spec.init_params(), pool, [shard], spec, [7])[0], spec.layout())
         assert np.array_equal(delta.values[delta.layout.label_slice(0)], delta.values[0:4])
         assert np.array_equal(delta.values[delta.layout.label_slice(1)], delta.values[4:8])
 
@@ -129,48 +129,48 @@ class TestTrainingDeterminism:
 
     def test_same_seed_same_delta(self):
         spec = logistic_spec(local_epochs=3, batch_size=4, learning_rate=0.1)
-        shard = self.make_shard(np.random.default_rng(11))
-        a = local_train(spec.init_params(), [shard], spec, [123])[0]
-        b = local_train(spec.init_params(), [shard], spec, [123])[0]
+        pool, shard = self.make_shard(np.random.default_rng(11))
+        a = local_train(spec.init_params(), pool, [shard], spec, [123])[0]
+        b = local_train(spec.init_params(), pool, [shard], spec, [123])[0]
         assert np.array_equal(a, b)
 
     def test_different_seed_different_delta(self):
         spec = logistic_spec(local_epochs=3, batch_size=4, learning_rate=0.1)
-        shard = self.make_shard(np.random.default_rng(11))
-        a = local_train(spec.init_params(), [shard], spec, [123])[0]
-        b = local_train(spec.init_params(), [shard], spec, [124])[0]
+        pool, shard = self.make_shard(np.random.default_rng(11))
+        a = local_train(spec.init_params(), pool, [shard], spec, [123])[0]
+        b = local_train(spec.init_params(), pool, [shard], spec, [124])[0]
         assert not np.array_equal(a, b)
 
     def test_generator_threading_reproduces_multi_epoch(self):
         # three single-epoch calls sharing one Generator == one 3-epoch call
         spec3 = logistic_spec(local_epochs=3, batch_size=4, learning_rate=0.1)
         spec1 = logistic_spec(local_epochs=1, batch_size=4, learning_rate=0.1)
-        shard = self.make_shard(np.random.default_rng(21))
+        pool, shard = self.make_shard(np.random.default_rng(21))
 
-        whole = local_train(spec3.init_params(), [shard], spec3, [77])[0]
+        whole = local_train(spec3.init_params(), pool, [shard], spec3, [77])[0]
 
         gen = np.random.default_rng(77)
         joint = spec1.init_params()
         for _ in range(3):
-            joint = ParamVector(joint.values + local_train(joint, [shard], spec1, [gen])[0], joint.layout)
+            joint = ParamVector(joint.values + local_train(joint, pool, [shard], spec1, [gen])[0], joint.layout)
         assert np.allclose(joint.values - spec3.init_params().values, whole, rtol=0, atol=0)
 
     def test_seedsequence_accepted(self):
         spec = logistic_spec()
-        shard = self.make_shard(np.random.default_rng(31), n=4)
-        a = local_train(spec.init_params(), [shard], spec, [np.random.SeedSequence([9, 3, 1, 0])])[0]
-        b = local_train(spec.init_params(), [shard], spec, [np.random.SeedSequence([9, 3, 1, 0])])[0]
+        pool, shard = self.make_shard(np.random.default_rng(31), n=4)
+        a = local_train(spec.init_params(), pool, [shard], spec, [np.random.SeedSequence([9, 3, 1, 0])])[0]
+        b = local_train(spec.init_params(), pool, [shard], spec, [np.random.SeedSequence([9, 3, 1, 0])])[0]
         assert np.array_equal(a, b)
 
 
-def reference_train(joint, shard, spec, seed, dtype=np.float32):
+def reference_train(joint, pool, shard, spec, seed, dtype=np.float32):
     """Minibatch SGD in `dtype`, out of place over reference_grad: a new vector per step.
 
-    Starts from the joint rounded to `dtype` on the pool's rows widened to it;
-    the delta is taken against that start in `dtype` and widened to float64.
+    Starts from the joint rounded to `dtype` on the shard's pool rows widened to
+    it; the delta is taken against that start in `dtype` and widened to float64.
     """
     rng = np.random.default_rng(seed)
-    x, y = shard.pool[shard.rows].astype(dtype), shard.labels
+    x, y = pool[shard.rows].astype(dtype), shard.labels
     n = x.shape[0]
     start = work = joint.values.astype(dtype)
     for _ in range(spec.local_epochs):
@@ -234,16 +234,16 @@ class TestTrainingMatchesReference:
     def test_local_train_is_bitwise_the_reference_loop(self, spec, shard_rows):
         rng = np.random.default_rng(41)
         # rows out of a 40-row pool, out of order: training must gather pool[rows[batch]]
-        shard = DataShard(rng.normal(size=(40, spec.input_dim)).astype(np.float32),
-                          rng.permutation(40)[:shard_rows], rng.integers(0, 3, size=shard_rows), owner=4)
+        pool = rng.normal(size=(40, spec.input_dim)).astype(np.float32)
+        shard = DataShard(rng.permutation(40)[:shard_rows], rng.integers(0, 3, size=shard_rows), owner=4)
         joint = ParamVector(rng.normal(scale=0.5, size=spec.layout().size), spec.layout())
-        got = local_train(joint, [shard], spec, [np.random.SeedSequence([5, 3, 1, 4])])[0]
-        want = reference_train(joint, shard, spec, np.random.SeedSequence([5, 3, 1, 4]))
+        got = local_train(joint, pool, [shard], spec, [np.random.SeedSequence([5, 3, 1, 4])])[0]
+        want = reference_train(joint, pool, shard, spec, np.random.SeedSequence([5, 3, 1, 4]))
         assert np.array_equal(got, want)
         assert got.shape == (joint.layout.size,)
         assert not np.array_equal(want, np.zeros_like(want))
         # against the float64 loop: at most one float32 rounding at the weights' scale per step, plus the start
-        wide = reference_train(joint, shard, spec, np.random.SeedSequence([5, 3, 1, 4]), dtype=np.float64)
+        wide = reference_train(joint, pool, shard, spec, np.random.SeedSequence([5, 3, 1, 4]), dtype=np.float64)
         steps = spec.local_epochs * -(-shard_rows // spec.batch_size)
         assert np.abs(got - wide).max() <= (steps + 1) * np.finfo(np.float32).eps * np.abs(joint.values).max()
 
@@ -260,8 +260,8 @@ class TestTrainingMatchesReference:
         other = rng.normal(size=(60, spec.input_dim)).astype(np.float32)
         other[moved] = pool[rows]
         joint = ParamVector(rng.normal(scale=0.5, size=spec.layout().size), spec.layout())
-        got = local_train(joint, [DataShard(pool, rows, labels, owner=4)], spec, [11])[0]
-        twin = local_train(joint, [DataShard(other, moved, labels, owner=5)], spec, [11])[0]
+        got = local_train(joint, pool, [DataShard(rows, labels, owner=4)], spec, [11])[0]
+        twin = local_train(joint, other, [DataShard(moved, labels, owner=5)], spec, [11])[0]
         assert got.dtype == twin.dtype == np.float64
         assert got.tobytes() == twin.tobytes()
         assert not np.array_equal(got, np.zeros_like(got))
@@ -283,10 +283,10 @@ class TestTrainingMatchesReference:
                              ids=["logistic", "mlp"])
     def test_joint_is_left_unchanged_and_unshared(self, spec):
         rng = np.random.default_rng(47)
-        shard = whole_pool_shard(rng.normal(size=(12, spec.input_dim)), rng.integers(0, 3, size=12), owner=5)
+        pool, shard = whole_pool_shard(rng.normal(size=(12, spec.input_dim)), rng.integers(0, 3, size=12), owner=5)
         joint = ParamVector(rng.normal(size=spec.layout().size), spec.layout())
         before = joint.values.copy()
-        delta = local_train(joint, [shard], spec, [9])[0]
+        delta = local_train(joint, pool, [shard], spec, [9])[0]
         assert joint.values.tobytes() == before.tobytes()
         assert not np.shares_memory(delta, joint.values)
         assert not np.array_equal(delta, np.zeros_like(delta))
@@ -312,24 +312,24 @@ class TestGroupedTraining:
 
     BATCH = 5
     INPUT_DIM = TRAIN_GROUP_BYTES // (3 * 4 * BATCH)  # a group holds three float32 batch gathers
-    # (pool, rows) per shard: 7 of 23 rows on pool 0 (groups of 3, 3 and a partial 1), 2 of 17 rows on pool 0,
-    # 2 of 17 rows on pool 1, then 23 rows on pool 0 again; at batch 5 each epoch ends in a short batch
-    PLAN = [(0, 23)] * 7 + [(0, 17)] * 2 + [(1, 17)] * 2 + [(0, 23)]
+    # rows per shard: 7 of 23 rows (groups of 3, 3 and a partial 1), 2 of 17, 2 of 19, then 23 again; at
+    # batch 5 each epoch ends in a short batch
+    PLAN = [23] * 7 + [17] * 2 + [19] * 2 + [23]
     GROUP_SIZES = [3, 3, 1, 2, 2, 1]
     COLLUDERS = [0, 4, 11]  # first of group 1, middle of group 2, alone in the last group
 
     def call(self, spec):
-        """(joint, shards, seeds): the colluders hold byte-identical shards and seeds."""
+        """(joint, pool, shards, seeds): the colluders hold byte-identical shards and seeds."""
         rng = np.random.default_rng(67)
-        pools = [rng.normal(size=(60, spec.input_dim)).astype(np.float32) for _ in range(2)]
-        shards = [DataShard(pools[pool], rng.permutation(60)[:n], rng.integers(0, 3, size=n), owner=owner)
-                  for owner, (pool, n) in enumerate(self.PLAN)]
+        pool = rng.normal(size=(60, spec.input_dim)).astype(np.float32)
+        shards = [DataShard(rng.permutation(60)[:n], rng.integers(0, 3, size=n), owner=owner)
+                  for owner, n in enumerate(self.PLAN)]
         seeds = [np.random.SeedSequence([3, owner]) for owner in range(len(shards))]
         for i in self.COLLUDERS[1:]:
-            shards[i] = DataShard(shards[0].pool, shards[0].rows, shards[0].labels, owner=i)
+            shards[i] = DataShard(shards[0].rows, shards[0].labels, owner=i)
             seeds[i] = seeds[0]
         joint = ParamVector(rng.normal(scale=0.02, size=spec.layout().size), spec.layout())
-        return joint, shards, seeds
+        return joint, pool, shards, seeds
 
     SPECS = [logistic_spec(input_dim=INPUT_DIM, num_labels=3, local_epochs=2, batch_size=BATCH, learning_rate=0.3),
              mlp_spec(input_dim=INPUT_DIM, num_labels=3, local_epochs=2, batch_size=BATCH, learning_rate=0.3)]
@@ -337,10 +337,10 @@ class TestGroupedTraining:
     @pytest.mark.parametrize("spec", SPECS, ids=["logistic", "mlp"])
     @pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "shuffled"])
     def test_each_delta_is_bitwise_its_lone_delta(self, spec, shuffled):
-        joint, shards, seeds = self.call(spec)
-        lone = [local_train(joint, [shard], spec, [seed])[0] for shard, seed in zip(shards, seeds)]
+        joint, pool, shards, seeds = self.call(spec)
+        lone = [local_train(joint, pool, [shard], spec, [seed])[0] for shard, seed in zip(shards, seeds)]
         order = np.random.default_rng(71).permutation(len(shards)) if shuffled else np.arange(len(shards))
-        got = local_train(joint, [shards[i] for i in order], spec, [seeds[i] for i in order])
+        got = local_train(joint, pool, [shards[i] for i in order], spec, [seeds[i] for i in order])
         assert got.shape == (len(shards), spec.layout().size) and got.dtype == np.float64
         for row, i in zip(got, order):
             assert row.tobytes() == lone[i].tobytes(), i
@@ -351,12 +351,12 @@ class TestGroupedTraining:
         assert not any(np.array_equal(row, np.zeros_like(row)) for row in lone)
 
     @pytest.mark.parametrize("spec", SPECS, ids=["logistic", "mlp"])
-    def test_groups_break_at_the_cap_a_new_length_and_a_new_pool(self, spec, monkeypatch):
+    def test_groups_break_at_the_cap_and_a_new_length(self, spec, monkeypatch):
         # every group unpacks its stacked working rows and gradient rows once
         stacks, unpack = [], models._unpack
         monkeypatch.setattr(models, "_unpack", lambda values, spec: stacks.append(values.shape) or unpack(values, spec))
-        joint, shards, seeds = self.call(spec)
-        local_train(joint, shards, spec, seeds)
+        joint, pool, shards, seeds = self.call(spec)
+        local_train(joint, pool, shards, spec, seeds)
         assert [shape[0] for shape in stacks[::2]] == self.GROUP_SIZES
         assert stacks[::2] == stacks[1::2]
 
@@ -408,10 +408,10 @@ class TestGradients:
         spec = logistic_spec(input_dim=2, learning_rate=0.5, local_epochs=20, batch_size=10)
         x = np.concatenate([rng.normal(loc=-2, size=(20, 2)), rng.normal(loc=2, size=(20, 2))])
         y = np.array([0] * 20 + [1] * 20)
-        shard = whole_pool_shard(x, y, owner=0)
+        pool, shard = whole_pool_shard(x, y, owner=0)
         joint = spec.init_params()
         before, _ = loss_and_grad(joint, spec, x, y)
-        delta = local_train(joint, [shard], spec, [1])[0]
+        delta = local_train(joint, pool, [shard], spec, [1])[0]
         after, _ = loss_and_grad(ParamVector(joint.values + delta, joint.layout), spec, x, y)
         assert after < before
 
@@ -510,36 +510,56 @@ class TestValidation:
 
     def test_local_train_rejects_bad_shards(self):
         spec = logistic_spec()
-        with pytest.raises(ValueError, match="feature dim"):
-            local_train(spec.init_params(),
-                        [whole_pool_shard(np.zeros((2, 5)), np.zeros(2, dtype=int), owner=0)], spec, [1])
+        pool, shard = whole_pool_shard(np.zeros((2, 5)), np.zeros(2, dtype=int), owner=0)
+        with pytest.raises(ValueError, match="with 3 columns"):
+            local_train(spec.init_params(), pool, [shard], spec, [1])
+        pool, shard = whole_pool_shard(np.zeros((2, 3)), np.array([0, 9]), owner=0)
         with pytest.raises(ValueError, match="out of range"):
-            local_train(spec.init_params(),
-                        [whole_pool_shard(np.zeros((2, 3)), np.array([0, 9]), owner=0)], spec, [1])
+            local_train(spec.init_params(), pool, [shard], spec, [1])
         with pytest.raises(ValueError, match="empty"):
-            local_train(spec.init_params(),
-                        [DataShard(np.zeros((2, 3), dtype=np.float32), np.empty(0, dtype=int), np.empty(0, dtype=int),
-                                   owner=0)],
+            local_train(spec.init_params(), pool, [DataShard(np.empty(0, dtype=int), np.empty(0, dtype=int), owner=0)],
                         spec, [1])
 
     @pytest.mark.parametrize("seeds", [[1], [1, 2, 3]], ids=["fewer-seeds", "more-seeds"])
     def test_local_train_needs_one_seed_per_shard(self, seeds):
         spec = logistic_spec()
-        shards = [whole_pool_shard(np.zeros((2, 3)), np.array([0, 1]), owner=i) for i in range(2)]
+        shards = [DataShard([0, 1], [0, 1], owner=i) for i in range(2)]
         with pytest.raises(ValueError, match=f"2 shards but {len(seeds)} seeds"):
-            local_train(spec.init_params(), shards, spec, seeds)
+            local_train(spec.init_params(), np.zeros((2, 3), dtype=np.float32), shards, spec, seeds)
 
     @pytest.mark.parametrize("bad, match", [
-        (lambda pool: DataShard(pool, np.empty(0, dtype=int), np.empty(0, dtype=int), owner=1), "empty"),
-        (lambda pool: DataShard(np.zeros((4, 5), dtype=np.float32), [0, 1], [0, 1], owner=1), "feature dim"),
-        # the first shard's length and pool: both would train in one group
-        (lambda pool: DataShard(pool, [2, 3], [1, 2], owner=1), "out of range"),
-    ], ids=["empty", "feature-dim", "labels"])
+        (DataShard(np.empty(0, dtype=int), np.empty(0, dtype=int), owner=1), "empty"),
+        # the first shard's length: both would train in one group
+        (DataShard([2, 3], [1, 2], owner=1), "out of range"),
+    ], ids=["empty", "labels"])
     def test_local_train_checks_every_shard_not_only_the_first(self, bad, match):
         spec = logistic_spec()
         pool = np.zeros((4, 3), dtype=np.float32)
         with pytest.raises(ValueError, match=match):
-            local_train(spec.init_params(), [DataShard(pool, [0, 1], [0, 1], owner=0), bad(pool)], spec, [1, 2])
+            local_train(spec.init_params(), pool, [DataShard([0, 1], [0, 1], owner=0), bad], spec, [1, 2])
+
+    @pytest.mark.parametrize("pool, bad, match", [
+        *[(np.zeros((6, 3), dtype=dtype), None, "not 2-D float32")
+          for dtype in (np.float16, np.float64, np.int64, np.uint8, np.complex128)],
+        (np.zeros(6, dtype=np.float32), None, "not 2-D float32"),
+        (np.zeros((6, 3, 1), dtype=np.float32), None, "not 2-D float32"),
+        (np.zeros((6, 2), dtype=np.float32), None, "with 3 columns"),
+        (np.zeros((6, 4), dtype=np.float32), None, "with 3 columns"),
+        (np.zeros((6, 3), dtype=np.float32), (3, []), "empty shard"),
+        (np.zeros((6, 3), dtype=np.float32), (1, [2, 6]), "past the pool's 6 rows"),
+        (np.zeros((6, 3), dtype=np.float32), (3, [0, 6, 2]), "past the pool's 6 rows"),
+    ], ids=["float16", "float64", "int64", "uint8", "complex128", "1-D", "3-D", "narrower", "wider", "empty",
+            "rows-in-the-first-group", "rows-in-a-later-group"])
+    def test_local_train_rejects_a_bad_pool_or_shard(self, pool, bad, match):
+        # two shards of 2 rows, then two of 3: two lockstep groups, in each of which a bad-row shard is second
+        spec = logistic_spec(batch_size=2)
+        shards = [DataShard(rows, np.zeros(len(rows), dtype=int), owner=i)
+                  for i, rows in enumerate([[0, 1], [2, 3], [1, 4, 5], [0, 2, 5]])]
+        if bad is not None:
+            position, rows = bad
+            shards[position] = DataShard(rows, np.zeros(len(rows), dtype=int), owner=position)
+        with pytest.raises(ValueError, match=match):
+            local_train(spec.init_params(), pool, shards, spec, [1, 2, 3, 4])
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_labels_outside_the_model_rejected(self, bad):
@@ -547,8 +567,9 @@ class TestValidation:
         x, y = np.zeros((2, 3)), np.array([0, bad])
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
             loss_and_grad(spec.init_params(), spec, x, y)
+        pool, shard = whole_pool_shard(x, y, owner=0)
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
-            local_train(spec.init_params(), [whole_pool_shard(x, y, owner=0)], spec, [1])
+            local_train(spec.init_params(), pool, [shard], spec, [1])
 
     def test_large_logits_stay_finite(self):
         spec = logistic_spec()
