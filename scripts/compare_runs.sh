@@ -4,9 +4,9 @@
 #     scripts/compare_runs.sh BASE_REV
 #
 # BASE_REV's tree is extracted with `git archive` into a temporary directory.
-# Every config variant written below runs once on each tree, 17 in all:
+# Every config variant written below runs once on each tree, 16 in all:
 # configs/example.yaml, both perfbench workloads, and example.yaml with each of
-# the 14 overrides listed in `variants` (`noreplace` is the one config whose
+# the 13 overrides listed in `variants` (`noreplace` is the one config whose
 # partition draws without replacement; `minibatch` and `mlp_minibatch` train
 # several steps per epoch with a short last batch, 200 = 3 x 64 + 8 rows;
 # `foolsgold` and `fg_first` train that way too, on iid shards).
@@ -51,7 +51,6 @@ variants = {
     "foolsgold": {"defense": {"kind": "foolsgold"}, **FG_TRAINING},
     "fg_krum": {"defense": {"kind": "fg_krum"}},
     "fg_first": {"defense": {"kind": "fg_krum", "fg_krum_order": "fg_first"}, **FG_TRAINING},
-    "center_reference": {"defense": {"neighbor_density_mode": "center_reference"}},
     "gaussian_renormalize": {"defense": {"kernel": "gaussian"}, "renormalize_weights": True},
     "mlp": {"model": {"kind": "mlp", "hidden_dim": 5}},
     "model_poison_krum": {"attack": {"kind": "model_poison"}, "defense": {"kind": "krum"}},

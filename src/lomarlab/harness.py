@@ -473,19 +473,24 @@ def _jsonable(obj):
 
 
 def read_scores_csv(path):
-    """Load a scores.csv back into aligned (scores, malicious) arrays in file order."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"role", "score"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(required)}")
-        rows = [(float(row["score"]), row["role"]) for row in reader]
-    if not rows:
-        raise ValueError(f"{path}: no score rows")
-    unknown = sorted({role for _, role in rows} - {ROLE_CLEAN, ROLE_MALICIOUS})
-    if unknown:
-        raise ValueError(f"{path}: unknown roles {unknown}")
-    return np.array([score for score, _ in rows]), np.array([role == ROLE_MALICIOUS for _, role in rows])
+    """Aligned (scores, malicious) arrays from a scores.csv in file order; a ConfigError if it is malformed."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if not {"role", "score"}.issubset(reader.fieldnames or ()):
+                raise ValueError("expected columns ['role', 'score']")
+            rows = [(float(row["score"]), row["role"]) for row in reader]
+        if not rows:
+            raise ValueError("no score rows")
+        unknown = sorted({role for _, role in rows} - {ROLE_CLEAN, ROLE_MALICIOUS})
+        if unknown:
+            raise ValueError(f"unknown roles {unknown}")
+        scores = np.array([score for score, _ in rows])
+        if np.isnan(scores).any():  # a run scores a non-finite update -inf, never NaN
+            raise ValueError("a score is NaN")
+    except (TypeError, ValueError) as exc:  # also bytes that are not UTF-8 and a score that is no number
+        raise ConfigError(f"{path}: {exc}") from exc
+    return scores, np.array([role == ROLE_MALICIOUS for _, role in rows])
 
 
 def sweep_values(grid: str) -> list[float]:

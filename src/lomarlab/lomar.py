@@ -3,11 +3,12 @@
 Phase I gives every client a malicious factor. Each update's k nearest peers
 (squared Euclidean distance on the full delta) form its reference
 neighborhood; within that neighborhood a kernel density estimate is taken
-separately on every output label's parameter slice, and the per-label factor
-is the mean neighbor density over the client's own density. The overall factor
-is the product across labels. Colluding poisoners sit in a tight cluster, so
-their own density is inflated and their factor falls below the clean range;
-an isolated clean client stays near 1.
+separately on every output label's parameter slice, floored at DENSITY_FLOOR.
+The per-label factor is the neighbors' mean density, each over its own k
+nearest peers as in the local outlier factor (Breunig et al., 2000), over the
+client's own density. The overall factor is the product across labels.
+Colluding poisoners sit in a tight cluster, so their own density is inflated
+and their factor falls below the clean range; an isolated clean client stays near 1.
 
 Phase II thresholds: keep client i iff log F(i) >= log(epsilon) (default
 epsilon 1), which never forms F(i) itself, so a product over many labels
@@ -29,7 +30,7 @@ import numpy as np
 from .models import Round
 
 KERNELS = ("exp", "gaussian")
-NEIGHBOR_DENSITY_MODES = ("own_neighborhood", "center_reference")
+DENSITY_FLOOR = 1e-300
 
 DEFAULT_K_FRACTION = 0.4
 
@@ -41,16 +42,12 @@ class KdeConfig:
     k=None picks floor(0.4 * population); bandwidth=None uses the per-call
     median heuristic (median pairwise slice distance over all labels, divided
     by sqrt(2), falling back to 1.0 when the median is zero).
-    neighbor_density_mode chooses whose reference set scores a neighbor:
-    its own k-NN set (default) or the center's.
     """
 
     k: int | None = None
     bandwidth: float | None = None
     kernel: str = "exp"
-    neighbor_density_mode: str = "own_neighborhood"
     epsilon: float = 1.0
-    density_floor: float = 1e-300
 
     def __post_init__(self):
         if self.k is not None and self.k < 1:
@@ -59,12 +56,8 @@ class KdeConfig:
             raise ValueError("bandwidth must be > 0")
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.neighbor_density_mode not in NEIGHBOR_DENSITY_MODES:
-            raise ValueError(f"unknown neighbor_density_mode {self.neighbor_density_mode!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
-        if self.density_floor <= 0:
-            raise ValueError("density_floor must be > 0")
 
 
 @dataclass
@@ -226,26 +219,16 @@ def lomar_run(rnd: Round, cfg: KdeConfig = KdeConfig()) -> LomarResult:
     np.sqrt(slice_dists, out=slice_dists)
     h = cfg.bandwidth if cfg.bandwidth is not None else median_bandwidth(slice_dists)
     log_kernels = _log_kernel(slice_dists, h, cfg.kernel)
-    log_floor = math.log(cfg.density_floor)
-    log_k = math.log(k)
+    log_floor = math.log(DENSITY_FLOOR)
 
-    # (labels, n): each client's density among its own k nearest peers.
-    log_density = _logsumexp(np.take_along_axis(log_kernels, neighbor_pos[None], axis=2)) - log_k
+    # (labels, n): each client's density among its own k nearest peers, also its density as a neighbor.
+    log_density = _logsumexp(np.take_along_axis(log_kernels, neighbor_pos[None], axis=2)) - math.log(k)
     floor_hits = int(np.sum(log_density < log_floor))
     log_density = np.maximum(log_density, log_floor)
 
-    if cfg.neighbor_density_mode == "own_neighborhood":
-        neighbor_ld = log_density[:, neighbor_pos]
-    else:
-        # Score every neighbor against the center's reference set. The
-        # (n, k, k) gather runs one label at a time to bound its temporary.
-        rows, cols = neighbor_pos[:, :, None], neighbor_pos[:, None, :]
-        neighbor_ld = np.stack([_logsumexp(lk[rows, cols]) for lk in log_kernels]) - log_k
-        floor_hits += int(np.sum(neighbor_ld < log_floor))
-        neighbor_ld = np.maximum(neighbor_ld, log_floor)
     # Contiguous rows, so each client's label sum runs in the same order as
     # a sum over that client's row alone.
-    per_label = np.ascontiguousarray(label_log_factor(neighbor_ld, log_density[:, :, None]).T)
+    per_label = np.ascontiguousarray(label_log_factor(log_density[:, neighbor_pos], log_density[:, :, None]).T)
     log_factors = per_label.sum(axis=1)
     return LomarResult(
         client_ids=ids,

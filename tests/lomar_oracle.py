@@ -59,9 +59,10 @@ def slice_density(vectors, label_range, center, neighbor_positions, h, kernel):
     return max(total / len(neighbor_positions), FLOOR)
 
 
-def run(vectors, label_ranges, k=None, h=None, kernel="exp", epsilon=1.0,
-        neighbor_density_mode="own_neighborhood"):
-    """Returns (factors, deltas, h_used) for a list of raw update vectors."""
+def run(vectors, label_ranges, k=None, h=None, kernel="exp", epsilon=1.0):
+    """Returns (factors, deltas, h_used) for a list of raw update vectors.
+    Each neighbor j of client i enters with its own density over its own k
+    nearest peers."""
     n = len(vectors)
     if k is None:
         k = min(max(int(math.floor(0.4 * n)), 1), n - 1)
@@ -75,14 +76,8 @@ def run(vectors, label_ranges, k=None, h=None, kernel="exp", epsilon=1.0,
     factors = []
     for i in range(n):
         f = 1.0
-        for r, lr in enumerate(label_ranges):
-            ratios = []
-            for j in neighborhoods[i]:
-                if neighbor_density_mode == "own_neighborhood":
-                    qj = own[j][r]
-                else:
-                    qj = slice_density(vectors, lr, j, neighborhoods[i], h, kernel)
-                ratios.append(qj / own[i][r])
+        for r in range(len(label_ranges)):
+            ratios = [own[j][r] / own[i][r] for j in neighborhoods[i]]
             f *= sum(ratios) / len(ratios)
         factors.append(f)
     deltas = [int(f >= epsilon) for f in factors]

@@ -71,11 +71,11 @@ class TestAgainstRowReference:
         # the near-duplicate cohort is recomputed directly, not left to cancellation
         assert np.allclose(got[COHORT, COHORT], want[COHORT, COHORT], rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("mode", ["own_neighborhood", "center_reference"])
-    @pytest.mark.parametrize("bandwidth", [None, 0.05])
-    def test_lomar_decisions_match(self, monkeypatch, mode, bandwidth):
+    # The ids name phase I's density, each neighbor's over its own neighborhood.
+    @pytest.mark.parametrize("bandwidth", [None, 0.05], ids=["None-own_neighborhood", "0.05-own_neighborhood"])
+    def test_lomar_decisions_match(self, monkeypatch, bandwidth):
         rnd = round_from(paper_shaped_matrix(2))
-        cfg = KdeConfig(bandwidth=bandwidth, neighbor_density_mode=mode)
+        cfg = KdeConfig(bandwidth=bandwidth)
         fast = lomar_run(rnd, cfg)
         with monkeypatch.context() as m:
             with_reference_kernel(m)

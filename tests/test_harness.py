@@ -600,19 +600,19 @@ class TestRunExperiment:
     def test_read_scores_csv_rejects_missing_columns(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("client_id,role\n0,clean\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="expected columns"):
+        with pytest.raises(ConfigError, match="expected columns"):
             read_scores_csv(path)
 
     def test_read_scores_csv_rejects_empty(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("client_id,role,score\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="no score rows"):
+        with pytest.raises(ConfigError, match="no score rows"):
             read_scores_csv(path)
 
     def test_read_scores_csv_rejects_unknown_role(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("client_id,role,score\n0,clean,1.0\n1,bystander,2.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="unknown roles"):
+        with pytest.raises(ConfigError, match="unknown roles"):
             read_scores_csv(path)
 
     def test_renormalize_changes_partial_aggregate(self):
@@ -761,6 +761,8 @@ class TestCli:
         pytest.param({"kind": "lomar", "k": 0}, id="lomar-k-0"),
         pytest.param({"kind": "lomar", "k": 28}, id="lomar-k-past-population"),
         pytest.param({"kind": "lomar", "density_floor": 0}, id="lomar-density-floor-0"),
+        pytest.param({"kind": "lomar", "neighbor_density_mode": "own_neighborhood"},
+                     id="lomar-neighbor-density-mode"),
     ])
     def test_run_bad_defense_on_example_exits_2(self, tmp_path, defense):
         with open(EXAMPLE_CONFIG, encoding="utf-8") as fh:
@@ -863,6 +865,19 @@ class TestCli:
         assert f"config error: {match}" in result.output
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key, value", [("density_floor", 1e-300), ("neighbor_density_mode", "own_neighborhood")])
+    def test_resolved_config_with_a_removed_key_exits_2(self, tmp_path, key, value):
+        # a config_resolved.yaml written while LoMar had these knobs holds both
+        out_dir = tmp_path / "run"
+        run_experiment(config_from_dict(cli_dict()), out_dir=out_dir)
+        raw = yaml.safe_load((out_dir / "config_resolved.yaml").read_text(encoding="utf-8"))
+        raw["defense"][key] = value
+        cfg_path = write_yaml(tmp_path / "old_resolved.yaml", raw)
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert f"config error: unknown key '{key}' in section 'defense'" in result.output
+        assert not (tmp_path / "x").exists()
+
     def test_run_without_out_dir_exits_2(self, tmp_path):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cli_dict())
         proc = run_cli("run", "--config", str(cfg_path))
@@ -890,6 +905,20 @@ class TestCli:
     def test_roc_without_scores_exits_3(self, tmp_path):
         proc = run_cli("roc", "--from", str(tmp_path))
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("content, match", [
+        pytest.param(b"client_id,role,score\n0,clean,1.0\n1,bystander,2.0\n", "unknown roles", id="unknown-role"),
+        pytest.param(b"client_id,role\n0,clean\n1,malicious\n", "expected columns", id="missing-columns"),
+        pytest.param(b"client_id,role,score\n0,clean,1.0\n1,malicious,\xff\n", "'utf-8' codec", id="non-utf8"),
+        pytest.param(b"client_id,role,score\n0,clean,high\n1,malicious,0.5\n", "'high'", id="score-not-a-number"),
+        pytest.param(b"client_id,role,score\n0,clean,nan\n1,malicious,0.5\n", "NaN", id="score-nan"),
+    ])
+    def test_roc_malformed_scores_exits_2(self, tmp_path, content, match):
+        (tmp_path / "scores.csv").write_bytes(content)
+        result = CliRunner().invoke(cli.main, ["roc", "--from", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "config error: " in result.output and match in result.output
+        assert not (tmp_path / "roc_points.csv").exists()
 
     def test_sweep_writes_summary(self, tmp_path):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cli_dict())

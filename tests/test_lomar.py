@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lomar_oracle
+from lomarlab import lomar
 from lomarlab.lomar import (
     KERNELS,
-    NEIGHBOR_DENSITY_MODES,
     KdeConfig,
     default_k,
     false_alarm_bound,
@@ -122,14 +123,16 @@ class TestKdeDensity:
                 math.log((dens[0] + dens[1]) / 2 / dens[2])]
         assert lf == pytest.approx(want, rel=1e-12, abs=1e-15)
 
-    def test_zero_distance_value(self):
+    def test_zero_distance_value(self, monkeypatch):
         # identical updates sit at the kernel peak 1/(sqrt(2*pi)*h), which a
         # density floor just above it clamps for every client
         rnd = round_from(np.ones((4, 1)), LAYOUT_1x1)
         for h in (1.0, 0.5):
             peak = INV_SQRT_2PI / h
-            assert lomar_run(rnd, KdeConfig(k=2, bandwidth=h, density_floor=peak * 0.999)).floor_hits == 0
-            assert lomar_run(rnd, KdeConfig(k=2, bandwidth=h, density_floor=peak * 1.001)).floor_hits == 4
+            monkeypatch.setattr(lomar, "DENSITY_FLOOR", peak * 0.999)
+            assert lomar_run(rnd, KdeConfig(k=2, bandwidth=h)).floor_hits == 0
+            monkeypatch.setattr(lomar, "DENSITY_FLOOR", peak * 1.001)
+            assert lomar_run(rnd, KdeConfig(k=2, bandwidth=h)).floor_hits == 4
 
 
 class TestFactors:
@@ -184,8 +187,7 @@ def identical_rounds(draw):
     n = draw(st.integers(2, 12))
     matrix = np.tile(row * draw(st.sampled_from([0.0, 1e-8, 1.0, 1e6])), (n, 1))
     cfg = KdeConfig(k=draw(st.integers(1, n - 1)), bandwidth=draw(st.sampled_from([None, 1e-3, 1.0, 50.0])),
-                    kernel=draw(st.sampled_from(KERNELS)),
-                    neighbor_density_mode=draw(st.sampled_from(NEIGHBOR_DENSITY_MODES)))
+                    kernel=draw(st.sampled_from(KERNELS)))
     return round_from(matrix, layout), cfg
 
 
@@ -260,8 +262,7 @@ class TestAgainstBruteForce:
         oracle_factors, oracle_deltas, oracle_h = lomar_oracle.run(
             [list(map(float, row)) for row in matrix], ranges,
             k=kw.get("k"), h=kw.get("bandwidth"), kernel=kw.get("kernel", "exp"),
-            epsilon=kw.get("epsilon", 1.0),
-            neighbor_density_mode=kw.get("neighbor_density_mode", "own_neighborhood"))
+            epsilon=kw.get("epsilon", 1.0))
         assert res.h_used == pytest.approx(oracle_h, rel=1e-12)
         assert np.exp(res.log_factors).tolist() == pytest.approx(oracle_factors, rel=1e-9)
         assert res.kept.astype(int).tolist() == list(oracle_deltas)
@@ -282,14 +283,6 @@ class TestAgainstBruteForce:
             matrix = rng.normal(scale=0.8, size=(n, 4))
             self.run_both(matrix, LAYOUT_2x2, [(0, 2), (2, 4)], k=3, kernel="gaussian")
 
-    def test_random_cases_center_reference(self):
-        rng = np.random.default_rng(101)
-        for trial in range(8):
-            n = int(rng.integers(6, 12))
-            matrix = rng.normal(scale=0.5, size=(n, 4))
-            self.run_both(matrix, LAYOUT_2x2, [(0, 2), (2, 4)], k=4,
-                          neighbor_density_mode="center_reference")
-
     def test_random_cases_three_labels_fixed_bandwidth(self):
         rng = np.random.default_rng(102)
         for trial in range(8):
@@ -304,6 +297,63 @@ class TestAgainstBruteForce:
         assert res.k_used == 4
 
 
+@st.composite
+def gaussian_rounds(draw):
+    """4 to 12 seeded Gaussian updates over one to three label blocks and a
+    shared block, up to two rows copied over others, with a k, a bandwidth
+    and an epsilon. A fixed bandwidth is at least 1, so that no density nears
+    the floor and the oracle's linear-domain factors stay in float range."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    layout = ParamLayout(tuple(widths), draw(st.integers(0, 2)))
+    n = draw(st.integers(4, 12))
+    matrix = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, layout.size))
+    for source, dest in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2)):
+        matrix[dest] = matrix[source]
+    cfg = KdeConfig(k=draw(st.integers(1, n - 1)), bandwidth=draw(st.sampled_from([None, 1.0, 3.0])),
+                    epsilon=draw(st.sampled_from([0.5, 1.0, 2.0])))
+    return matrix, layout, cfg
+
+
+class TestOneDefinition:
+    """Invariances of phase I's one definition. An invariance alone cannot
+    tell two definitions apart when both have it, so each test also pins the
+    run it transforms to the brute-force oracle."""
+
+    @staticmethod
+    def oracle_checked_run(matrix, layout, cfg):
+        res = lomar_run(round_from(matrix, layout), cfg)
+        ranges = [(s.start, s.stop) for s in map(layout.label_slice, range(layout.num_labels))]
+        factors, _, _ = lomar_oracle.run(matrix.tolist(), ranges, k=cfg.k, h=cfg.bandwidth,
+                                         kernel=cfg.kernel, epsilon=cfg.epsilon)
+        assert np.allclose(res.log_factors, np.log(factors), rtol=0.0, atol=1e-9)
+        return res
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=gaussian_rounds(), data=st.data())
+    def test_permuting_clients_keeps_factors_and_kept_set(self, kernel, case, data):
+        matrix, layout, cfg = case
+        cfg = replace(cfg, kernel=kernel)
+        base = self.oracle_checked_run(matrix, layout, cfg)
+        perm = np.array(data.draw(st.permutations(range(len(matrix)))))
+        res = lomar_run(round_from(matrix[perm], layout, ids=perm), cfg)
+        assert np.allclose(res.log_factors, base.log_factors[perm], rtol=0.0, atol=1e-9)
+        if np.all(np.abs(base.log_factors - math.log(cfg.epsilon)) > 1e-9):
+            assert set(res.client_ids[res.kept].tolist()) == set(base.client_ids[base.kept].tolist())
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=gaussian_rounds(), c=st.floats(1e-3, 1e3))
+    def test_scaling_updates_and_bandwidth_keeps_factors(self, kernel, case, c):
+        matrix, layout, cfg = case
+        cfg = replace(cfg, kernel=kernel)
+        base = self.oracle_checked_run(matrix, layout, cfg)
+        scaled = replace(cfg, bandwidth=None if cfg.bandwidth is None else c * cfg.bandwidth)
+        res = lomar_run(round_from(c * matrix, layout), scaled)
+        assert res.h_used == pytest.approx(c * base.h_used, rel=1e-12)
+        assert np.allclose(res.log_factors, base.log_factors, rtol=0.0, atol=1e-9)
+
+
 class TestKdeConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -313,11 +363,7 @@ class TestKdeConfigValidation:
         with pytest.raises(ValueError):
             KdeConfig(kernel="tricube")
         with pytest.raises(ValueError):
-            KdeConfig(neighbor_density_mode="nearest")
-        with pytest.raises(ValueError):
             KdeConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            KdeConfig(density_floor=0.0)
 
 
 class TestBallVolume:
