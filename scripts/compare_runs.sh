@@ -51,7 +51,7 @@ variants = {
     "foolsgold": {"defense": {"kind": "foolsgold"}, **FG_TRAINING},
     "fg_krum": {"defense": {"kind": "fg_krum"}},
     "fg_first": {"defense": {"kind": "fg_krum", "fg_krum_order": "fg_first"}, **FG_TRAINING},
-    "gaussian_renormalize": {"defense": {"kernel": "gaussian"}, "renormalize_weights": True},
+    "gaussian_kernel": {"defense": {"kernel": "gaussian"}},
     "mlp": {"model": {"kind": "mlp", "hidden_dim": 5}},
     "model_poison_krum": {"attack": {"kind": "model_poison"}, "defense": {"kind": "krum"}},
     "spread0": {"dataset": {"spread": 0}},

@@ -4,9 +4,9 @@ Every rule maps (joint, round) to an AggregationResult: the new joint model,
 a kept mask over the round's rows, and per-row scores where the rule ranks
 clients (Krum: negated distance scores, FoolsGold: credibility weights). A
 defense that thresholds its scores also fills in the epsilon and bandwidth it
-used. FedAvg weights by sample counts over the full cohort; the filtered
-variant drops flagged clients without renormalizing, so removed weight simply
-vanishes (the renormalize flag restores it for ablations).
+used. FedAvg gives every update equal weight, because every client of a run
+trains an equal shard; the filtered variant drops flagged clients without
+renormalizing, so removed weight simply vanishes.
 """
 
 from __future__ import annotations
@@ -52,24 +52,21 @@ def _apply_weights(joint: ParamVector, rnd: Round, weights, scores=None, order=N
     return AggregationResult(ParamVector(values, joint.layout), weights > 0, scores)
 
 
-def weighted_aggregate(joint: ParamVector, rnd: Round, kept, renormalize: bool = False) -> AggregationResult:
-    """Sample-count-weighted average of the kept rows added to the joint.
+def weighted_aggregate(joint: ParamVector, rnd: Round, kept) -> AggregationResult:
+    """FedAvg over the whole round, with the rows outside `kept` left out, added to the joint.
 
-    kept is a boolean mask over the round's rows. Weights are num_samples
-    over the total across ALL submitted updates; dropping a client removes
-    its weight from the sum unless renormalize is set, in which case weights
-    are recomputed over the kept cohort only.
+    kept is a boolean mask over the round's rows. FedAvg's weight n_k / n is
+    1 / len(rnd.ids), since every shard is equal; a dropped client's weight
+    leaves the sum and is not spread over the kept ones.
     """
     kept = np.asarray(kept, dtype=bool)
     if kept.shape != rnd.ids.shape:
         raise ValueError(f"kept mask of shape {kept.shape} for {len(rnd.ids)} updates")
-    total = rnd.num_samples[kept].sum() if renormalize else rnd.num_samples.sum()
-    # An empty kept set gives every row weight 0, whatever the divisor.
-    return _apply_weights(joint, rnd, np.where(kept, rnd.num_samples, 0) / max(total, 1))
+    return _apply_weights(joint, rnd, np.where(kept, 1.0 / len(rnd.ids), 0.0))
 
 
 def fedavg(joint: ParamVector, rnd: Round) -> AggregationResult:
-    """Defenseless sample-weighted average of every update."""
+    """Defenseless average of every update, with equal weights because shards are equal."""
     return weighted_aggregate(joint, rnd, np.ones(len(rnd.ids), dtype=bool))
 
 

@@ -94,7 +94,7 @@ def _krum_assumed(state: ExperimentState, rnd: Round) -> int:
 def _lomar_defense(state: ExperimentState, rnd: Round) -> AggregationResult:
     result = lomar_run(rnd, state.cfg.defense)
     state.floor_hits_total += result.floor_hits
-    agg = weighted_aggregate(state.joint, rnd, result.kept, renormalize=state.cfg.renormalize_weights)
+    agg = weighted_aggregate(state.joint, rnd, result.kept)
     return replace(agg, scores=result.log_factors, epsilon_used=result.epsilon_used, h_used=result.h_used)
 
 
@@ -149,7 +149,6 @@ class ExperimentConfig:
     eval: EvalSection = EvalSection()
     rounds: int = 200
     seed: int = 0
-    renormalize_weights: bool = False
     output_dir: str | None = None
 
     def __post_init__(self):
@@ -266,7 +265,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"unreadable config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"unparseable config {path}: {exc}") from exc
-    return config_from_dict(raw or {})
+    return config_from_dict(raw)
 
 
 @dataclass
@@ -345,7 +344,7 @@ def run_round(state: ExperimentState) -> RoundRecord:
     for row, shard in zip(deltas, state.shards):
         if cfg.attack.kind == "model_poison" and shard.role == ROLE_MALICIOUS:
             row[:] = boost_update(row, cfg.attack.boost_factor)
-    rnd = Round([s.owner for s in state.shards], [len(s) for s in state.shards], deltas, state.joint.layout)
+    rnd = Round([s.owner for s in state.shards], deltas, state.joint.layout)
 
     finite = np.isfinite(deltas).all(axis=1)
     if not finite.any():

@@ -118,34 +118,30 @@ class ModelSpec:
 class Round:
     """One round's submissions as one matrix: row i is client ids[i]'s delta.
 
-    ids and num_samples are int64 arrays; deltas is (n, layout.size) float64
-    and is taken as is when it already has that dtype. The constructor rejects
-    an empty round, repeated ids, a sample count below 1 and rows that do not
-    fit the layout.
+    ids is an int64 array; deltas is (n, layout.size) float64 and is taken as
+    is when it already has that dtype. Every client of a run trains the same
+    number of rows, so a round carries no sample counts. The constructor
+    rejects an empty round, repeated ids and rows that do not fit the layout.
     """
 
     ids: np.ndarray
-    num_samples: np.ndarray
     deltas: np.ndarray
     layout: ParamLayout
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.num_samples = np.asarray(self.num_samples, dtype=np.int64)
         self.deltas = np.asarray(self.deltas, dtype=np.float64)
         n = len(self.ids)
         if n == 0:
             raise ValueError("no updates to aggregate")
         if len(np.unique(self.ids)) != n:
             raise ValueError("duplicate client ids")
-        if self.num_samples.shape != (n,) or self.num_samples.min() < 1:
-            raise ValueError("need one num_samples >= 1 per update")
         if self.deltas.shape != (n, self.layout.size):
             raise ValueError(f"update layout does not match: deltas {self.deltas.shape}, size {self.layout.size}")
 
     def select(self, positions) -> "Round":
         """The rows at `positions`, in that order."""
-        return Round(self.ids[positions], self.num_samples[positions], self.deltas[positions], self.layout)
+        return Round(self.ids[positions], self.deltas[positions], self.layout)
 
 
 def _unpack(values: np.ndarray, spec: ModelSpec):
@@ -239,39 +235,42 @@ def local_train(joint: ParamVector, pool: np.ndarray, shards, spec: ModelSpec, s
     call exactly. Every step runs in float32: a client's working row starts at
     float32(joint), each epoch gathers its shuffled row indices and float32
     one-hot labels once, and each batch gathers its features from the pool. The
-    delta is taken against float32(joint) and widened on return. Consecutive
-    shards of one length step in lockstep, as many as keep a batch gather within
-    TRAIN_GROUP_BYTES. Each keeps its own generator and working row, and the
-    stacked kernel gives it a lone client's float32 operations on the same
+    delta is taken against float32(joint) and widened on return. All shards of
+    one call are one length, as every client of a run trains samples_per_client
+    rows; consecutive shards step in lockstep, as many as keep a batch gather
+    within TRAIN_GROUP_BYTES. Each keeps its own generator and working row, and
+    the stacked kernel gives it a lone client's float32 operations on the same
     operands, so its delta is bitwise the one its shard trains alone.
     """
     if len(shards) != len(seeds):
         raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
     if pool.dtype != np.float32 or pool.ndim != 2 or pool.shape[1] != spec.input_dim:
         raise ValueError(f"pool of {pool.dtype} {pool.shape} is not 2-D float32 with {spec.input_dim} columns")
-    if any(len(shard) == 0 for shard in shards):
+    lengths = sorted({len(shard) for shard in shards})
+    if 0 in lengths:
         raise ValueError("empty shard")
+    if len(lengths) > 1:
+        raise ValueError(f"shards of {lengths} rows: all shards of one call must be one length")
+    n = lengths[0] if lengths else 1
+    group = max(1, TRAIN_GROUP_BYTES // (min(spec.batch_size, n) * spec.input_dim * 4))
     labels = [_check_labels(shard.labels, spec) for shard in shards]
     start_values, eye = joint.values.astype(np.float32), np.eye(spec.num_labels, dtype=np.float32)
-    deltas, begin = np.empty((len(shards), start_values.size)), 0
-    while begin < len(shards):
-        n = len(shards[begin])
-        end = min(len(shards), begin + max(1, TRAIN_GROUP_BYTES // (min(spec.batch_size, n) * spec.input_dim * 4)))
-        end = next((i for i in range(begin + 1, end) if len(shards[i]) != n), end)
-        rngs = [np.random.default_rng(seed) for seed in seeds[begin:end]]
-        work, grad = np.tile(start_values, (end - begin, 1)), np.empty((end - begin, start_values.size), np.float32)
+    deltas = np.empty((len(shards), start_values.size))
+    for begin in range(0, len(shards), group):
+        members = slice(begin, begin + group)
+        rngs = [np.random.default_rng(seed) for seed in seeds[members]]
+        work, grad = np.tile(start_values, (len(rngs), 1)), np.empty((len(rngs), start_values.size), np.float32)
         views, grad_views = _unpack(work, spec), _unpack(grad, spec)
         for epoch in range(spec.local_epochs):
             orders = [rng.permutation(n) for rng in rngs]
-            epoch_rows = np.stack([shard.rows[order] for shard, order in zip(shards[begin:end], orders)])
+            epoch_rows = np.stack([shard.rows[order] for shard, order in zip(shards[members], orders)])
             if epoch == 0 and epoch_rows.max() >= len(pool):
                 raise ValueError(f"shard rows past the pool's {len(pool)} rows")
-            onehot = eye.take(np.stack([y[order] for y, order in zip(labels[begin:end], orders)]), axis=0)
+            onehot = eye.take(np.stack([y[order] for y, order in zip(labels[members], orders)]), axis=0)
             for step in range(0, n, spec.batch_size):
                 batch = slice(step, step + spec.batch_size)
                 _gradient(views, grad_views, pool.take(epoch_rows[:, batch], axis=0), onehot[:, batch])
                 grad *= spec.learning_rate
                 work -= grad
-        deltas[begin:end] = work - start_values
-        begin = end
+        deltas[members] = work - start_values
     return deltas

@@ -40,7 +40,7 @@ def skip_report(criterion, reason):
 
 
 def round_from(matrix, layout):
-    return Round(np.arange(len(matrix)), np.ones(len(matrix)), matrix, layout)
+    return Round(np.arange(len(matrix)), matrix, layout)
 
 
 def random_label_layout(rng, max_labels=3, max_dim=6):

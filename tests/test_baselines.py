@@ -20,12 +20,10 @@ LAYOUT_1 = ParamLayout((1,))
 LAYOUT_2 = ParamLayout((1, 1))
 
 
-def round_from(rows, layout=LAYOUT_2, samples=None, ids=None):
+def round_from(rows, layout=LAYOUT_2, ids=None):
     """A Round of the given rows; client ids default to the row positions."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    n = rows.shape[0]
-    return Round(np.arange(n) if ids is None else ids, [1] * n if samples is None else samples,
-                 rows, layout)
+    return Round(np.arange(rows.shape[0]) if ids is None else ids, rows, layout)
 
 
 def zero_joint(layout=LAYOUT_2):
@@ -55,18 +53,12 @@ def foolsgold_weights_loop(vectors):
 
 class TestWeightedAggregate:
     def test_weights_over_all_submitted(self):
-        rnd = round_from([[8.0, 0.0], [0.0, 8.0], [4.0, 4.0]], samples=[2, 2, 4])
-        res = weighted_aggregate(zero_joint(), rnd, kept=[True, True, False])
-        # alpha = samples / total over ALL submitted (8), dropped weight just
-        # disappears: 0.25 * [8, 0] + 0.25 * [0, 8]
+        rnd = round_from([[8.0, 0.0], [0.0, 8.0], [4.0, 4.0], [4.0, 4.0]])
+        res = weighted_aggregate(zero_joint(), rnd, kept=[True, True, False, False])
+        # alpha = 1 / 4 over ALL submitted, dropped weight just disappears:
+        # 0.25 * [8, 0] + 0.25 * [0, 8]
         assert np.array_equal(res.new_joint.values, [2.0, 2.0])
-        assert res.kept.tolist() == [True, True, False]
-
-    def test_renormalize_over_kept(self):
-        rnd = round_from([[8.0, 0.0], [0.0, 8.0], [4.0, 4.0]], samples=[2, 2, 4])
-        res = weighted_aggregate(zero_joint(), rnd, kept=[True, True, False], renormalize=True)
-        # 0.5 * [8, 0] + 0.5 * [0, 8]
-        assert np.array_equal(res.new_joint.values, [4.0, 4.0])
+        assert res.kept.tolist() == [True, True, False, False]
 
     def test_unknown_kept_id_rejected(self):
         # a mask entry past the round's one row names no submitted client
@@ -74,15 +66,15 @@ class TestWeightedAggregate:
         with pytest.raises(ValueError, match="kept mask"):
             weighted_aggregate(zero_joint(), rnd, kept=[True, True])
 
-    def test_empty_kept_set_with_renormalize_leaves_joint(self):
-        rnd = round_from([[1.0, 0.0], [0.0, 1.0]], samples=[2, 3])
-        res = weighted_aggregate(zero_joint(), rnd, kept=[False, False], renormalize=True)
+    def test_empty_kept_set_leaves_joint(self):
+        rnd = round_from([[1.0, 0.0], [0.0, 1.0]])
+        res = weighted_aggregate(zero_joint(), rnd, kept=[False, False])
         assert not res.kept.any()
         assert np.array_equal(res.new_joint.values, np.zeros(2))
 
     def test_empty_and_duplicate_updates_rejected(self):
         with pytest.raises(ValueError, match="no updates"):
-            weighted_aggregate(zero_joint(), Round([], [], np.zeros((0, 2)), LAYOUT_2), kept=[])
+            weighted_aggregate(zero_joint(), Round([], np.zeros((0, 2)), LAYOUT_2), kept=[])
         with pytest.raises(ValueError, match="duplicate client ids"):
             weighted_aggregate(zero_joint(), round_from([[1.0, 0.0], [0.0, 1.0]], ids=[0, 0]),
                                kept=[True, False])
@@ -92,10 +84,10 @@ class TestWeightedAggregate:
         with pytest.raises(ValueError, match="layout does not match"):
             weighted_aggregate(zero_joint(LAYOUT_2), rnd, kept=[True])
 
-    def test_fedavg_sample_weighting(self):
-        rnd = round_from([[4.0, 0.0], [0.0, 8.0]], samples=[1, 3])
+    def test_fedavg_equal_weighting(self):
+        rnd = round_from([[4.0, 0.0], [0.0, 8.0]])
         res = fedavg(zero_joint(), rnd)
-        assert np.allclose(res.new_joint.values, [1.0, 6.0])
+        assert np.array_equal(res.new_joint.values, [2.0, 4.0])
         assert res.kept.tolist() == [True, True]
 
 
@@ -387,7 +379,7 @@ class TestSharedStacker:
 
     def test_empty_round_rejected(self, rule):
         with pytest.raises(ValueError, match="no updates|at least 2"):
-            rule(Round([], [], np.zeros((0, 2)), LAYOUT_2))
+            rule(Round([], np.zeros((0, 2)), LAYOUT_2))
 
     def test_repeated_id_rejected(self, rule):
         with pytest.raises(ValueError, match="duplicate client ids"):
@@ -443,24 +435,21 @@ class TestSummationOrder:
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(12, 6)) * 10.0 ** rng.integers(-3, 4, size=(12, 1))
         rows[:4] = rows[0] + 1e-9 * rng.normal(size=(4, 6))  # a clone cohort FoolsGold zeroes
-        return round_from(rows, layout=self.layout, samples=rng.integers(1, 50, size=12).tolist())
+        return round_from(rows, layout=self.layout)
 
     def zero(self):
         return zero_joint(self.layout)
 
     def test_fedavg_and_weighted_aggregate(self, rnd):
         joint = ParamVector(np.linspace(-0.7, 0.3, 6), self.layout)
-        rows = list(zip(rnd.ids.tolist(), rnd.num_samples.tolist(), rnd.deltas))
-        total = sum(s for _, s, _ in rows)
-        want = loop_sum(joint, [(s / total, d) for _, s, d in rows])
+        # FedAvg's sample-count weight over 12 equal shards of 600 rows
+        rows, total = list(zip(rnd.ids.tolist(), rnd.deltas)), 600 * len(rnd.ids)
+        want = loop_sum(joint, [(600 / total, d) for _, d in rows])
         assert np.array_equal(fedavg(joint, rnd).new_joint.values, want)
         kept = [1, 4, 5, 8, 11]
         mask = np.isin(rnd.ids, kept)
-        want = loop_sum(joint, [(s / total if c in kept else 0.0, d) for c, s, d in rows])
+        want = loop_sum(joint, [(600 / total if c in kept else 0.0, d) for c, d in rows])
         assert np.array_equal(weighted_aggregate(joint, rnd, mask).new_joint.values, want)
-        kept_total = sum(s for c, s, _ in rows if c in kept)
-        want = loop_sum(joint, [(s / kept_total if c in kept else 0.0, d) for c, s, d in rows])
-        assert np.array_equal(weighted_aggregate(joint, rnd, mask, renormalize=True).new_joint.values, want)
 
     def test_foolsgold_in_input_order(self, rnd):
         res = foolsgold(self.zero(), rnd)

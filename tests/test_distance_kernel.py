@@ -52,7 +52,7 @@ def paper_shaped_matrix(seed: int) -> np.ndarray:
 
 
 def round_from(matrix, layout=PAPER_LAYOUT):
-    return Round(np.arange(len(matrix)), np.full(len(matrix), 600), matrix, layout)
+    return Round(np.arange(len(matrix)), matrix, layout)
 
 
 def with_reference_kernel(monkeypatch):

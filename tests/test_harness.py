@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lomarlab import cli, harness
 from lomarlab.harness import (
@@ -82,7 +84,6 @@ class TestConfigParsing:
         assert cfg.attack.kind == "none"
         assert cfg.defense.kind == "lomar"
         assert cfg.defense.epsilon == 1.0
-        assert cfg.renormalize_weights is False
 
     def test_missing_num_clean(self):
         with pytest.raises(ConfigError):
@@ -164,7 +165,7 @@ class TestConfigParsing:
         pytest.param("defense", "k", 2.5, "int | None", id="k-float"),
         pytest.param("partition", "samples_per_client", 2.5, "int", id="samples-float"),
         pytest.param("model", "local_epochs", True, "int", id="epochs-bool"),
-        pytest.param(None, "renormalize_weights", "false", "bool", id="renormalize-str"),
+        pytest.param("partition", "allow_replacement", "false", "bool", id="allow-replacement-str"),
         pytest.param(None, "rounds", 2.7, "int", id="rounds-float"),
         pytest.param(None, "num_clean", "8", "int", id="num-clean-str"),
         pytest.param(None, "seed", 1.5, "int", id="seed-float"),
@@ -281,7 +282,40 @@ class TestConfigParsing:
                 config_from_dict(raw)
 
 
+@st.composite
+def oversubscribed_configs(draw):
+    """A label-flip config on a small synthetic pool that its clean clients oversubscribe, so that
+    partition fills their shortfalls with replacement."""
+    num_labels, per_label = draw(st.integers(2, 4)), draw(st.integers(3, 12))
+    samples = draw(st.integers(1, per_label))  # a flip's source label covers its ceil(tau * samples) rows
+    least = num_labels * per_label // samples + 1
+    num_clean = draw(st.integers(least, least + 6))
+    label = st.integers(0, num_labels - 1)
+    pairs = draw(st.lists(st.tuples(label, label).filter(lambda pair: pair[0] != pair[1]),
+                          min_size=1, max_size=2, unique=True))
+    return {
+        "num_clean": num_clean,
+        "rounds": 1,
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "dataset": {"kind": "synth", "num_labels": num_labels, "input_dim": 2, "per_label_count": per_label},
+        "partition": {"samples_per_client": samples, "lambda": draw(st.floats(0.0, 0.99))},
+        "attack": {"kind": "label_flip", "malicious_count": draw(st.integers(1, int(0.4 * num_clean))),
+                   "flip_pairs": [list(pair) for pair in pairs],
+                   "tau": draw(st.floats(0.0, 1.0, exclude_min=True))},
+    }
+
+
 class TestInitializeState:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(oversubscribed_configs())
+    def test_every_shard_holds_samples_per_client_rows(self, raw):
+        # local_train steps a round's clients in lockstep only because every shard is one length
+        state = initialize_state(config_from_dict(raw))
+        samples = raw["partition"]["samples_per_client"]
+        assert len(state.shards) == raw["num_clean"] + raw["attack"]["malicious_count"]
+        assert [len(shard.rows) for shard in state.shards] == [samples] * len(state.shards)
+        assert any(shard.used_replacement for shard in state.shards[:raw["num_clean"]])
+
     def test_roles_and_shards(self):
         cfg = config_from_dict(base_dict())
         state = initialize_state(cfg)
@@ -552,8 +586,7 @@ class TestRunExperiment:
             assert a == b, name
 
     @pytest.mark.parametrize("overrides", [
-        pytest.param({"renormalize_weights": True, "partition": {"samples_per_client": 30, "lambda": 0.3}},
-                     id="lomar"),
+        pytest.param({"partition": {"samples_per_client": 30, "lambda": 0.3}}, id="lomar"),
         pytest.param({"model": {"kind": "mlp", "hidden_dim": 3, "learning_rate": 0.1, "local_epochs": 1,
                                 "batch_size": 30},
                       "defense": {"kind": "fg_krum"}}, id="mlp-fg_krum"),
@@ -615,21 +648,6 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="unknown roles"):
             read_scores_csv(path)
 
-    def test_renormalize_changes_partial_aggregate(self):
-        # pick a threshold between two observed log factors so the filter drops
-        # a strict subset, then renormalizing must shift the joint step
-        raw = base_dict(rounds=1)
-        probe = run_experiment(config_from_dict(raw))
-        ordered = sorted(probe.state.last_scores.tolist())
-        distinct = [(a, b) for a, b in zip(ordered, ordered[1:]) if a < b]
-        assert distinct, "degenerate probe: all factors equal"
-        lo, hi = distinct[len(distinct) // 2]
-        raw["defense"] = {"kind": "lomar", "epsilon": math.exp((lo + hi) / 2.0)}
-        plain = run_experiment(config_from_dict(raw))
-        renorm = run_experiment(config_from_dict(dict(raw, renormalize_weights=True)))
-        assert 1 <= plain.records[0].num_kept < 11
-        assert not np.allclose(plain.state.joint.values, renorm.state.joint.values)
-
 
 class TestModelPoison:
     def test_malicious_rows_are_boosted_deltas(self, monkeypatch):
@@ -659,7 +677,7 @@ class TestLomarLogDomain:
         # is past the float64 range, so only its log can be the score
         layout = ParamLayout((3,) * 100)
         clean = np.random.default_rng(0).normal(size=(60, 300))
-        rnd = Round(np.arange(80), np.ones(80), np.vstack([clean, np.tile(clean.mean(axis=0), (20, 1))]), layout)
+        rnd = Round(np.arange(80), np.vstack([clean, np.tile(clean.mean(axis=0), (20, 1))]), layout)
         cfg = config_from_dict(base_dict(defense={"kind": "lomar", "bandwidth": 0.05}))
         state = SimpleNamespace(cfg=cfg, joint=ParamVector(np.zeros(layout.size), layout), floor_hits_total=0)
         agg = harness.DEFENSES["lomar"](state, rnd)
@@ -799,11 +817,12 @@ class TestCli:
         pytest.param("defense", {"density_floor": math.nan}, id="density-floor-nan"),
         pytest.param("model", {"learning_rate": math.nan}, id="learning-rate-nan"),
         pytest.param("dataset", {"radius": math.nan}, id="radius-nan"),
+        pytest.param(None, {"renormalize_weights": False}, id="renormalize-weights-removed"),
     ])
     def test_run_bad_value_exits_2_before_training(self, tmp_path, monkeypatch, section, values):
         monkeypatch.setattr(harness, "local_train", lambda *a, **k: pytest.fail("a client trained"))
         raw = cli_dict()
-        raw.setdefault(section, {}).update(values)
+        (raw if section is None else raw.setdefault(section, {})).update(values)
         cfg_path = write_yaml(tmp_path / "cfg.yaml", raw)
         out_dir = tmp_path / "x"
         result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path), "--out", str(out_dir)])
@@ -865,17 +884,38 @@ class TestCli:
         assert f"config error: {match}" in result.output
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("key, value", [("density_floor", 1e-300), ("neighbor_density_mode", "own_neighborhood")])
-    def test_resolved_config_with_a_removed_key_exits_2(self, tmp_path, key, value):
-        # a config_resolved.yaml written while LoMar had these knobs holds both
+    @pytest.mark.parametrize("section, key, value", [
+        pytest.param("defense", "density_floor", 1e-300, id="density_floor-1e-300"),
+        pytest.param("defense", "neighbor_density_mode", "own_neighborhood",
+                     id="neighbor_density_mode-own_neighborhood"),
+        pytest.param(None, "renormalize_weights", False, id="renormalize_weights-False"),
+    ])
+    def test_resolved_config_with_a_removed_key_exits_2(self, tmp_path, section, key, value):
+        # a config_resolved.yaml written while the config had these knobs holds each of them
         out_dir = tmp_path / "run"
         run_experiment(config_from_dict(cli_dict()), out_dir=out_dir)
         raw = yaml.safe_load((out_dir / "config_resolved.yaml").read_text(encoding="utf-8"))
-        raw["defense"][key] = value
+        (raw if section is None else raw[section])[key] = value
         cfg_path = write_yaml(tmp_path / "old_resolved.yaml", raw)
         result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        where = "top level" if section is None else f"section {section!r}"
         assert result.exit_code == 2, result.output
-        assert f"config error: unknown key '{key}' in section 'defense'" in result.output
+        assert f"config error: unknown key '{key}' in {where}" in result.output
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("body, match", [
+        pytest.param(b"[]\n", "top level must be a mapping", id="list"),
+        pytest.param(b"0\n", "top level must be a mapping", id="zero"),
+        pytest.param(b"false\n", "top level must be a mapping", id="false"),
+        pytest.param(b'""\n', "top level must be a mapping", id="empty-string"),
+        pytest.param(b"", "top level needs num_clean", id="empty-file"),
+    ])
+    def test_run_config_top_level_exits_2(self, tmp_path, body, match):
+        (tmp_path / "cfg.yaml").write_bytes(body)
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(tmp_path / "cfg.yaml"),
+                                               "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {match}" in result.output
         assert not (tmp_path / "x").exists()
 
     def test_run_without_out_dir_exits_2(self, tmp_path):

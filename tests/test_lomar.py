@@ -32,7 +32,7 @@ INV_SQRT_2PI = 0.3989422804014327
 
 def round_from(matrix, layout=LAYOUT_2x2, ids=None):
     matrix = np.asarray(matrix, dtype=np.float64)
-    return Round(np.arange(len(matrix)) if ids is None else ids, np.ones(len(matrix)), matrix, layout)
+    return Round(np.arange(len(matrix)) if ids is None else ids, matrix, layout)
 
 
 class TestDefaultK:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -312,11 +313,10 @@ class TestGroupedTraining:
 
     BATCH = 5
     INPUT_DIM = TRAIN_GROUP_BYTES // (3 * 4 * BATCH)  # a group holds three float32 batch gathers
-    # rows per shard: 7 of 23 rows (groups of 3, 3 and a partial 1), 2 of 17, 2 of 19, then 23 again; at
-    # batch 5 each epoch ends in a short batch
-    PLAN = [23] * 7 + [17] * 2 + [19] * 2 + [23]
-    GROUP_SIZES = [3, 3, 1, 2, 2, 1]
-    COLLUDERS = [0, 4, 11]  # first of group 1, middle of group 2, alone in the last group
+    # 10 shards of 23 rows: groups of 3, 3, 3 and a partial 1; at batch 5 each epoch ends in a short batch
+    PLAN = [23] * 10
+    GROUP_SIZES = [3, 3, 3, 1]
+    COLLUDERS = [0, 4, 9]  # first of group 1, middle of group 2, alone in the last group
 
     def call(self, spec):
         """(joint, pool, shards, seeds): the colluders hold byte-identical shards and seeds."""
@@ -359,6 +359,12 @@ class TestGroupedTraining:
         local_train(joint, pool, shards, spec, seeds)
         assert [shape[0] for shape in stacks[::2]] == self.GROUP_SIZES
         assert stacks[::2] == stacks[1::2]
+        # a shard of a new length ends the call before any group is stacked
+        stacks.clear()
+        shards[7] = DataShard(shards[7].rows[:19], shards[7].labels[:19], owner=7)
+        with pytest.raises(ValueError, match=r"shards of \[19, 23\] rows"):
+            local_train(joint, pool, shards, spec, seeds)
+        assert stacks == []
 
 
 def finite_difference_check(spec, params, x, y, tol):
@@ -490,21 +496,13 @@ class TestPredict:
 
 
 class TestValidation:
-    def test_round_needs_samples(self):
-        spec = logistic_spec()
-        with pytest.raises(ValueError, match="num_samples"):
-            Round([0], [0], spec.init_params().values[None], spec.layout())
-        with pytest.raises(ValueError, match="num_samples"):
-            Round([0, 1], [3], np.zeros((2, 8)), spec.layout())
-
     def test_round_select_keeps_the_given_order(self):
         spec = logistic_spec()
         deltas = np.arange(24.0).reshape(3, 8)
-        rnd = Round([7, 3, 9], [4, 5, 6], deltas, spec.layout())
+        rnd = Round([7, 3, 9], deltas, spec.layout())
         assert rnd.deltas is deltas  # a float64 matrix is taken without a copy
         picked = rnd.select([2, 0])
         assert picked.ids.tolist() == [9, 7]
-        assert picked.num_samples.tolist() == [6, 4]
         assert np.array_equal(picked.deltas, deltas[[2, 0]])
         assert picked.layout == rnd.layout
 
@@ -546,20 +544,36 @@ class TestValidation:
         (np.zeros((6, 2), dtype=np.float32), None, "with 3 columns"),
         (np.zeros((6, 4), dtype=np.float32), None, "with 3 columns"),
         (np.zeros((6, 3), dtype=np.float32), (3, []), "empty shard"),
-        (np.zeros((6, 3), dtype=np.float32), (1, [2, 6]), "past the pool's 6 rows"),
+        (np.zeros((6, 3), dtype=np.float32), (1, [2, 6, 3]), "past the pool's 6 rows"),
         (np.zeros((6, 3), dtype=np.float32), (3, [0, 6, 2]), "past the pool's 6 rows"),
     ], ids=["float16", "float64", "int64", "uint8", "complex128", "1-D", "3-D", "narrower", "wider", "empty",
             "rows-in-the-first-group", "rows-in-a-later-group"])
-    def test_local_train_rejects_a_bad_pool_or_shard(self, pool, bad, match):
-        # two shards of 2 rows, then two of 3: two lockstep groups, in each of which a bad-row shard is second
+    def test_local_train_rejects_a_bad_pool_or_shard(self, pool, bad, match, monkeypatch):
+        # four shards of 3 rows at batch 2, capped at two per lockstep group: two groups, in each of which a
+        # bad-row shard is second
+        monkeypatch.setattr(models, "TRAIN_GROUP_BYTES", 2 * 2 * 3 * 4)
         spec = logistic_spec(batch_size=2)
         shards = [DataShard(rows, np.zeros(len(rows), dtype=int), owner=i)
-                  for i, rows in enumerate([[0, 1], [2, 3], [1, 4, 5], [0, 2, 5]])]
+                  for i, rows in enumerate([[0, 1, 3], [2, 3, 4], [1, 4, 5], [0, 2, 5]])]
         if bad is not None:
             position, rows = bad
             shards[position] = DataShard(rows, np.zeros(len(rows), dtype=int), owner=position)
         with pytest.raises(ValueError, match=match):
             local_train(spec.init_params(), pool, shards, spec, [1, 2, 3, 4])
+
+    @pytest.mark.parametrize("lengths", [[2, 3], [3, 3, 2], [1, 4, 1]],
+                             ids=["two-lengths", "last-shorter", "middle-longer"])
+    def test_local_train_rejects_shards_of_mixed_lengths(self, lengths, monkeypatch):
+        monkeypatch.setattr(models, "_gradient", lambda *a: pytest.fail("a step ran"))
+        spec = logistic_spec()
+        shards = [DataShard(np.arange(n), np.zeros(n, dtype=int), owner=i) for i, n in enumerate(lengths)]
+        with pytest.raises(ValueError, match=re.escape(f"shards of {sorted(set(lengths))} rows")):
+            local_train(spec.init_params(), np.zeros((4, 3), dtype=np.float32), shards, spec, list(range(len(shards))))
+
+    def test_local_train_without_shards_returns_no_rows(self):
+        spec = logistic_spec()
+        deltas = local_train(spec.init_params(), np.zeros((4, 3), dtype=np.float32), [], spec, [])
+        assert deltas.shape == (0, spec.layout().size) and deltas.dtype == np.float64
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_labels_outside_the_model_rejected(self, bad):
