@@ -79,6 +79,13 @@ def make_flipped_shard(pool_labels: np.ndarray, samples: int, pair: tuple[int, i
     portion.
     """
     pool_labels = np.asarray(pool_labels, dtype=np.int64)
+    return _flipped_shard(pool_labels, np.flatnonzero(pool_labels == pair[0]), samples, pair, tau, seed,
+                          owner)
+
+
+def _flipped_shard(pool_labels: np.ndarray, source_idx: np.ndarray, samples: int, pair: tuple[int, int],
+                   tau: float, seed, owner: int) -> DataShard:
+    """make_flipped_shard over int64 pool labels, given the rows of its source label."""
     src, tgt = pair
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must be in (0, 1]")
@@ -88,7 +95,6 @@ def make_flipped_shard(pool_labels: np.ndarray, samples: int, pair: tuple[int, i
     n_rand = samples - n_flip
 
     rng = np.random.default_rng(seed)
-    source_idx = np.flatnonzero(pool_labels == src)
     if len(source_idx) < n_flip:
         raise ValueError(f"source label {src} has {len(source_idx)} samples, need {n_flip}")
     flip_idx = rng.choice(source_idx, size=n_flip, replace=False)
@@ -120,13 +126,16 @@ def build_malicious_shards(attack: AttackConfig, pool_labels: np.ndarray, sample
 
     seed_seq is a numpy SeedSequence; each shard gets an independent child
     stream keyed by its cohort index, so shard contents do not depend on
-    construction order.
+    construction order. Each source label's rows are found once.
     """
     if attack.kind == "none":
         return []
+    pool_labels = np.asarray(pool_labels, dtype=np.int64)
+    source_rows = {src: np.flatnonzero(pool_labels == src) for src, _ in attack.flip_pairs}
     shards = []
     for m in range(attack.malicious_count):
         child = np.random.SeedSequence(entropy=seed_seq.entropy, spawn_key=(*seed_seq.spawn_key, m))
-        shards.append(make_flipped_shard(pool_labels, samples, attack.pair_for(m), attack.tau, child,
-                                         owner=first_owner + m))
+        pair = attack.pair_for(m)
+        shards.append(_flipped_shard(pool_labels, source_rows[pair[0]], samples, pair, attack.tau, child,
+                                     first_owner + m))
     return shards

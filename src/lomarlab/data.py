@@ -26,11 +26,16 @@ IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
 
 # Guard against float artifacts like 0.99 * 100 = 99.00000000000001 rounding
-# an extra sample into the major block.
+# an extra sample into a count: a major block, a flipped portion, a test set.
 _COUNT_EPS = 1e-9
 
-# Box-Muller pairs transformed per pass: the one temporary is a 32 KB float32 chunk.
-_BOX_MULLER_CHUNK = 8192
+# Box-Muller pairs transformed per pass: a chunk's radius row, its angle row and the
+# one float32 temporary are 256 KiB each, so all three stay in a 2 MiB L2 cache.
+_BOX_MULLER_CHUNK = 65536
+
+# Smallest queue window a pool draw scans: one more numpy pass costs about as much
+# as scanning 1,024 more entries.
+_POOL_WINDOW = 1024
 
 
 class IdxFormatError(ValueError):
@@ -133,27 +138,47 @@ def check_synth(num_labels: int, input_dim: int, per_label_count: int, spread: f
         raise ValueError("spread must be >= 0")
 
 
-def _standard_normal_f32(rng: np.random.Generator, size: int) -> np.ndarray:
-    """`size` float32 standard normal draws by the Box-Muller transform, as a view.
+def _uniforms_f32(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """numpy's float32 uniforms from 32-bit generator outputs, (word >> 8) * 2**-24, into
+    `out`; the words are shifted in place. This is the recipe of
+    `Generator.random(dtype=np.float32)`, which takes one 32-bit output per uniform."""
+    np.right_shift(words, 8, out=words)
+    return np.multiply(words, np.float32(2 ** -24), out=out, dtype=np.float32)
 
-    Of size + size % 2 float32 uniforms, the first half are radii sqrt(-2 log(1 - u))
-    and the second angles 2 pi u; in place, _BOX_MULLER_CHUNK pairs a pass, they
-    become r cos(theta) and r sin(theta).
+
+def _standard_normal_f32(rng: np.random.Generator, size: int, spread: float) -> np.ndarray:
+    """`size` float32 draws of spread times a standard normal, by the Box-Muller
+    transform, as a view.
+
+    rng must run on PCG64. Its next (size + 1) // 2 raw 64-bit words, read as 32-bit
+    halves with the low half first, are the 32-bit outputs that
+    rng.random(size + size % 2, dtype=np.float32) would read, and they leave rng in the
+    same state. Of the uniforms made from them, the first half are radii
+    sqrt(-2 log(1 - u)) and the second angles 2 pi u; _BOX_MULLER_CHUNK pairs a pass,
+    they become spread r cos(theta) and spread r sin(theta) in the words' own memory.
+    Each row's uniforms go through the one chunk-sized temporary, since a ufunc that
+    casts onto its own input copies the input first.
     """
-    pairs = rng.random((2, (size + 1) // 2), dtype=np.float32)
-    cos = np.empty(min(pairs.shape[1], _BOX_MULLER_CHUNK), dtype=np.float32)
-    for start in range(0, pairs.shape[1], _BOX_MULLER_CHUNK):
-        radius, angle = pairs[:, start:start + _BOX_MULLER_CHUNK]
-        c = cos[:radius.shape[0]]
-        np.subtract(np.float32(1), radius, out=radius)
+    half = (size + 1) // 2
+    words = rng.bit_generator.random_raw(half).astype("<u8", copy=False).view("<u4").reshape(2, half)
+    pairs = words.view(np.float32)
+    tmp = np.empty(min(half, _BOX_MULLER_CHUNK), dtype=np.float32)
+    for start in range(0, half, _BOX_MULLER_CHUNK):
+        radius_words, angle_words = words[:, start:start + _BOX_MULLER_CHUNK]
+        chunk = pairs[:, start:start + _BOX_MULLER_CHUNK]
+        radius, angle = chunk
+        u = tmp[:radius.shape[0]]
+        np.subtract(np.float32(1), _uniforms_f32(radius_words, u), out=radius)
         np.log(radius, out=radius)
         radius *= np.float32(-2)
         np.sqrt(radius, out=radius)
-        angle *= np.float32(2 * np.pi)
-        np.cos(angle, out=c)
-        np.sin(angle, out=angle)
+        theta = _uniforms_f32(angle_words, u)
+        theta *= np.float32(2 * np.pi)
+        np.sin(theta, out=angle)
+        cos = np.cos(theta, out=theta)
         angle *= radius
-        radius *= c
+        radius *= cos
+        chunk *= np.float32(spread)
     return pairs.reshape(-1)[:size]
 
 
@@ -162,16 +187,17 @@ def synth_gaussian(num_labels: int, input_dim: int, per_label_count: int, spread
     """Isotropic Gaussian blobs, one per label, in shuffled order. Returns (features, labels).
 
     Row i is the center of labels[i] plus spread times the i-th noise draw, all in
-    float32. The noise is drawn before the label shuffle, scaled in place, and
-    shifted only in the dims the centers occupy, so the pool is the one array of
-    its size.
+    float32. The generator is PCG64 seeded with `seed` (an int, a sequence of ints or
+    a SeedSequence; a Generator or a bit generator raises TypeError). The noise is
+    drawn before the label shuffle, scaled as it is drawn, and shifted only in the
+    dims the centers occupy, so the pool is the one array of its size. At spread 0
+    the noise is not drawn.
     """
     check_synth(num_labels, input_dim, per_label_count, spread)
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
     count = num_labels * per_label_count
     if spread > 0:
-        features = _standard_normal_f32(rng, count * input_dim).reshape(count, input_dim)
-        features *= np.float32(spread)
+        features = _standard_normal_f32(rng, count * input_dim, spread).reshape(count, input_dim)
     else:
         features = np.zeros((count, input_dim), dtype=np.float32)
     labels = np.repeat(np.arange(num_labels, dtype=np.int64), per_label_count)[rng.permutation(count)]
@@ -181,6 +207,7 @@ def synth_gaussian(num_labels: int, input_dim: int, per_label_count: int, spread
 
 
 def major_count(lam: float, samples: int) -> int:
+    """ceil(lam * samples) without float artifacts, and 0 at lam 0."""
     return int(np.ceil(lam * samples - _COUNT_EPS)) if lam > 0 else 0
 
 
@@ -193,10 +220,23 @@ class _Pool:
         self.taken = taken
 
     def draw(self, count: int) -> np.ndarray:
-        """The next `count` >= 1 untaken entries, or all that are left once the queue runs out."""
-        rest = self.queue[self.pos:]
-        free = np.flatnonzero(~self.taken[rest])[:count]
-        self.pos += int(free[-1]) + 1 if len(free) == count else len(rest)
+        """The next `count` >= 1 untaken entries, or all that are left once the queue runs out.
+
+        Scans a window of the queue from `pos`, not the whole remainder: it starts at
+        max(count, _POOL_WINDOW) entries and doubles until it holds `count` untaken ones
+        or reaches the end.
+        """
+        window = max(count, _POOL_WINDOW)
+        while True:
+            rest = self.queue[self.pos:self.pos + window]
+            free = np.flatnonzero(~self.taken[rest])[:count]
+            if len(free) == count:
+                self.pos += int(free[-1]) + 1
+                break
+            if len(rest) < window:
+                self.pos += len(rest)
+                break
+            window *= 2
         out = rest[free]
         self.taken[out] = True
         return out

@@ -25,7 +25,7 @@ import yaml
 from .attacks import AttackConfig, boost_update, build_malicious_shards
 from .baselines import (FG_KRUM_ORDERS, AggregationResult, coordinate_median, fedavg, fg_krum,
                         foolsgold, krum, krum_window, weighted_aggregate)
-from .data import DataShard, PartitionPlan, check_synth, load_idx, partition, synth_gaussian
+from .data import DataShard, PartitionPlan, check_synth, load_idx, major_count, partition, synth_gaussian
 from .lomar import KdeConfig, lomar_run
 from .metrics import RocPoint, RoundRecord, confusion_counts, eval_accuracy, roc_from_scores
 from .models import ROLE_CLEAN, ROLE_MALICIOUS, ModelSpec, ParamVector, Round, local_train
@@ -309,7 +309,7 @@ def initialize_state(cfg: ExperimentConfig, seed: int | None = None) -> Experime
         train_x, train_y = synth_gaussian(ds.num_labels, ds.input_dim, ds.per_label_count,
                                           ds.spread, np.random.SeedSequence([cfg.seed, TAG_DATA, 0]),
                                           radius=ds.radius)
-        test_count = max(1, int(math.ceil(ds.per_label_count * ds.test_fraction)))
+        test_count = max(1, major_count(ds.test_fraction, ds.per_label_count))
         test_x, test_y = synth_gaussian(ds.num_labels, ds.input_dim, test_count,
                                         ds.spread, np.random.SeedSequence([cfg.seed, TAG_DATA, 1]),
                                         radius=ds.radius)

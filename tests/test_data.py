@@ -1,18 +1,21 @@
 import math
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lomarlab import data
 from lomarlab.data import (
     _BOX_MULLER_CHUNK,
     DataShard,
     IdxFormatError,
     PartitionPlan,
     _Pool,
+    _standard_normal_f32,
     load_idx,
     major_count,
     partition,
@@ -157,29 +160,74 @@ class TestSynthInPlace:
         assert np.array_equal(x, want_x)
         assert np.array_equal(y, want_y)
 
-    @pytest.mark.parametrize("per_label_count, input_dim", [(100, 130), (101, 131)])
-    def test_bitwise_across_chunk_borders(self, per_label_count, input_dim):
-        # two full chunks and a partial one, the second of an odd count
+    @pytest.mark.parametrize("input_dim", [130, 131])
+    def test_bitwise_across_chunk_borders(self, input_dim):
+        # two full chunks and a partial one; 3 * odd * 131 entries make the second pool odd
+        per_label_count = 5 * _BOX_MULLER_CHUNK // (3 * input_dim) | 1
         seed = np.random.SeedSequence([6, input_dim])
         x, y = synth_gaussian(3, input_dim, per_label_count, 1.5, seed)
-        assert x.size > 4 * _BOX_MULLER_CHUNK
+        assert 2 * _BOX_MULLER_CHUNK < (x.size + 1) // 2 < 3 * _BOX_MULLER_CHUNK
+        assert x.size % 2 == input_dim % 2
         want_x, want_y = synth_reference(3, input_dim, per_label_count, 1.5, seed)
         assert x.shape == (3 * per_label_count, input_dim) and x.flags.c_contiguous
         assert np.array_equal(x, want_x)
         assert np.array_equal(y, want_y)
 
     def test_peak_is_the_pool(self):
-        # a full-width centers[labels] gather, a float64 add into the float32 pool,
-        # or a second pool, would show here; the warm-up call keeps first-use
-        # import allocations out of the window
-        synth_gaussian(10, 100, 200, 1.0, seed=2)
+        # the pool plus two chunk-sized float32 temporaries: the one the transform
+        # keeps, and room for ufunc cast buffers and the label arrays. A full-width
+        # centers[labels] gather, a full-width float64 add into the pool, or a second
+        # pool would each add at least the pool again. The warm-up call keeps
+        # first-use import allocations out of the window.
+        temporaries = 2 * 4 * _BOX_MULLER_CHUNK
+        synth_gaussian(10, 200, 200, 1.0, seed=2)
         tracemalloc.start()
         try:
-            x, _ = synth_gaussian(10, 100, 200, 1.0, seed=2)
+            x, _ = synth_gaussian(10, 200, 200, 1.0, seed=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.125 * x.nbytes
+        assert x.nbytes > 2 * temporaries
+        assert peak < x.nbytes + temporaries
+
+
+def recorded_uniforms(monkeypatch):
+    """Record every uniform chunk _standard_normal_f32 makes; returns a function that
+    joins them as the radius uniforms followed by the angle uniforms."""
+    chunks = []
+
+    def record(words, out):
+        chunks.append(real(words, out).copy())
+        return out
+
+    real = data._uniforms_f32
+    monkeypatch.setattr(data, "_uniforms_f32", record)
+    return lambda: np.concatenate(chunks[0::2] + chunks[1::2])
+
+
+class TestUniformRecipe:
+    """The uniforms come from PCG64's raw words and must be numpy's own float32 uniforms,
+    leaving the generator where rng.random would. If numpy changes either recipe, this fails."""
+
+    # the last size is odd and spans two full chunks and part of a third
+    @pytest.mark.parametrize("size", [1, 2, 3, 4 * _BOX_MULLER_CHUNK + 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 7])
+    def test_uniforms_are_numpys(self, monkeypatch, size, seed):
+        uniforms = recorded_uniforms(monkeypatch)
+        rng, ref = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        normals = _standard_normal_f32(rng, size, 1.0)
+        want = ref.random(size + size % 2, dtype=np.float32)
+        got = uniforms()
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        assert normals.shape == (size,)
+        assert np.array_equal(rng.permutation(1000), ref.permutation(1000))
+        assert rng.random(3, dtype=np.float32).tobytes() == ref.random(3, dtype=np.float32).tobytes()
+
+    @pytest.mark.parametrize("seed", [np.random.default_rng(3), np.random.PCG64(3), np.random.MT19937(3)])
+    def test_generator_or_bit_generator_seed_raises(self, seed):
+        with pytest.raises(TypeError):
+            synth_gaussian(2, 3, 10, 1.0, seed=seed)
 
 
 class TestSynthNoise:
@@ -240,23 +288,33 @@ class LoopPool:
 
 class TestPoolDraw:
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(st.integers(1, 30), st.integers(0, 2**32 - 1),
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.integers(0, 30),
            st.lists(st.tuples(st.booleans(), st.integers(1, 12)), min_size=1, max_size=10))
-    def test_draws_equal_the_loop(self, total, seed, draws):
+    # 29 taken entries ahead of the first free one: from a window of 1, a draw of 1
+    # doubles it 5 times
+    @example(total=30, seed=4, prefix=29, draws=[(False, 1), (False, 2), (True, 3), (False, 1)])
+    # 4,000 taken entries ahead: from a window of 1,024, a draw of 1 doubles it 2 times
+    @example(total=5000, seed=5, prefix=4000, draws=[(False, 1), (False, 12), (True, 12), (False, 900)])
+    def test_draws_equal_the_loop(self, total, seed, prefix, draws):
         # two pools share one taken mask, as a label pool and the global pool do;
-        # draws past the end of a queue come back short
+        # draws past the end of a queue come back short. The first `prefix` entries
+        # of the first queue start taken, so a window must grow past them. Each case
+        # runs at the least window and at 1, where windows grow in short queues too.
         rng = np.random.default_rng(seed)
         start = rng.random(total) < 0.3
         queues = [rng.permutation(total), rng.permutation(np.flatnonzero(rng.random(total) < 0.5))]
-        fast_taken, loop_taken = start.copy(), start.copy()
-        fast = [_Pool(q, fast_taken) for q in queues]
-        loop = [LoopPool(q, loop_taken) for q in queues]
-        for which, count in draws:
-            got, want = fast[which].draw(count), loop[which].draw(count)
-            assert got.dtype == want.dtype == np.int64
-            assert np.array_equal(got, want)
-            assert fast[which].pos == loop[which].pos
-            assert np.array_equal(fast_taken, loop_taken)
+        start[queues[0][:prefix]] = True
+        for least_window in (data._POOL_WINDOW, 1):
+            fast_taken, loop_taken = start.copy(), start.copy()
+            fast = [_Pool(q, fast_taken) for q in queues]
+            loop = [LoopPool(q, loop_taken) for q in queues]
+            with mock.patch.object(data, "_POOL_WINDOW", least_window):
+                for which, count in draws:
+                    got, want = fast[which].draw(count), loop[which].draw(count)
+                    assert got.dtype == want.dtype == np.int64
+                    assert np.array_equal(got, want)
+                    assert fast[which].pos == loop[which].pos
+                    assert np.array_equal(fast_taken, loop_taken)
 
     def test_short_draw_then_empty(self):
         taken = np.array([False, True, False, False])

@@ -364,6 +364,15 @@ class TestInitializeState:
         for shard in state.shards:
             assert not hasattr(shard, "pool")
 
+    @pytest.mark.parametrize("per_label, fraction, want",
+                             [(100, 0.07, 7), (100, 0.55, 55), (50, 0.14, 7), (60, 0.2, 12), (60, 0.01, 1)])
+    def test_test_set_size_has_no_float_artifact(self, per_label, fraction, want):
+        # 100 * 0.07 is 7.000000000000001 in floats; the test set keeps 7 rows per label, not 8
+        raw = base_dict()
+        raw["dataset"] = {**raw["dataset"], "per_label_count": per_label, "test_fraction": fraction}
+        state = initialize_state(config_from_dict(raw))
+        assert np.array_equal(np.bincount(state.test_labels), [want, want])
+
     def test_model_spec_inferred_from_data(self):
         state = initialize_state(config_from_dict(base_dict()))
         assert state.model.input_dim == 4
