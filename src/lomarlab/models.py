@@ -184,6 +184,16 @@ def predict(joint: ParamVector, features: np.ndarray, spec: ModelSpec) -> np.nda
     return labels[0] if single else labels
 
 
+def _label_reduce(ufunc, p: np.ndarray) -> np.ndarray:
+    """ufunc.reduce over p's last (label) axis with keepdims, bitwise numpy's per-row reduce, one inner loop per label.
+
+    A max is exact in any order. numpy sums a row of fewer than 8 terms in label order, as the label-major copy does;
+    from 8 terms on it sums pairwise, so that sum stays numpy's row reduce."""
+    if ufunc is np.add and p.shape[-1] >= 8:
+        return np.add.reduce(p, axis=-1, keepdims=True)
+    return ufunc.reduce(np.moveaxis(p, -1, 0).copy(), axis=0)[..., None]
+
+
 def _gradient(views, grad, x: np.ndarray, onehot: np.ndarray, p_true=None):
     """Write the mean cross-entropy gradient of batch x at `views` into all of `grad` (both _unpack's views).
 
@@ -192,9 +202,9 @@ def _gradient(views, grad, x: np.ndarray, onehot: np.ndarray, p_true=None):
     member then takes a lone batch's operations on its own slices.
     """
     hidden, p = _logits(views, x)
-    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+    p -= _label_reduce(np.maximum, p)
     np.exp(p, out=p)
-    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    p /= _label_reduce(np.add, p)
     if p_true is not None:
         p_true[:] = p[onehot == 1.0]
     p -= onehot
@@ -218,8 +228,16 @@ def _check_labels(y: np.ndarray, spec: ModelSpec) -> np.ndarray:
 
 
 def loss_and_grad(params: ParamVector, spec: ModelSpec, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy over the batch and its gradient as a ParamVector."""
-    x, onehot = np.asarray(x, dtype=np.float64), np.eye(spec.num_labels)[_check_labels(y, spec)]
+    """Mean cross-entropy over the batch and its gradient as a ParamVector.
+
+    x is a 2-D batch with input_dim columns and at least one row, and y holds one label per row.
+    """
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y)
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise ValueError(f"batch of shape {x.shape} is not 2-D with {spec.input_dim} columns")
+    if len(x) == 0 or y.shape != (len(x),):
+        raise ValueError(f"{len(x)} rows and labels of shape {y.shape}: need one label per row and at least one row")
+    onehot = np.eye(spec.num_labels)[_check_labels(y, spec)]
     grad, p_true = np.empty_like(params.values), np.empty(len(x))
     _gradient(_unpack(params.values, spec), _unpack(grad, spec), x, onehot, p_true)
     return -np.mean(np.log(np.clip(p_true, 1e-300, None))), ParamVector(grad, params.layout)

@@ -32,6 +32,17 @@ def mlp_spec(**kw):
     return ModelSpec(**base)
 
 
+# Both sides of numpy's 8-term threshold, above which its row sums are pairwise, and the paper's 10 labels.
+LABEL_COUNTS = [2, 7, 8, 10]
+
+
+def label_cases(**kw):
+    """(specs, ids): a logistic and an MLP spec with `kw` at each of LABEL_COUNTS."""
+    cases = [(kind, make(num_labels=r, **kw), r) for kind, make in (("logistic", logistic_spec), ("mlp", mlp_spec))
+             for r in LABEL_COUNTS]
+    return [spec for _, spec, _ in cases], [f"{kind}-{r}-labels" for kind, _, r in cases]
+
+
 def whole_pool_shard(x, y, owner, **kw):
     """(pool, shard): x rounded to a float32 pool and a shard over every row of it, in order."""
     return np.asarray(x, dtype=np.float32), DataShard(np.arange(len(y)), y, owner=owner, **kw)
@@ -220,6 +231,8 @@ def reference_grad(values, spec, x, y):
 
 
 class TestTrainingMatchesReference:
+    LABEL_SPECS, LABEL_IDS = label_cases(local_epochs=4, batch_size=5, learning_rate=0.3)
+
     # 23 samples at batch 5 leave a short last batch of 3 in every epoch; a
     # batch of 64 is larger than the whole shard, and a one-row shard trains
     # one single-sample step per epoch.
@@ -230,13 +243,14 @@ class TestTrainingMatchesReference:
         (mlp_spec(num_labels=3, local_epochs=3, batch_size=64, learning_rate=0.3), 23),
         (logistic_spec(num_labels=3, local_epochs=3, batch_size=5, learning_rate=0.3), 1),
         (mlp_spec(num_labels=3, local_epochs=3, batch_size=5, learning_rate=0.3), 1),
+        *[(spec, 23) for spec in LABEL_SPECS],
     ], ids=["logistic", "mlp", "logistic-batch-above-shard", "mlp-batch-above-shard",
-            "logistic-one-row", "mlp-one-row"])
+            "logistic-one-row", "mlp-one-row", *LABEL_IDS])
     def test_local_train_is_bitwise_the_reference_loop(self, spec, shard_rows):
         rng = np.random.default_rng(41)
         # rows out of a 40-row pool, out of order: training must gather pool[rows[batch]]
         pool = rng.normal(size=(40, spec.input_dim)).astype(np.float32)
-        shard = DataShard(rng.permutation(40)[:shard_rows], rng.integers(0, 3, size=shard_rows), owner=4)
+        shard = DataShard(rng.permutation(40)[:shard_rows], rng.integers(0, spec.num_labels, size=shard_rows), owner=4)
         joint = ParamVector(rng.normal(scale=0.5, size=spec.layout().size), spec.layout())
         got = local_train(joint, pool, [shard], spec, [np.random.SeedSequence([5, 3, 1, 4])])[0]
         want = reference_train(joint, pool, shard, spec, np.random.SeedSequence([5, 3, 1, 4]))
@@ -267,13 +281,13 @@ class TestTrainingMatchesReference:
         assert got.tobytes() == twin.tobytes()
         assert not np.array_equal(got, np.zeros_like(got))
 
-    @pytest.mark.parametrize("spec", [logistic_spec(num_labels=3), mlp_spec(num_labels=3)],
-                             ids=["logistic", "mlp"])
+    @pytest.mark.parametrize("spec", [logistic_spec(num_labels=3), mlp_spec(num_labels=3), *LABEL_SPECS],
+                             ids=["logistic", "mlp", *LABEL_IDS])
     @pytest.mark.parametrize("batch", [1, 5, 23])
     def test_loss_and_grad_is_bitwise_the_out_of_place_formula(self, spec, batch):
         rng = np.random.default_rng(43)
         params = ParamVector(rng.normal(scale=2.0, size=spec.layout().size), spec.layout())
-        x, y = rng.normal(size=(batch, spec.input_dim)), rng.integers(0, 3, size=batch)
+        x, y = rng.normal(size=(batch, spec.input_dim)), rng.integers(0, spec.num_labels, size=batch)
         loss, grad = loss_and_grad(params, spec, x, y)
         want_grad, p_true = reference_grad(params.values, spec, x, y)
         assert grad.values.tobytes() == want_grad.tobytes()
@@ -322,7 +336,7 @@ class TestGroupedTraining:
         """(joint, pool, shards, seeds): the colluders hold byte-identical shards and seeds."""
         rng = np.random.default_rng(67)
         pool = rng.normal(size=(60, spec.input_dim)).astype(np.float32)
-        shards = [DataShard(rng.permutation(60)[:n], rng.integers(0, 3, size=n), owner=owner)
+        shards = [DataShard(rng.permutation(60)[:n], rng.integers(0, spec.num_labels, size=n), owner=owner)
                   for owner, n in enumerate(self.PLAN)]
         seeds = [np.random.SeedSequence([3, owner]) for owner in range(len(shards))]
         for i in self.COLLUDERS[1:]:
@@ -333,8 +347,9 @@ class TestGroupedTraining:
 
     SPECS = [logistic_spec(input_dim=INPUT_DIM, num_labels=3, local_epochs=2, batch_size=BATCH, learning_rate=0.3),
              mlp_spec(input_dim=INPUT_DIM, num_labels=3, local_epochs=2, batch_size=BATCH, learning_rate=0.3)]
+    LABEL_SPECS, LABEL_IDS = label_cases(input_dim=INPUT_DIM, local_epochs=2, batch_size=BATCH, learning_rate=0.3)
 
-    @pytest.mark.parametrize("spec", SPECS, ids=["logistic", "mlp"])
+    @pytest.mark.parametrize("spec", SPECS + LABEL_SPECS, ids=["logistic", "mlp", *LABEL_IDS])
     @pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "shuffled"])
     def test_each_delta_is_bitwise_its_lone_delta(self, spec, shuffled):
         joint, pool, shards, seeds = self.call(spec)
@@ -365,6 +380,56 @@ class TestGroupedTraining:
         with pytest.raises(ValueError, match=r"shards of \[19, 23\] rows"):
             local_train(joint, pool, shards, spec, seeds)
         assert stacks == []
+
+
+class TestLabelReductions:
+    """The softmax's row max and row sum over the labels are bitwise numpy's own row reductions, on the batch
+    shapes the benchmark workloads train (small's 28 x 200, paper_fgkrum's 1 x 600, paper_lomar's groups of 8 and
+    2 x 20) and one lone row."""
+
+    SHAPES = [(28, 200), (1, 600), (8, 20), (2, 20), (1, 1)]
+
+    @staticmethod
+    def exp_outputs(rng, shape, dtype):
+        """exp's range at `dtype`: +0.0, subnormals, normals up to a 32nd of the largest (no 17 of them overflow)
+        and +inf."""
+        info = np.finfo(dtype)
+        p = np.exp(rng.uniform(-20.0, 20.0, size=shape)).astype(dtype)
+        kind = rng.integers(0, 8, size=shape)
+        p[kind == 0] = 0.0
+        p[kind == 1] = info.smallest_subnormal * rng.integers(1, 1000, size=np.count_nonzero(kind == 1))
+        p[kind == 2] = info.max / 32
+        p[rng.random(shape) < 0.01] = np.inf
+        return p
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("labels", range(2, 18))
+    def test_label_max_and_sum_are_numpys_row_reductions(self, labels, dtype):
+        rng = np.random.default_rng(labels)
+        for shape in self.SHAPES:
+            logits = rng.normal(scale=30.0, size=(*shape, labels)).astype(dtype)
+            want = np.maximum.reduce(logits, axis=-1, keepdims=True)
+            assert models._label_reduce(np.maximum, logits).tobytes() == want.tobytes()
+            p = self.exp_outputs(rng, (*shape, labels), dtype)
+            want = np.add.reduce(p, axis=-1, keepdims=True)
+            assert models._label_reduce(np.add, p).tobytes() == want.tobytes()
+        # numpy's row sum is pairwise from 8 terms on: a label-major sum no longer gives its bytes there
+        if labels >= 8:
+            p = rng.random((28, 200, labels)).astype(dtype)
+            label_major = np.add.reduce(np.moveaxis(p, -1, 0).copy(), axis=0)[..., None]
+            assert label_major.tobytes() != np.add.reduce(p, axis=-1, keepdims=True).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("labels", LABEL_COUNTS)
+    def test_a_row_holding_nan_comes_out_nan(self, labels, dtype):
+        rng = np.random.default_rng(labels)
+        p = self.exp_outputs(rng, (8, 20, labels), dtype)
+        nan_rows = rng.random((8, 20)) < 0.2
+        p[nan_rows, rng.integers(0, labels, size=np.count_nonzero(nan_rows))] = np.nan
+        for ufunc in (np.maximum, np.add):
+            got, want = models._label_reduce(ufunc, p)[..., 0], ufunc.reduce(p, axis=-1)
+            assert np.array_equal(np.isnan(got), nan_rows) and np.array_equal(np.isnan(want), nan_rows)
+            assert got[~nan_rows].tobytes() == want[~nan_rows].tobytes()
 
 
 def finite_difference_check(spec, params, x, y, tol):
@@ -584,6 +649,19 @@ class TestValidation:
         pool, shard = whole_pool_shard(x, y, owner=0)
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
             local_train(spec.init_params(), pool, [shard], spec, [1])
+
+    @pytest.mark.parametrize("x, y, match", [
+        (np.zeros((3, 3)), [0, 1, 0, 1], r"3 rows and labels of shape \(4,\)"),
+        (np.zeros((3, 3)), [[0], [1], [0]], r"3 rows and labels of shape \(3, 1\)"),
+        (np.zeros((2, 4)), [0, 1], r"batch of shape \(2, 4\) is not 2-D with 3 columns"),
+        (np.zeros(3), [0], r"batch of shape \(3,\) is not 2-D"),
+        (np.zeros((0, 3)), [], r"0 rows .* at least one row"),
+    ], ids=["mismatched-lengths", "2-D-labels", "feature-dim", "1-D", "empty"])
+    def test_loss_and_grad_checks_its_batch(self, x, y, match, monkeypatch):
+        monkeypatch.setattr(models, "_gradient", lambda *a: pytest.fail("the kernel ran"))
+        spec = logistic_spec()
+        with pytest.raises(ValueError, match=match):
+            loss_and_grad(spec.init_params(), spec, x, y)
 
     def test_large_logits_stay_finite(self):
         spec = logistic_spec()
