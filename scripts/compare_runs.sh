@@ -11,9 +11,8 @@
 # several steps per epoch with a short last batch, 200 = 3 x 64 + 8 rows;
 # `foolsgold` and `fg_first` train that way too, on iid shards).
 # Each tree also runs `lomarlab sweep --param epsilon --grid 0.8,1.0 --seed 7`
-# on example.yaml, then `lomarlab roc --from` on its epsilon_0.8 run, and
-# reruns the config_resolved.yaml that its own example.yaml run wrote (the
-# `resolved` entry).
+# on example.yaml and reruns the config_resolved.yaml that its own example.yaml
+# run wrote (the `resolved` entry).
 # Both trees run the working tree's config files. The output directories are
 # compared with `diff -r` and the stdout with `diff`, minus the "wrote <dir>"
 # line; both diffs always run. Prints one line per variant (and one each for
@@ -107,10 +106,8 @@ for config in "$tmp"/configs/*.yaml; do
 done
 
 for side in base head; do
-    sweep="$tmp/out/$side/sweep"
-    { lomarlab $side sweep --config "$tmp/configs/example.yaml" --param epsilon --grid 0.8,1.0 \
-          --seed 7 --out "$sweep"
-      lomarlab $side roc --from "$sweep/epsilon_0.8"; } > "$tmp/out/$side-sweep.stdout"
+    lomarlab $side sweep --config "$tmp/configs/example.yaml" --param epsilon --grid 0.8,1.0 \
+        --seed 7 --out "$tmp/out/$side/sweep" > "$tmp/out/$side-sweep.stdout"
 done
 compare sweep
 

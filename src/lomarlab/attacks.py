@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataShard, major_count
-from .models import ROLE_MALICIOUS
+from .data import ROLE_MALICIOUS, DataShard, major_count
 
 ATTACK_KINDS = ("none", "label_flip", "model_poison")
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import harness
 from .harness import ConfigError, SWEEP_PARAMS
-from .metrics import roc_from_scores
 
 
 def _guarded(fn):
@@ -92,17 +91,3 @@ def sweep(config_path, param, grid, seed, out):
         click.echo(f"{param}={row['value']!r}: overall={row['final_overall_acc']!r} "
                    f"target={row['final_target_acc']!r} combined={row['combined_acc']!r}")
     click.echo(f"wrote {out_root}")
-
-
-@main.command()
-@click.option("--from", "run_dir", required=True, type=click.Path(), help="A finished run directory.")
-@_guarded
-def roc(run_dir):
-    """Recompute the ROC curve and AUC from a run's scores.csv."""
-    scores_path = Path(run_dir) / "scores.csv"
-    if not scores_path.exists():
-        raise FileNotFoundError(f"{scores_path} not found (the run's defense may not produce scores)")
-    points, auc = roc_from_scores(*harness.read_scores_csv(scores_path))
-    harness._write_roc_csv(Path(run_dir) / "roc_points.csv", points)
-    click.echo(f"points: {len(points)}")
-    click.echo(f"auc: {auc!r}")

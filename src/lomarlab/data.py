@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ROLE_CLEAN, ROLE_MALICIOUS
-
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
+ROLE_CLEAN = "clean"
+ROLE_MALICIOUS = "malicious"
 
 # Guard against float artifacts like 0.99 * 100 = 99.00000000000001 rounding
 # an extra sample into a count: a major block, a flipped portion, a test set.

@@ -25,10 +25,11 @@ import yaml
 from .attacks import AttackConfig, boost_update, build_malicious_shards
 from .baselines import (FG_KRUM_ORDERS, AggregationResult, coordinate_median, fedavg, fg_krum,
                         foolsgold, krum, krum_window, weighted_aggregate)
-from .data import DataShard, PartitionPlan, check_synth, load_idx, major_count, partition, synth_gaussian
+from .data import (ROLE_MALICIOUS, DataShard, PartitionPlan, check_synth, load_idx, major_count, partition,
+                   synth_gaussian)
 from .lomar import KdeConfig, lomar_run
 from .metrics import RocPoint, RoundRecord, confusion_counts, eval_accuracy, roc_from_scores
-from .models import ROLE_CLEAN, ROLE_MALICIOUS, ModelSpec, ParamVector, Round, local_train
+from .models import ModelSpec, ParamVector, Round, local_train
 
 # SeedSequence purpose tags; client order never feeds a stream.
 TAG_DATA = 0
@@ -396,10 +397,6 @@ def _write_csv(path: Path, header: list[str], rows):
         writer.writerows([_fmt_cell(v) for v in row] for row in rows)
 
 
-def _write_roc_csv(path: Path, points):
-    _write_csv(path, [f.name for f in fields(RocPoint)], map(astuple, points))
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None) -> RunOutput:
     """Run all rounds; write rounds.csv, summary.json, scores.csv, roc_points.csv.
 
@@ -459,7 +456,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int | None = None)
                        ([s.owner, s.role, score, int(kept)] for s, score, kept
                         in zip(state.shards, state.last_scores.tolist(), state.last_kept)))
         if points is not None:
-            _write_roc_csv(out / "roc_points.csv", points)
+            _write_csv(out / "roc_points.csv", [f.name for f in fields(RocPoint)], map(astuple, points))
 
     return RunOutput(records=records, summary=summary, state=state)
 
@@ -469,27 +466,6 @@ def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     return None if isinstance(obj, float) and math.isnan(obj) else obj
-
-
-def read_scores_csv(path):
-    """Aligned (scores, malicious) arrays from a scores.csv in file order; a ConfigError if it is malformed."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if not {"role", "score"}.issubset(reader.fieldnames or ()):
-                raise ValueError("expected columns ['role', 'score']")
-            rows = [(float(row["score"]), row["role"]) for row in reader]
-        if not rows:
-            raise ValueError("no score rows")
-        unknown = sorted({role for _, role in rows} - {ROLE_CLEAN, ROLE_MALICIOUS})
-        if unknown:
-            raise ValueError(f"unknown roles {unknown}")
-        scores = np.array([score for score, _ in rows])
-        if np.isnan(scores).any():  # a run scores a non-finite update -inf, never NaN
-            raise ValueError("a score is NaN")
-    except (TypeError, ValueError) as exc:  # also bytes that are not UTF-8 and a score that is no number
-        raise ConfigError(f"{path}: {exc}") from exc
-    return scores, np.array([role == ROLE_MALICIOUS for _, role in rows])
 
 
 def sweep_values(grid: str) -> list[float]:

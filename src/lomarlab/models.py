@@ -16,8 +16,6 @@ import numpy as np
 MODEL_KINDS = ("logistic", "mlp")
 EVAL_CHUNK_ROWS = 1024  # predict widens this many rows to float64 at a time
 TRAIN_GROUP_BYTES = 512 * 1024  # cap on the float32 batch rows one lockstep training group gathers
-ROLE_CLEAN = "clean"
-ROLE_MALICIOUS = "malicious"
 
 
 @dataclass(frozen=True)

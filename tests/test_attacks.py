@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from lomarlab.attacks import AttackConfig, boost_update, build_malicious_shards, make_flipped_shard
-from lomarlab.data import major_count, synth_gaussian
-from lomarlab.models import ROLE_MALICIOUS
+from lomarlab.data import ROLE_MALICIOUS, major_count, synth_gaussian
 
 
 def pool(per_label=60, labels=3, seed=2):

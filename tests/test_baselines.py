@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lomarlab.baselines import (
     AggregationResult,
@@ -137,6 +139,24 @@ class TestKrum:
         a = krum(zero_joint(LAYOUT_1), base, 1)
         b = krum(zero_joint(LAYOUT_1), shifted, 1)
         assert np.array_equal(a.kept, b.kept)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 14), data=st.data())
+    def test_kept_set_ignores_client_order(self, seed, n, data):
+        # which client survives a near tie at the cut is a rounding outcome, so
+        # the set is checked only when no other total lies within 1e-6 of it
+        layout = ParamLayout((2, 2), 1)
+        rows = np.random.default_rng(seed).normal(size=(n, layout.size))
+        assumed = data.draw(st.integers(0, n - 3))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        base = krum(zero_joint(layout), round_from(rows, layout), assumed)
+        res = krum(zero_joint(layout), round_from(rows[perm], layout, ids=perm), assumed)
+        assert res.kept.sum() == base.kept.sum()
+        totals = -base.scores
+        cut = int(np.flatnonzero(base.kept)[np.argmax(totals[base.kept])])
+        others = np.delete(totals, cut)
+        if np.all(np.abs(others - totals[cut]) > 1e-6 * abs(totals[cut])):
+            assert set(perm[res.kept].tolist()) == set(np.flatnonzero(base.kept).tolist())
 
     @pytest.mark.parametrize("position", range(8))
     def test_nan_row_ranks_last(self, position):

@@ -9,7 +9,7 @@ import re
 import struct
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,11 +29,11 @@ from lomarlab.harness import (
     config_from_dict,
     initialize_state,
     load_config,
-    read_scores_csv,
     run_experiment,
     run_sweep,
     sweep_values,
 )
+from lomarlab.metrics import RocPoint, roc_from_scores
 from lomarlab.models import ParamLayout, ParamVector, Round
 
 
@@ -63,6 +63,23 @@ def write_mnist_dir(directory, images, labels):
     for images_key, labels_key in [("train_images", "train_labels"), ("test_images", "test_labels")]:
         (directory / files[images_key]).write_bytes(struct.pack(">IIII", 2051, count, rows, cols) + images.tobytes())
         (directory / files[labels_key]).write_bytes(struct.pack(">II", 2049, count) + labels.tobytes())
+
+
+def read_scores(path):
+    """The score and role columns of a run's scores.csv as (scores, malicious) arrays, in file order."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return np.array([float(r["score"]) for r in rows]), np.array([r["role"] == "malicious" for r in rows])
+
+
+def assert_roc_outputs_agree(out_dir):
+    """roc_points.csv is roc_from_scores of scores.csv, row by row in repr, and summary.json holds its AUC."""
+    points, auc = roc_from_scores(*read_scores(out_dir / "scores.csv"))
+    with open(out_dir / "roc_points.csv", encoding="utf-8", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table == [[f.name for f in fields(RocPoint)]] + [[repr(v) for v in astuple(p)] for p in points]
+    with open(out_dir / "summary.json", encoding="utf-8") as fh:
+        assert repr(json.load(fh)["auc"]) == repr(auc)
 
 
 OUTPUT_FILES = ("rounds.csv", "summary.json", "config_resolved.yaml", "scores.csv", "roc_points.csv")
@@ -571,7 +588,7 @@ class TestRunExperiment:
         # LoMar still scores every client without an attack, but there is no ROC
         no_attack = run_experiment(config_from_dict(base_dict(attack={"kind": "none"})), out_dir=out_dir)
         assert not (out_dir / "roc_points.csv").exists()
-        scores, malicious = read_scores_csv(out_dir / "scores.csv")
+        scores, malicious = read_scores(out_dir / "scores.csv")
         assert np.array_equal(scores, no_attack.state.last_scores) and not malicious.any()
 
     def test_nan_becomes_null_in_summary_json(self, tmp_path):
@@ -632,30 +649,12 @@ class TestRunExperiment:
         b = (tmp_path / "b" / "scores.csv").read_bytes()
         assert a != b
 
-    def test_read_scores_csv_roundtrip(self, tmp_path):
+    def test_scores_csv_roundtrip(self, tmp_path):
         out_dir = tmp_path / "run"
         out = run_experiment(config_from_dict(base_dict()), out_dir=out_dir)
-        scores, malicious = read_scores_csv(out_dir / "scores.csv")
+        scores, malicious = read_scores(out_dir / "scores.csv")
         assert np.array_equal(scores, out.state.last_scores)  # repr round-trips floats exactly
         assert np.array_equal(malicious, out.state.malicious)
-
-    def test_read_scores_csv_rejects_missing_columns(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        path.write_text("client_id,role\n0,clean\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="expected columns"):
-            read_scores_csv(path)
-
-    def test_read_scores_csv_rejects_empty(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        path.write_text("client_id,role,score\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="no score rows"):
-            read_scores_csv(path)
-
-    def test_read_scores_csv_rejects_unknown_role(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        path.write_text("client_id,role,score\n0,clean,1.0\n1,bystander,2.0\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="unknown roles"):
-            read_scores_csv(path)
 
 
 class TestModelPoison:
@@ -941,33 +940,13 @@ class TestCli:
         assert proc.returncode == 3
         assert "error" in proc.stderr
 
-    def test_roc_recomputes_from_run(self, tmp_path):
-        cfg_path = write_yaml(tmp_path / "cfg.yaml", cli_dict())
-        out_dir = tmp_path / "run"
-        assert run_cli("run", "--config", str(cfg_path), "--out", str(out_dir)).returncode == 0
-        (out_dir / "roc_points.csv").unlink()
-        proc = run_cli("roc", "--from", str(out_dir))
-        assert proc.returncode == 0, proc.stderr
-        assert "auc:" in proc.stdout
-        assert (out_dir / "roc_points.csv").exists()
-
-    def test_roc_without_scores_exits_3(self, tmp_path):
+    def test_roc_is_no_command(self, tmp_path):
+        # every scored run writes roc_points.csv and its AUC itself
         proc = run_cli("roc", "--from", str(tmp_path))
-        assert proc.returncode == 3
-
-    @pytest.mark.parametrize("content, match", [
-        pytest.param(b"client_id,role,score\n0,clean,1.0\n1,bystander,2.0\n", "unknown roles", id="unknown-role"),
-        pytest.param(b"client_id,role\n0,clean\n1,malicious\n", "expected columns", id="missing-columns"),
-        pytest.param(b"client_id,role,score\n0,clean,1.0\n1,malicious,\xff\n", "'utf-8' codec", id="non-utf8"),
-        pytest.param(b"client_id,role,score\n0,clean,high\n1,malicious,0.5\n", "'high'", id="score-not-a-number"),
-        pytest.param(b"client_id,role,score\n0,clean,nan\n1,malicious,0.5\n", "NaN", id="score-nan"),
-    ])
-    def test_roc_malformed_scores_exits_2(self, tmp_path, content, match):
-        (tmp_path / "scores.csv").write_bytes(content)
-        result = CliRunner().invoke(cli.main, ["roc", "--from", str(tmp_path)])
-        assert result.exit_code == 2, result.output
-        assert "config error: " in result.output and match in result.output
-        assert not (tmp_path / "roc_points.csv").exists()
+        assert proc.returncode == 2
+        assert "No such command 'roc'" in proc.stderr
+        listing = CliRunner().invoke(cli.main, ["--help"]).output.split("Commands:")[1]
+        assert [line.split()[0] for line in listing.splitlines() if line.strip()] == ["run", "sweep"]
 
     def test_sweep_writes_summary(self, tmp_path):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cli_dict())
@@ -1019,6 +998,16 @@ def example_with(kind, rounds=5):
     return config_from_dict(raw)
 
 
+class TestRocOutputs:
+    @pytest.mark.parametrize("value", [None, math.inf], ids=["clean", "non-finite"])
+    def test_roc_points_and_auc_are_the_scores_roc(self, tmp_path, monkeypatch, value):
+        if value is not None:
+            monkeypatch.setattr(harness, "local_train", non_finite_local_train(value))
+        out = run_experiment(example_with("lomar", rounds=2), out_dir=tmp_path)
+        assert np.isneginf(out.state.last_scores).sum() == (0 if value is None else 2)
+        assert_roc_outputs_agree(tmp_path)
+
+
 class TestNonFiniteGuard:
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("kind", list(harness.DEFENSES))
@@ -1046,12 +1035,10 @@ class TestNonFiniteGuard:
         finite[list(NON_FINITE_CLIENTS)] = False
         assert np.all(out.state.last_scores[~finite] == -math.inf)
         assert np.all(np.isfinite(out.state.last_scores[finite]))
-        scores, _ = read_scores_csv(out_dir / "scores.csv")
+        scores, _ = read_scores(out_dir / "scores.csv")
         assert len(scores) == 28
         assert scores[list(NON_FINITE_CLIENTS)].tolist() == [-math.inf, -math.inf]
-        result = CliRunner().invoke(cli.main, ["roc", "--from", str(out_dir)])
-        assert result.exit_code == 0, result.output
-        assert f"auc: {out.summary['auc']!r}" in result.output
+        assert_roc_outputs_agree(out_dir)
 
     @pytest.mark.parametrize("kind", ["krum", "fg_krum"])
     def test_krum_window_shrinks_with_the_finite_rows(self, monkeypatch, kind):

@@ -354,6 +354,31 @@ class TestOneDefinition:
         assert np.allclose(res.log_factors, base.log_factors, rtol=0.0, atol=1e-9)
 
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("bandwidth", [None, 1.0], ids=["median", "fixed"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=gaussian_rounds(), seed=st.integers(0, 2**32 - 1), gap=st.sampled_from([None, 1e-6, 1e-3]),
+           reach=st.floats(0.0, 100.0))
+    def test_translating_updates_keeps_factors_and_kept_set(self, kernel, bandwidth, case, seed, gap, reach):
+        # ||c|| up to 100x the round's largest |entry|. Row 1 may sit `gap` from
+        # row 0: the Gram form loses such a near pair's digits once translated,
+        # and only the direct recompute restores them.
+        matrix, layout, cfg = case
+        cfg = replace(cfg, kernel=kernel, bandwidth=bandwidth)
+        rng = np.random.default_rng(seed)
+        if gap is not None:
+            matrix[1] = matrix[0] + gap * rng.normal(size=layout.size)
+        # a near pair can shrink the median bandwidth past the oracle's float range
+        base = lomar_run(round_from(matrix, layout), cfg) if gap else self.oracle_checked_run(matrix, layout, cfg)
+        c = rng.normal(size=layout.size)
+        c *= reach * np.abs(matrix).max() / np.linalg.norm(c)
+        res = lomar_run(round_from(matrix + c, layout), cfg)
+        assert np.allclose(res.per_label_log_factors, base.per_label_log_factors, rtol=0.0, atol=1e-9)
+        assert np.allclose(res.log_factors, base.log_factors, rtol=0.0, atol=1e-9)
+        if np.all(np.abs(base.log_factors - math.log(cfg.epsilon)) > 1e-9):
+            assert np.array_equal(res.kept, base.kept)
+
+
 class TestKdeConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
