@@ -1007,6 +1007,12 @@ class TestRocOutputs:
         assert np.isneginf(out.state.last_scores).sum() == (0 if value is None else 2)
         assert_roc_outputs_agree(tmp_path)
 
+    @pytest.mark.parametrize("kind", [k for k in SCORED_DEFENSES if k != "lomar"])
+    def test_every_scored_defense_writes_the_scores_roc(self, tmp_path, kind):
+        out = run_experiment(example_with(kind, rounds=2), out_dir=tmp_path)
+        assert np.all(np.isfinite(out.state.last_scores))
+        assert_roc_outputs_agree(tmp_path)
+
 
 class TestNonFiniteGuard:
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
