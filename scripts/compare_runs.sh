@@ -10,6 +10,13 @@
 # partition draws without replacement; `minibatch` and `mlp_minibatch` train
 # several steps per epoch with a short last batch, 200 = 3 x 64 + 8 rows;
 # `foolsgold` and `fg_first` train that way too, on iid shards).
+# Which variants shuffle: `local_train` shuffles a shard only when it spans
+# several batches. `paper_lomar` (batch 20 over 600 rows), `minibatch`,
+# `mlp_minibatch`, `foolsgold` and `fg_first` shuffle every epoch. Every other
+# config trains full-batch in stored order (FedSGD): example.yaml and its
+# other overrides (batch 512 over 200 rows, or 10 under `noreplace`) and
+# `paper_fgkrum` (batch 600 over 600 rows). Only the first five exercise the
+# shuffle.
 # Each tree also runs `lomarlab sweep --param epsilon --grid 0.8,1.0 --seed 7`
 # on example.yaml and reruns the config_resolved.yaml that its own example.yaml
 # run wrote (the `resolved` entry).

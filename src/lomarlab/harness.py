@@ -340,7 +340,8 @@ def run_round(state: ExperimentState) -> RoundRecord:
     """
     cfg = state.cfg
     t = state.round_index + 1
-    seeds = [np.random.SeedSequence([cfg.seed, TAG_TRAIN, t, shard.owner]) for shard in state.shards]
+    # entropy lists: default_rng builds the same SeedSequence from one, and a client that never shuffles builds none
+    seeds = [[cfg.seed, TAG_TRAIN, t, shard.owner] for shard in state.shards]
     deltas = local_train(state.joint, state.train_features, state.shards, cfg.model, seeds)
     for row, shard in zip(deltas, state.shards):
         if cfg.attack.kind == "model_poison" and shard.role == ROLE_MALICIOUS:

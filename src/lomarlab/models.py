@@ -245,48 +245,70 @@ def local_train(joint: ParamVector, pool: np.ndarray, shards, spec: ModelSpec, s
     """E epochs of minibatch SGD per shard from the joint model; row i of the float64 result is shards[i]'s delta.
 
     pool is the run's 2-D float32 training array with input_dim columns, and
-    shards are data.DataShards of row indices into it; seeds[i] (an int, a numpy
-    SeedSequence or a Generator) draws shards[i]'s epoch permutations, so one
-    Generator passed to successive single-epoch calls reproduces one multi-epoch
-    call exactly. Every step runs in float32: a client's working row starts at
-    float32(joint), each epoch gathers its shuffled row indices and float32
-    one-hot labels once, and each batch gathers its features from the pool. The
-    delta is taken against float32(joint) and widened on return. All shards of
-    one call are one length, as every client of a run trains samples_per_client
-    rows; consecutive shards step in lockstep, as many as keep a batch gather
-    within TRAIN_GROUP_BYTES. Each keeps its own generator and working row, and
-    the stacked kernel gives it a lone client's float32 operations on the same
-    operands, so its delta is bitwise the one its shard trains alone.
+    shards are data.DataShards of row indices into it; seeds[i] (anything
+    numpy.random.default_rng takes: an int, a list of ints, a SeedSequence or a
+    Generator) draws shards[i]'s epoch permutations, so one Generator passed to
+    successive single-epoch calls reproduces one multi-epoch call exactly. A
+    shard that fits in one batch (len(shard) <= batch_size) trains every epoch
+    in stored order and draws nothing: a shuffle would only reorder one sum. Every
+    step runs in float32: a client's working row starts at float32(joint), each
+    epoch gathers its shuffled row indices and float32 one-hot labels once, and
+    each batch gathers its features from the pool. The delta is taken against
+    float32(joint) and widened on return. All shards of one call are one length,
+    as every client of a run trains samples_per_client rows; consecutive shards
+    step in lockstep, as many as keep a batch gather within TRAIN_GROUP_BYTES.
+    Each keeps its own working row (and generator), and the stacked kernel gives
+    it a lone client's float32 operations on the same operands, so its delta is
+    bitwise the one its shard trains alone.
     """
     if len(shards) != len(seeds):
         raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
     if pool.dtype != np.float32 or pool.ndim != 2 or pool.shape[1] != spec.input_dim:
         raise ValueError(f"pool of {pool.dtype} {pool.shape} is not 2-D float32 with {spec.input_dim} columns")
+    start_values, eye = joint.values.astype(np.float32), np.eye(spec.num_labels, dtype=np.float32)
+    deltas = np.empty((len(shards), start_values.size))
+    if not shards:
+        return deltas
     lengths = sorted({len(shard) for shard in shards})
     if 0 in lengths:
         raise ValueError("empty shard")
     if len(lengths) > 1:
         raise ValueError(f"shards of {lengths} rows: all shards of one call must be one length")
-    n = lengths[0] if lengths else 1
+    n = lengths[0]
+    rows = np.stack([shard.rows for shard in shards])
+    labels = _check_labels(np.stack([shard.labels for shard in shards]), spec)
+    if rows.max() >= len(pool):
+        raise ValueError(f"shard rows past the pool's {len(pool)} rows")
     group = max(1, TRAIN_GROUP_BYTES // (min(spec.batch_size, n) * spec.input_dim * 4))
-    labels = [_check_labels(shard.labels, spec) for shard in shards]
-    start_values, eye = joint.values.astype(np.float32), np.eye(spec.num_labels, dtype=np.float32)
-    deltas = np.empty((len(shards), start_values.size))
     for begin in range(0, len(shards), group):
         members = slice(begin, begin + group)
-        rngs = [np.random.default_rng(seed) for seed in seeds[members]]
-        work, grad = np.tile(start_values, (len(rngs), 1)), np.empty((len(rngs), start_values.size), np.float32)
+        if n <= spec.batch_size:  # every epoch is one batch in stored order
+            batches = [(rows[members], eye.take(labels[members], axis=0))] * spec.local_epochs
+        else:
+            batches = _shuffled_batches(rows[members], labels[members], eye, seeds[members], spec)
+        work = np.tile(start_values, (len(rows[members]), 1))
+        grad = np.empty_like(work)
         views, grad_views = _unpack(work, spec), _unpack(grad, spec)
-        for epoch in range(spec.local_epochs):
-            orders = [rng.permutation(n) for rng in rngs]
-            epoch_rows = np.stack([shard.rows[order] for shard, order in zip(shards[members], orders)])
-            if epoch == 0 and epoch_rows.max() >= len(pool):
-                raise ValueError(f"shard rows past the pool's {len(pool)} rows")
-            onehot = eye.take(np.stack([y[order] for y, order in zip(labels[members], orders)]), axis=0)
-            for step in range(0, n, spec.batch_size):
-                batch = slice(step, step + spec.batch_size)
-                _gradient(views, grad_views, pool.take(epoch_rows[:, batch], axis=0), onehot[:, batch])
-                grad *= spec.learning_rate
-                work -= grad
+        for batch_rows, onehot in batches:
+            # the gather is freed as the step ends, so the next one reuses its memory
+            _gradient(views, grad_views, pool.take(batch_rows, axis=0), onehot)
+            grad *= spec.learning_rate
+            work -= grad
         deltas[members] = work - start_values
     return deltas
+
+
+def _shuffled_batches(rows: np.ndarray, labels: np.ndarray, eye: np.ndarray, seeds, spec: ModelSpec):
+    """(pool row indices, one-hot labels) of each step of E shuffled epochs over a group's stacked shards.
+
+    Each epoch draws one permutation per shard from the shard's own generator and gathers the permuted row
+    indices and one-hot labels once; each step's batch is a slice of both.
+    """
+    rngs, n = [np.random.default_rng(seed) for seed in seeds], rows.shape[1]
+    for _ in range(spec.local_epochs):
+        orders = np.stack([rng.permutation(n) for rng in rngs])
+        epoch_rows = np.take_along_axis(rows, orders, axis=1)
+        onehot = eye.take(np.take_along_axis(labels, orders, axis=1), axis=0)
+        for begin in range(0, n, spec.batch_size):
+            batch = slice(begin, begin + spec.batch_size)
+            yield epoch_rows[:, batch], onehot[:, batch]

@@ -289,6 +289,26 @@ class TestFoolsGold:
         assert np.all(res.scores == 0.0)
         assert np.array_equal(res.new_joint.values, joint.values)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14), data=st.data())
+    def test_kept_count_ignores_client_order(self, seed, n, data):
+        # a sybil cohort of near-duplicates of row 0 loses its weight, so the count varies with its size;
+        # whether a client whose weight sits at the cut is kept is a rounding outcome, so the count is
+        # checked only when no weight on either side lies within 1e-9 above 0
+        layout = ParamLayout((2, 2), 1)
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n, layout.size))
+        cohort = data.draw(st.integers(0, n))
+        rows[:cohort] = rows[0] + 1e-3 * rng.normal(size=(cohort, layout.size))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        base = foolsgold(zero_joint(layout), round_from(rows, layout))
+        res = foolsgold(zero_joint(layout), round_from(rows[perm], layout, ids=perm))
+        assert np.allclose(res.scores, base.scores[perm], rtol=1e-9, atol=1e-12)
+        assert np.array_equal(res.kept, res.scores > 0.0)
+        scores = np.concatenate([base.scores, res.scores])
+        if not np.any((scores > 0.0) & (scores <= 1e-9)):
+            assert res.kept.sum() == base.kept.sum()
+
 
 class TestFgKrum:
     def spread_updates(self):

@@ -153,6 +153,16 @@ class TestTrainingDeterminism:
         b = local_train(spec.init_params(), pool, [shard], spec, [124])[0]
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("batch_size", [20, 64], ids=["batch-is-shard", "batch-above-shard"])
+    def test_a_shard_that_fits_one_batch_trains_alike_under_any_seed(self, batch_size):
+        # every epoch takes the shard in stored order, so colluders on byte-identical full-batch shards
+        # get byte-identical deltas whatever their seeds
+        spec = logistic_spec(local_epochs=3, batch_size=batch_size, learning_rate=0.1)
+        pool, shard = self.make_shard(np.random.default_rng(11))
+        a, b = local_train(spec.init_params(), pool, [shard, shard], spec, [123, 124])
+        assert a.tobytes() == b.tobytes()
+        assert not np.array_equal(a, np.zeros_like(a))
+
     def test_generator_threading_reproduces_multi_epoch(self):
         # three single-epoch calls sharing one Generator == one 3-epoch call
         spec3 = logistic_spec(local_epochs=3, batch_size=4, learning_rate=0.1)
@@ -166,6 +176,20 @@ class TestTrainingDeterminism:
         for _ in range(3):
             joint = ParamVector(joint.values + local_train(joint, pool, [shard], spec1, [gen])[0], joint.layout)
         assert np.allclose(joint.values - spec3.init_params().values, whole, rtol=0, atol=0)
+        # the shard spans several batches, so every call drew from the shared generator
+        assert len(shard) > spec1.batch_size
+        assert gen.bit_generator.state != np.random.default_rng(77).bit_generator.state
+
+    @pytest.mark.parametrize("batch_size, draws", [(4, 3), (20, 0), (64, 0)],
+                             ids=["several-batches", "batch-is-shard", "batch-above-shard"])
+    def test_a_shard_draws_one_permutation_per_epoch_only_when_it_spans_several_batches(self, batch_size, draws):
+        spec = logistic_spec(local_epochs=3, batch_size=batch_size, learning_rate=0.1)
+        pool, shard = self.make_shard(np.random.default_rng(23))
+        gen, twin = np.random.default_rng(5), np.random.default_rng(5)
+        local_train(spec.init_params(), pool, [shard], spec, [gen])
+        for _ in range(draws):
+            twin.permutation(len(shard))
+        assert gen.bit_generator.state == twin.bit_generator.state
 
     def test_seedsequence_accepted(self):
         spec = logistic_spec()
@@ -180,13 +204,15 @@ def reference_train(joint, pool, shard, spec, seed, dtype=np.float32):
 
     Starts from the joint rounded to `dtype` on the shard's pool rows widened to
     it; the delta is taken against that start in `dtype` and widened to float64.
+    Each epoch shuffles the shard, unless it fits in one batch: then every epoch
+    takes it in stored order.
     """
     rng = np.random.default_rng(seed)
     x, y = pool[shard.rows].astype(dtype), shard.labels
     n = x.shape[0]
     start = work = joint.values.astype(dtype)
     for _ in range(spec.local_epochs):
-        order = rng.permutation(n)
+        order = np.arange(n) if n <= spec.batch_size else rng.permutation(n)
         for begin in range(0, n, spec.batch_size):
             batch = order[begin: begin + spec.batch_size]
             grad, _ = reference_grad(work, spec, x[batch], y[batch])
@@ -234,18 +260,21 @@ class TestTrainingMatchesReference:
     LABEL_SPECS, LABEL_IDS = label_cases(local_epochs=4, batch_size=5, learning_rate=0.3)
 
     # 23 samples at batch 5 leave a short last batch of 3 in every epoch; a
-    # batch of 64 is larger than the whole shard, and a one-row shard trains
-    # one single-sample step per epoch.
+    # batch of 64 is larger than the whole shard and one of 23 is exactly it,
+    # so both train it in stored order; a one-row shard trains one
+    # single-sample step per epoch.
     @pytest.mark.parametrize("spec, shard_rows", [
         (logistic_spec(num_labels=3, local_epochs=4, batch_size=5, learning_rate=0.3), 23),
         (mlp_spec(num_labels=3, local_epochs=4, batch_size=5, learning_rate=0.3), 23),
         (logistic_spec(num_labels=3, local_epochs=3, batch_size=64, learning_rate=0.3), 23),
         (mlp_spec(num_labels=3, local_epochs=3, batch_size=64, learning_rate=0.3), 23),
+        (logistic_spec(num_labels=3, local_epochs=3, batch_size=23, learning_rate=0.3), 23),
+        (mlp_spec(num_labels=3, local_epochs=3, batch_size=23, learning_rate=0.3), 23),
         (logistic_spec(num_labels=3, local_epochs=3, batch_size=5, learning_rate=0.3), 1),
         (mlp_spec(num_labels=3, local_epochs=3, batch_size=5, learning_rate=0.3), 1),
         *[(spec, 23) for spec in LABEL_SPECS],
     ], ids=["logistic", "mlp", "logistic-batch-above-shard", "mlp-batch-above-shard",
-            "logistic-one-row", "mlp-one-row", *LABEL_IDS])
+            "logistic-batch-is-shard", "mlp-batch-is-shard", "logistic-one-row", "mlp-one-row", *LABEL_IDS])
     def test_local_train_is_bitwise_the_reference_loop(self, spec, shard_rows):
         rng = np.random.default_rng(41)
         # rows out of a 40-row pool, out of order: training must gather pool[rows[batch]]
