@@ -4,18 +4,18 @@
 #     scripts/compare_runs.sh BASE_REV
 #
 # BASE_REV's tree is extracted with `git archive` into a temporary directory.
-# Every config variant written below runs once on each tree, 16 in all:
+# Every config variant written below runs once on each tree, 15 in all:
 # configs/example.yaml, both perfbench workloads, and example.yaml with each of
-# the 13 overrides listed in `variants` (`noreplace` is the one config whose
+# the 12 overrides listed in `variants` (`noreplace` is the one config whose
 # partition draws without replacement; `minibatch` and `mlp_minibatch` train
 # several steps per epoch with a short last batch, 200 = 3 x 64 + 8 rows;
-# `foolsgold` and `fg_first` train that way too, on iid shards).
+# `foolsgold` trains that way too, on iid shards).
 # Which variants shuffle: `local_train` shuffles a shard only when it spans
 # several batches. `paper_lomar` (batch 20 over 600 rows), `minibatch`,
-# `mlp_minibatch`, `foolsgold` and `fg_first` shuffle every epoch. Every other
-# config trains full-batch in stored order (FedSGD): example.yaml and its
-# other overrides (batch 512 over 200 rows, or 10 under `noreplace`) and
-# `paper_fgkrum` (batch 600 over 600 rows). Only the first five exercise the
+# `mlp_minibatch` and `foolsgold` shuffle every epoch. Every other config
+# trains full-batch in stored order (FedSGD): example.yaml and its other
+# overrides (batch 512 over 200 rows, or 10 under `noreplace`) and
+# `paper_fgkrum` (batch 600 over 600 rows). Only the first four exercise the
 # shuffle.
 # Each tree also runs `lomarlab sweep --param epsilon --grid 0.8,1.0 --seed 7`
 # on example.yaml and reruns the config_resolved.yaml that its own example.yaml
@@ -56,7 +56,6 @@ variants = {
     "median": {"defense": {"kind": "median"}},
     "foolsgold": {"defense": {"kind": "foolsgold"}, **FG_TRAINING},
     "fg_krum": {"defense": {"kind": "fg_krum"}},
-    "fg_first": {"defense": {"kind": "fg_krum", "fg_krum_order": "fg_first"}, **FG_TRAINING},
     "gaussian_kernel": {"defense": {"kernel": "gaussian"}},
     "mlp": {"model": {"kind": "mlp", "hidden_dim": 5}},
     "model_poison_krum": {"attack": {"kind": "model_poison"}, "defense": {"kind": "krum"}},

@@ -19,8 +19,6 @@ import numpy as np
 from .lomar import sq_dist_matrix
 from .models import ParamVector, Round
 
-FG_KRUM_ORDERS = ("krum_first", "fg_first")
-
 
 @dataclass
 class AggregationResult:
@@ -35,18 +33,18 @@ class AggregationResult:
     h_used: float | None = None
 
 
-def _apply_weights(joint: ParamVector, rnd: Round, weights, scores=None, order=None) -> AggregationResult:
+def _apply_weights(joint: ParamVector, rnd: Round, weights, scores=None) -> AggregationResult:
     """The one weighted sum: add w * delta to the joint for every positive weight.
 
-    weights holds one entry per row. Rows are visited in `order` (default: the
-    round's order), which fixes the summation order and so the bits of the
-    result. The positive-weight rows are the kept rows.
+    weights holds one entry per row. Rows are visited in the round's order,
+    which fixes the summation order and so the bits of the result. The
+    positive-weight rows are the kept rows.
     """
     if rnd.layout != joint.layout:
         raise ValueError("update layout does not match the joint model's")
     weights = np.asarray(weights, dtype=np.float64)
     values = joint.values.copy()
-    for row in range(len(weights)) if order is None else order:
+    for row in range(len(weights)):
         if weights[row] > 0:
             values = values + weights[row] * rnd.deltas[row]
     return AggregationResult(ParamVector(values, joint.layout), weights > 0, scores)
@@ -154,33 +152,10 @@ def foolsgold(joint: ParamVector, rnd: Round) -> AggregationResult:
     return _apply_weights(joint, rnd, wv / total if total > 0 else wv, scores=wv)
 
 
-def fg_krum(joint: ParamVector, rnd: Round, assumed_malicious: int,
-            order: str = "krum_first") -> AggregationResult:
-    """FoolsGold and Krum composed.
-
-    krum_first: Krum selects survivors, FoolsGold reweights them best first.
-    fg_first: FoolsGold weights everyone, Krum picks among the positive-weight
-    clients, and the survivors are summed best first with their renormalized
-    credibility weights. Fewer than three positive-weight clients leave the
-    FoolsGold result as is; otherwise Krum assumes at most (positive count - 3)
-    of them are malicious.
-    """
-    if order not in FG_KRUM_ORDERS:
-        raise ValueError(f"unknown order {order!r}")
-
-    if order == "krum_first":
-        chosen, scores = _krum_select(rnd, assumed_malicious)
-        inner = foolsgold(joint, rnd.select(chosen))
-        kept = np.zeros(len(rnd.ids), dtype=bool)
-        kept[chosen] = inner.kept
-        return AggregationResult(inner.new_joint, kept, scores)
-
-    inner = foolsgold(joint, rnd)
-    positive = np.flatnonzero(inner.kept)
-    if len(positive) < 3:
-        return inner
-    chosen = positive[_krum_select(rnd.select(positive), min(assumed_malicious, len(positive) - 3))[0]]
-    total = sum(inner.scores[chosen].tolist())  # left to right, as a loop over the survivors
-    weights = np.zeros(len(rnd.ids))
-    weights[chosen] = inner.scores[chosen] / total
-    return _apply_weights(joint, rnd, weights, inner.scores, order=chosen)
+def fg_krum(joint: ParamVector, rnd: Round, assumed_malicious: int) -> AggregationResult:
+    """FG+Krum, Krum first: Krum's survivors (see _krum_select) reweighted by FoolsGold, best first."""
+    chosen, scores = _krum_select(rnd, assumed_malicious)
+    inner = foolsgold(joint, rnd.select(chosen))
+    kept = np.zeros(len(rnd.ids), dtype=bool)
+    kept[chosen] = inner.kept
+    return AggregationResult(inner.new_joint, kept, scores)

@@ -246,8 +246,8 @@ def partition(labels: np.ndarray, num_clients: int, plan: PartitionPlan, seed) -
     """Split a pool with these labels into num_clients shards of its row indices.
 
     Major labels go round-robin over the labels present; a shard's rows stay in
-    draw order, since local training shuffles every epoch. Raises on any
-    shortfall while allow_replacement=False.
+    draw order (local training shuffles them only when they span several
+    batches). Raises on any shortfall while allow_replacement=False.
     """
     if num_clients < 1:
         raise ValueError("need num_clients >= 1")

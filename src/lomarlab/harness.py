@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .attacks import AttackConfig, boost_update, build_malicious_shards
-from .baselines import (FG_KRUM_ORDERS, AggregationResult, coordinate_median, fedavg, fg_krum,
+from .baselines import (AggregationResult, coordinate_median, fedavg, fg_krum,
                         foolsgold, krum, krum_window, weighted_aggregate)
 from .data import (ROLE_MALICIOUS, DataShard, PartitionPlan, check_synth, load_idx, major_count, partition,
                    synth_gaussian)
@@ -108,8 +108,7 @@ DEFENSES = {
     "krum": lambda state, rnd: krum(state.joint, rnd, _krum_assumed(state, rnd)),
     "median": lambda state, rnd: coordinate_median(state.joint, rnd),
     "foolsgold": lambda state, rnd: foolsgold(state.joint, rnd),
-    "fg_krum": lambda state, rnd: fg_krum(state.joint, rnd, _krum_assumed(state, rnd),
-                                          order=state.cfg.defense.fg_krum_order),
+    "fg_krum": lambda state, rnd: fg_krum(state.joint, rnd, _krum_assumed(state, rnd)),
 }
 
 
@@ -119,13 +118,13 @@ class DefenseConfig(KdeConfig):
 
     kind: str = "lomar"
     assumed_malicious: int | None = None
-    fg_krum_order: str = "krum_first"
+    fg_krum_order: str = "krum_first"  # kept only because perfbench's paper_fgkrum.yaml sets it
 
     def __post_init__(self):
         if self.kind not in DEFENSES:
             raise ConfigError(f"unknown defense kind {self.kind!r}")
-        if self.fg_krum_order not in FG_KRUM_ORDERS:
-            raise ConfigError(f"unknown fg_krum_order {self.fg_krum_order!r}")
+        if self.fg_krum_order != "krum_first":
+            raise ConfigError(f"fg_krum_order {self.fg_krum_order!r}: fg_krum always runs Krum first")
         super().__post_init__()
 
 
@@ -163,9 +162,8 @@ class ExperimentConfig:
         assumed = _assumed_malicious(self)
         if assumed < 0:
             raise ConfigError("assumed_malicious must be >= 0")
-        # fg_first clamps assumed to the FoolsGold survivors instead.
         d, population = self.defense, self.num_clean + self.attack.malicious_count
-        if d.kind == "krum" or (d.kind == "fg_krum" and d.fg_krum_order == "krum_first"):
+        if d.kind in ("krum", "fg_krum"):
             krum_window(population, assumed)
         if d.kind == "lomar" and d.k is not None and d.k > population - 1:
             raise ConfigError(f"lomar needs k <= population - 1, got k={d.k}, population={population}")

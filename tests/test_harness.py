@@ -231,8 +231,6 @@ class TestConfigParsing:
         pytest.param({"kind": "lomar", "assumed_malicious": -1}, id="lomar-negative"),
         pytest.param({"kind": "krum", "assumed_malicious": -1}, id="krum-negative"),
         pytest.param({"kind": "fg_krum", "assumed_malicious": 10}, id="krum_first-no-window"),
-        pytest.param({"kind": "fg_krum", "fg_krum_order": "fg_first", "assumed_malicious": -1},
-                     id="fg_first-negative"),
     ])
     def test_assumed_malicious_checked_at_load(self, defense):
         with pytest.raises(ConfigError, match="assumed_malicious"):
@@ -245,17 +243,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="assumed_malicious"):
             config_from_dict(base_dict(defense={"kind": "krum", "assumed_malicious": 9}))
 
+    def test_fg_krum_order_krum_first_is_the_default(self):
+        explicit = config_from_dict(base_dict(defense={"kind": "fg_krum", "fg_krum_order": "krum_first"}))
+        assert explicit == config_from_dict(base_dict(defense={"kind": "fg_krum"}))
+
+    @pytest.mark.parametrize("order", ["fg_first", "sideways"])
+    def test_fg_krum_order_other_than_krum_first_rejected(self, order):
+        with pytest.raises(ConfigError, match="fg_krum always runs Krum first"):
+            config_from_dict(base_dict(defense={"kind": "fg_krum", "fg_krum_order": order}))
+
     def test_synth_labels_checked_before_the_pool_is_drawn(self, monkeypatch):
         monkeypatch.setattr(harness, "synth_gaussian", lambda *a, **k: pytest.fail("pool drawn"))
         raw = base_dict()
         raw["attack"]["flip_pairs"] = [[0, 5]]
         with pytest.raises(ConfigError, match=r"labels \[5\] outside the dataset's 2 labels"):
             config_from_dict(raw)
-
-    def test_fg_first_needs_only_nonnegative_assumed_malicious(self):
-        # fg_first clamps the value to its FoolsGold survivors at run time
-        defense = {"kind": "fg_krum", "fg_krum_order": "fg_first", "assumed_malicious": 10}
-        assert config_from_dict(base_dict(defense=defense)).defense.assumed_malicious == 10
 
     def test_attack_budget_enforced(self):
         # 3 malicious against 4 clean breaks the 40% budget
@@ -451,7 +453,6 @@ class TestInitializeState:
 SCORED_DEFENSES = ("lomar", "krum", "foolsgold", "fg_krum")
 UNSCORED_DEFENSES = ("none", "median")
 DEFENSE_CASES = [pytest.param({"kind": kind}, id=kind) for kind in SCORED_DEFENSES + UNSCORED_DEFENSES]
-DEFENSE_CASES.append(pytest.param({"kind": "fg_krum", "fg_krum_order": "fg_first"}, id="fg_krum-fg_first"))
 
 
 class TestRunExperiment:
@@ -477,6 +478,25 @@ class TestRunExperiment:
         # only the density defense has a threshold and a bandwidth to report
         assert (rec.epsilon is not None) == (kind == "lomar")
         assert (rec.h is not None) == (kind == "lomar")
+
+    @pytest.mark.parametrize("kind", sorted(harness.DEFENSES))
+    def test_two_client_round(self, kind):
+        # n = 2 orthogonal rows: FedAvg, median and FoolsGold average them, LoMar runs at
+        # k = 1 = n - 1 and keeps both, and Krum's window n - assumed - 2 is empty
+        defense = {"kind": kind, "k": 1} if kind == "lomar" else {"kind": kind}
+        state = initialize_state(config_from_dict(base_dict(defense=defense)))
+        rows = np.zeros((2, state.joint.layout.size))
+        rows[0, 0], rows[1, 1] = 1.0, 2.0
+        rnd = Round(np.arange(2), rows, state.joint.layout)
+        if kind in ("krum", "fg_krum"):
+            with pytest.raises(ValueError, match="krum needs n - assumed_malicious - 2 >= 1, got n=2"):
+                harness.DEFENSES[kind](state, rnd)
+            return
+        res = harness.DEFENSES[kind](state, rnd)
+        assert res.kept.tolist() == [True, True]
+        assert np.array_equal(res.new_joint.values, state.joint.values + 0.5 * rows[0] + 0.5 * rows[1])
+        if kind == "lomar":  # each client is the other's one neighbour, so both factors are 1
+            assert res.scores.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("kind, name", [("lomar", "lomar_run"), ("krum", "krum")])
     def test_defense_rule_looked_up_at_call_time(self, monkeypatch, kind, name):
@@ -784,6 +804,7 @@ class TestCli:
     @pytest.mark.parametrize("defense", [
         pytest.param({"kind": "krum", "assumed_malicious": -1}, id="krum-assumed-negative"),
         pytest.param({"kind": "krum", "assumed_malicious": 30}, id="krum-assumed-no-window"),
+        pytest.param({"kind": "fg_krum", "fg_krum_order": "fg_first"}, id="fg-krum-order-fg-first"),
         pytest.param({"kind": "lomar", "k": 0}, id="lomar-k-0"),
         pytest.param({"kind": "lomar", "k": 28}, id="lomar-k-past-population"),
         pytest.param({"kind": "lomar", "density_floor": 0}, id="lomar-density-floor-0"),
